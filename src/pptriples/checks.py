@@ -1,8 +1,9 @@
 """Bulk oracle-equivalence suites backing the CLI `verify` command.
 
 Each suite compares a closed-form or generator path against the exhaustive
-triple enumerator (or a raw pair count) at a caller-chosen bound and reports
-the number of checks, failures, and the first counterexample.
+triple enumerator (or a raw pair count, or the A/B delta recurrences) at a
+caller-chosen bound and reports the number of checks, failures, and the
+first counterexample.  The oracles here stay off the library's fast paths.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .density import (
 )
 from .hyp_gap import family_triple, invert_to_family
 from .leg_gap import admissible_f, generate_f_triples
-from .pell import apply_delta_power, neg_pell_solution
+from .pell import neg_pell_solution
 from .triples import Triple, enumerate_ppts
 from .zsqrt2 import DELTA, GAMMA, QuadInt
 
@@ -32,6 +33,9 @@ __all__ = [
     "check_nonexistence",
     "check_pell",
     "check_density_cross",
+    "RecurrencePair",
+    "recurrence_coeffs",
+    "apply_delta_power",
 ]
 
 HYP_GAP_SAMPLE = (3, 5, 6, 7, 10, 11, 12)
@@ -120,6 +124,38 @@ def check_nonexistence(
                 "nonexistence", checks, 1, f"{t} has leg gap {abs(t.a - t.b)}"
             )
     return CheckReport("nonexistence", checks, 0)
+
+
+@dataclass(frozen=True)
+class RecurrencePair:
+    n: int
+    A: int
+    B: int
+
+
+def recurrence_coeffs(n: int) -> RecurrencePair:
+    """The n-th coefficient pair: A = 1, 3, 17, ... and B = 0, 2, 12, ...
+
+    They follow A(n) = 6*A(n-1) - A(n-2) and B(n) = 6*B(n-1) - B(n-2), and
+    satisfy t * DELTA**n = A*t + B*(2k + j*sqrt(2)) for t = j + k*sqrt(2).
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    if n == 0:
+        return RecurrencePair(0, 1, 0)
+    a_prev, a = 1, 3
+    b_prev, b = 0, 2
+    for _ in range(n - 1):
+        a_prev, a = a, 6 * a - a_prev
+        b_prev, b = b, 6 * b - b_prev
+    return RecurrencePair(n, a, b)
+
+
+def apply_delta_power(t: QuadInt, n: int) -> QuadInt:
+    """t * DELTA**n evaluated through the recurrence coefficients."""
+    rc = recurrence_coeffs(n)
+    j, k = t.x, t.y
+    return QuadInt(rc.A * j + 2 * rc.B * k, rc.A * k + rc.B * j)
 
 
 def check_pell(m_max: int, y_max: int = 100_000) -> CheckReport:

@@ -19,7 +19,8 @@ import argparse
 import json
 import re
 import sys
-from typing import Iterable
+from itertools import chain, islice
+from typing import Iterable, TextIO
 
 from . import checks
 from ._primes import UnsupportedRangeError
@@ -88,181 +89,23 @@ def _grid(text: str) -> list[int]:
     return values
 
 
-def _emit(lines: Iterable[str], out_path: str | None) -> None:
-    if out_path is None:
-        for line in lines:
-            print(line)
-        return
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+# Output records: tag -> field names in output order.  Each tuple is both the
+# CSV header and the JSON key order after "record".
+RECORDS = {
+    "g_class": ("g", "kind", "m"),
+    "g_family_item": ("n", "k", "r", "s", "a", "b", "c", "stride", "offset"),
+    "f_spec": ("f", "admissible", "factorization"),
+    "cf_element": ("u_x", "u_y", "choices"),
+    "f_triple": ("a", "b", "c", "m", "sign", "u_x", "u_y"),
+    "check": (
+        "a", "b", "c", "pythagorean", "primitive", "even_leg",
+        "r", "s", "g", "g_kind", "g_m", "g_n", "f",
+    ),
+    "density_row": ("B", "family_count", "pool_count", "ratio", "predicted"),
+}
 
-
-def _jsonl(record: dict) -> str:
-    return json.dumps(record, separators=(", ", ": "))
-
-
-def cmd_gen_g(args: argparse.Namespace) -> int:
-    gc = classify_g(args.g)
-    if not gc.admissible:
-        print(
-            f"g={args.g} is inadmissible: " + "; ".join(gc.reasons),
-            file=sys.stderr,
-        )
-        return EXIT_INADMISSIBLE
-    items = generate_g_family(args.g, args.count)
-    lines: list[str] = []
-    if args.format == "json":
-        lines.append(
-            _jsonl({"record": "g_class", "g": gc.g, "kind": gc.kind.value, "m": gc.m})
-        )
-        for it in items:
-            lines.append(
-                _jsonl(
-                    {
-                        "record": "g_family_item",
-                        "n": it.n,
-                        "k": it.k,
-                        "r": it.r,
-                        "s": it.s,
-                        "a": it.triple.a,
-                        "b": it.triple.b,
-                        "c": it.triple.c,
-                        "stride": it.stride,
-                        "offset": it.offset,
-                    }
-                )
-            )
-    else:
-        lines.append(f"# g={gc.g} kind={gc.kind.value} m={gc.m}")
-        lines.append("n,k,r,s,a,b,c,stride,offset")
-        for it in items:
-            t = it.triple
-            lines.append(
-                f"{it.n},{it.k},{it.r},{it.s},{t.a},{t.b},{t.c},{it.stride},{it.offset}"
-            )
-    _emit(lines, None)
-    return EXIT_OK
-
-
-def cmd_gen_f(args: argparse.Namespace) -> int:
-    try:
-        spec = admissible_f(args.f)
-    except UnsupportedRangeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_RANGE
-    if not spec.admissible:
-        print(
-            f"f={args.f} is inadmissible: " + "; ".join(spec.reasons),
-            file=sys.stderr,
-        )
-        return EXIT_INADMISSIBLE
-    m_lo, m_hi = args.m
-    elements = cf_elements(spec)
-    triples = sorted(
-        generate_f_triples(spec, m_lo, m_hi), key=lambda ft: ft.triple.as_tuple()
-    )
-    factor_text = " ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in spec.factorization)
-    lines: list[str] = []
-    if args.format == "json":
-        lines.append(
-            _jsonl(
-                {
-                    "record": "f_spec",
-                    "f": spec.f,
-                    "admissible": spec.admissible,
-                    "factorization": [list(pe) for pe in spec.factorization],
-                }
-            )
-        )
-        for elem in elements:
-            lines.append(
-                _jsonl(
-                    {
-                        "record": "cf_element",
-                        "u_x": elem.u.x,
-                        "u_y": elem.u.y,
-                        "choices": list(elem.choices),
-                    }
-                )
-            )
-        for ft in triples:
-            t = ft.triple
-            lines.append(
-                _jsonl(
-                    {
-                        "record": "f_triple",
-                        "a": t.a,
-                        "b": t.b,
-                        "c": t.c,
-                        "m": ft.m,
-                        "sign": ft.sign,
-                        "u_x": ft.cf_choice.u.x,
-                        "u_y": ft.cf_choice.u.y,
-                    }
-                )
-            )
-    else:
-        lines.append(f"# f={spec.f} admissible factorization={factor_text or '1'}")
-        lines.append(
-            "# generators: " + ", ".join(str(elem.u) for elem in elements)
-        )
-        lines.append("a,b,c,m,sign,u_x,u_y")
-        for ft in triples:
-            t = ft.triple
-            u = ft.cf_choice.u
-            lines.append(f"{t.a},{t.b},{t.c},{ft.m},{ft.sign},{u.x},{u.y}")
-    _emit(lines, None)
-    return EXIT_OK
-
-
-def _check_fields(a: int, b: int, c: int) -> tuple[dict, int]:
-    fields: dict = {
-        "record": "check",
-        "a": a,
-        "b": b,
-        "c": c,
-        "pythagorean": False,
-        "primitive": None,
-        "even_leg": None,
-        "r": None,
-        "s": None,
-        "g": None,
-        "g_kind": None,
-        "g_m": None,
-        "g_n": None,
-        "f": None,
-    }
-    try:
-        t = Triple(a, b, c)
-    except ValueError:
-        return fields, EXIT_NOT_PPT
-    fields["pythagorean"] = True
-    cls = classify_triple(t)
-    fields["primitive"] = cls.primitive
-    fields["even_leg"] = cls.even_leg
-    fields["f"] = cls.f
-    if not is_primitive(t):
-        return fields, EXIT_NOT_PPT
-    pair = to_params(t)
-    gc, n = invert_to_family(t)
-    fields["r"], fields["s"] = pair.r, pair.s
-    fields["g"] = t.c - t.b
-    fields["g_kind"] = gc.kind.value
-    fields["g_m"] = gc.m
-    fields["g_n"] = n
-    return fields, EXIT_OK
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    fields, code = _check_fields(args.a, args.b, args.c)
-    if args.format == "json":
-        print(_jsonl(fields))
-    else:
-        names = [k for k in fields if k != "record"]
-        print(",".join(names))
-        print(",".join(_csv_cell(fields[k]) for k in names))
-    return code
+_JSON = json.JSONEncoder(separators=(", ", ": "))
+_JSON_KEYS = {tag: ("record",) + fields for tag, fields in RECORDS.items()}
 
 
 def _csv_cell(value: object) -> str:
@@ -273,53 +116,132 @@ def _csv_cell(value: object) -> str:
     return str(value)
 
 
+def write_records(
+    fmt: str,
+    out: TextIO,
+    tag: str,
+    rows: Iterable[tuple],
+    meta: Iterable[tuple[str, tuple]] = (),
+    comments: Iterable[str] = (),
+) -> None:
+    """Stream `tag` records to `out`, one line per value tuple of `rows`.
+
+    JSON Lines output starts with the `meta` records, given as (tag, values)
+    pairs; CSV output starts with `comments` as `#` lines, then the header.
+    """
+    if fmt == "json":
+        records = chain(meta, ((tag, values) for values in rows))
+        lines = (_JSON.encode(dict(zip(_JSON_KEYS[t], (t, *v)))) + "\n" for t, v in records)
+    else:
+        head = [f"# {line}\n" for line in comments] + [",".join(RECORDS[tag]) + "\n"]
+        lines = chain(head, (",".join(map(_csv_cell, values)) + "\n" for values in rows))
+    # one write per batch of lines: an unbuffered stream makes a system call per write
+    while batch := "".join(islice(lines, 256)):
+        out.write(batch)
+
+
+def _refuse(code: int, message: object) -> int:
+    print(message, file=sys.stderr)
+    return code
+
+
+def cmd_gen_g(args: argparse.Namespace) -> int:
+    gc = classify_g(args.g)
+    if not gc.admissible:
+        return _refuse(EXIT_INADMISSIBLE, f"g={args.g} is inadmissible: " + "; ".join(gc.reasons))
+    items = generate_g_family(args.g, args.count)
+    write_records(
+        args.format, sys.stdout, "g_family_item",
+        ((it.n, it.k, it.r, it.s, *it.triple.as_tuple(), it.stride, it.offset) for it in items),
+        meta=[("g_class", (gc.g, gc.kind.value, gc.m))],
+        comments=[f"g={gc.g} kind={gc.kind.value} m={gc.m}"],
+    )
+    return EXIT_OK
+
+
+def cmd_gen_f(args: argparse.Namespace) -> int:
+    try:
+        spec = admissible_f(args.f)
+    except UnsupportedRangeError as exc:
+        return _refuse(EXIT_RANGE, exc)
+    if not spec.admissible:
+        return _refuse(EXIT_INADMISSIBLE, f"f={args.f} is inadmissible: " + "; ".join(spec.reasons))
+    elements = cf_elements(spec)
+    triples = sorted(generate_f_triples(spec, *args.m), key=lambda ft: ft.triple.as_tuple())
+    factor_text = " ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in spec.factorization)
+    write_records(
+        args.format, sys.stdout, "f_triple",
+        (
+            (*ft.triple.as_tuple(), ft.m, ft.sign, ft.cf_choice.u.x, ft.cf_choice.u.y)
+            for ft in triples
+        ),
+        meta=[("f_spec", (spec.f, spec.admissible, [list(pe) for pe in spec.factorization]))]
+        + [("cf_element", (elem.u.x, elem.u.y, list(elem.choices))) for elem in elements],
+        comments=[
+            f"f={spec.f} admissible factorization={factor_text or '1'}",
+            "generators: " + ", ".join(str(elem.u) for elem in elements),
+        ],
+    )
+    return EXIT_OK
+
+
+def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
+    """The `check` record's fields by name, and the exit code."""
+    record = dict.fromkeys(RECORDS["check"])
+    record.update(a=a, b=b, c=c, pythagorean=False)
+    try:
+        t = Triple(a, b, c)
+    except ValueError:
+        return record, EXIT_NOT_PPT
+    cls = classify_triple(t)
+    record.update(pythagorean=True, primitive=cls.primitive, even_leg=cls.even_leg, f=cls.f)
+    if not is_primitive(t):
+        return record, EXIT_NOT_PPT
+    pair = to_params(t)
+    gc, n = invert_to_family(t)
+    record.update(r=pair.r, s=pair.s, g=t.c - t.b, g_kind=gc.kind.value, g_m=gc.m, g_n=n)
+    return record, EXIT_OK
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    record, code = _check_record(args.a, args.b, args.c)
+    write_records(args.format, sys.stdout, "check", [tuple(record.values())])
+    return code
+
+
 def cmd_density(args: argparse.Namespace) -> int:
     try:
         rows = density_report(Family(args.family), args.grid)
     except SieveBudgetError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BUDGET
+        return _refuse(EXIT_BUDGET, exc)
     except ValueError as exc:  # e.g. a malformed PPT_SIEVE_BUDGET value
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    lines: list[str] = []
-    if args.format == "json":
-        for row in rows:
-            lines.append(
-                _jsonl(
-                    {
-                        "record": "density_row",
-                        "B": row.B,
-                        "family_count": row.family_count,
-                        "pool_count": row.pool_count,
-                        "ratio": render_ratio(row.ratio),
-                        "predicted": render_ratio(row.predicted),
-                    }
-                )
-            )
+        return _refuse(EXIT_USAGE, exc)
+    values = (
+        (r.B, r.family_count, r.pool_count, render_ratio(r.ratio), render_ratio(r.predicted))
+        for r in rows
+    )
+    if args.out is None:
+        write_records(args.format, sys.stdout, "density_row", values)
     else:
-        lines.append("B,family_count,pool_count,ratio,predicted")
-        for row in rows:
-            lines.append(
-                f"{row.B},{row.family_count},{row.pool_count},"
-                f"{render_ratio(row.ratio)},{render_ratio(row.predicted)}"
-            )
-    _emit(lines, args.out)
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            write_records(args.format, fh, "density_row", values)
     return EXIT_OK
 
 
+# scope -> (suite in `checks`, bound flag, default bound).  The suite is looked
+# up by name when it runs, so a wrapped or patched suite is the one called.
+VERIFY = {
+    "g-coverage": ("check_g_coverage", "c_max", 100_000),
+    "f-coverage": ("check_f_coverage", "c_max", 1_000_000),
+    "nonexistence": ("check_nonexistence", "c_max", 1_000_000),
+    "pell": ("check_pell", "m_max", 50),
+    "density-cross": ("check_density_cross", "b_max", 2000),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    scope = args.scope
-    if scope == "g-coverage":
-        report = checks.check_g_coverage(args.c_max)
-    elif scope == "f-coverage":
-        report = checks.check_f_coverage(args.c_max)
-    elif scope == "nonexistence":
-        report = checks.check_nonexistence(args.c_max)
-    elif scope == "pell":
-        report = checks.check_pell(args.m_max)
-    else:
-        report = checks.check_density_cross(args.b_max)
+    suite, flag, default = VERIFY[args.scope]
+    report = getattr(checks, suite)(getattr(args, flag) or default)  # bounds are >= 1
     print(f"{report.scope}: {report.checks} checks, {report.failures} failures")
     if not report.ok:
         print(f"first counterexample: {report.counterexample}")
@@ -377,30 +299,17 @@ def build_parser() -> _ArgumentParser:
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("verify", help="run an oracle-equivalence suite")
-    p.add_argument(
-        "scope",
-        choices=("g-coverage", "f-coverage", "nonexistence", "pell", "density-cross"),
-    )
+    p.add_argument("scope", choices=tuple(VERIFY))
     p.add_argument("--c-max", type=_positive, default=None)
-    p.add_argument("--m-max", type=_positive, default=50)
-    p.add_argument("--b-max", type=_positive, default=2000)
+    p.add_argument("--m-max", type=_positive, default=None)
+    p.add_argument("--b-max", type=_positive, default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser
 
 
-_VERIFY_DEFAULT_C_MAX = {
-    "g-coverage": 100_000,
-    "f-coverage": 1_000_000,
-    "nonexistence": 1_000_000,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.c_max is None:
-        args.c_max = _VERIFY_DEFAULT_C_MAX.get(args.scope, 100_000)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -55,12 +55,13 @@ class TotientSieve:
     """Tables of phi(1..bound) and mu(1..bound); index 0 is unused.
 
     Memory cost is two integer tables of length bound+1 (8 + 1 bytes per
-    entry), guarded by the budget in `build_sieve`.
+    entry) plus the sieve's list of primes below bound, about 12 bytes per
+    entry in all at peak; `build_sieve` guards it with the budget.
     """
 
     bound: int
-    phi: Sequence[int]
-    mu: Sequence[int]
+    phi: array
+    mu: array
 
 
 class Family(enum.Enum):
@@ -91,8 +92,8 @@ def build_sieve(bound: int, budget: int | None = None) -> TotientSieve:
     limit = sieve_budget() if budget is None else budget
     if bound > limit:
         raise SieveBudgetError(f"sieve bound {bound} exceeds budget {limit}")
-    phi = array("q", bytes(8 * (bound + 1)))
-    mu = array("b", bytes(bound + 1))
+    phi = array("q", [0]) * (bound + 1)
+    mu = array("b", [0]) * (bound + 1)
     phi[1] = 1
     mu[1] = 1
     primes: list[int] = []
@@ -139,13 +140,13 @@ def phi2_divisor_sum(n: int) -> int:
 def sum_phi(B: int, sieve: TotientSieve) -> int:
     """Exact partial sum of phi(1..B); grows like (3/pi^2) B^2."""
     _check_bound(B, sieve)
-    return sum(sieve.phi[1 : B + 1])
+    return sum(memoryview(sieve.phi)[1 : B + 1])  # a view: the table is not copied
 
 
 def sum_phi2(B: int, sieve: TotientSieve) -> int:
     """Exact partial sum of phi2(1..B); grows like (2/pi^2) B^2."""
     _check_bound(B, sieve)
-    return sum(sieve.phi[1 : B + 1 : 2])
+    return sum(memoryview(sieve.phi)[1 : B + 1 : 2])
 
 
 def count_pool(B: int, sieve: TotientSieve) -> int:
@@ -162,11 +163,10 @@ def count_GO(B: int, sieve: TotientSieve) -> int:
     """#{(k, m): gcd = 1, 0 < m < k <= B, both odd}.
 
     For odd k >= 3, exactly phi(k)/2 of the coprime residues below k are
-    odd (m and k - m pair off with opposite parity), so the sum starts at 3.
+    odd (m and k - m pair off with opposite parity).  k = 1 has no residue
+    below it, so its phi(1) = 1 is taken off the odd-index sum first.
     """
-    _check_bound(B, sieve)
-    phi = sieve.phi
-    return sum(phi[k] for k in range(3, B + 1, 2)) // 2
+    return (sum_phi2(B, sieve) - 1) // 2
 
 
 def count_GEE(B: int, sieve: TotientSieve) -> int:
@@ -181,9 +181,7 @@ def count_GEE(B: int, sieve: TotientSieve) -> int:
 def count_GEO(B: int, sieve: TotientSieve) -> int:
     """#{(k, m): gcd = 1, 0 < m < k <= B, k even, m odd}: every coprime
     residue of an even modulus is odd, so this is the even-k totient sum."""
-    _check_bound(B, sieve)
-    phi = sieve.phi
-    return sum(phi[k] for k in range(2, B + 1, 2))
+    return sum_phi(B, sieve) - sum_phi2(B, sieve)
 
 
 def count_G1(B: int) -> int:
@@ -211,11 +209,12 @@ def render_ratio(value: Fraction, places: int = 6) -> str:
     return f"{q // scale}.{q % scale:0{places}d}"
 
 
-_FAMILY_PREDICTION = {
-    Family.GO: Fraction(1, 3),
-    Family.GEE: Fraction(1, 3),
-    Family.GEO: Fraction(1, 3),
-    Family.G1: Fraction(0),
+# family -> (family count at bound B, limiting share of the pool)
+_FAMILIES = {
+    Family.GO: (count_GO, Fraction(1, 3)),
+    Family.GEE: (count_GEE, Fraction(1, 3)),
+    Family.GEO: (count_GEO, Fraction(1, 3)),
+    Family.G1: (lambda B, sieve: count_G1(B), Fraction(0)),
 }
 
 
@@ -239,20 +238,12 @@ def density_report(
         raise ValueError("grid must be strictly ascending")
     if sieve is None:
         sieve = build_sieve(max(grid))
+    count, predicted = _FAMILIES[family]
     rows = []
     for B in grid:
-        if family is Family.GO:
-            fc = count_GO(B, sieve)
-        elif family is Family.GEE:
-            fc = count_GEE(B, sieve)
-        elif family is Family.GEO:
-            fc = count_GEO(B, sieve)
-        else:
-            fc = count_G1(B)
+        fc = count(B, sieve)
         pc = count_pool(B, sieve)
-        rows.append(
-            DensityRow(B, fc, pc, Fraction(fc, pc), _FAMILY_PREDICTION[family])
-        )
+        rows.append(DensityRow(B, fc, pc, Fraction(fc, pc), predicted))
     return rows
 
 

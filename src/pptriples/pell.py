@@ -1,9 +1,9 @@
-"""Solutions of x**2 - 2*y**2 = -1 and the delta-multiplication recurrences.
+"""Solutions of x**2 - 2*y**2 = -1 as powers of the fundamental unit.
 
 Writing GAMMA = 1 + sqrt(2) and DELTA = GAMMA**2 = 3 + 2*sqrt(2), every
 solution of the negative Pell equation is +/- GAMMA * DELTA**m for an
-integer m.  Multiplication by DELTA**n unfolds into the integer recurrences
-A(n) = 6*A(n-1) - A(n-2) and B(n) = 6*B(n-1) - B(n-2).
+integer m.  Powers are taken by binary exponentiation in Z[sqrt(2)]; the
+A/B integer recurrences live in `checks` as the independent oracle.
 """
 
 from __future__ import annotations
@@ -11,13 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .zsqrt2 import DELTA, GAMMA, QuadInt
-
-
-@dataclass(frozen=True)
-class RecurrencePair:
-    n: int
-    A: int
-    B: int
 
 
 @dataclass(frozen=True)
@@ -33,30 +26,6 @@ class PellSolution:
             raise ValueError(f"({self.x}, {self.y}) does not solve x^2 - 2y^2 = -1")
 
 
-def recurrence_coeffs(n: int) -> RecurrencePair:
-    """The n-th coefficient pair: A = 1, 3, 17, ... and B = 0, 2, 12, ...
-
-    They satisfy t * DELTA**n = A*t + B*(2k + j*sqrt(2)) for t = j + k*sqrt(2).
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if n == 0:
-        return RecurrencePair(0, 1, 0)
-    a_prev, a = 1, 3
-    b_prev, b = 0, 2
-    for _ in range(n - 1):
-        a_prev, a = a, 6 * a - a_prev
-        b_prev, b = b, 6 * b - b_prev
-    return RecurrencePair(n, a, b)
-
-
-def apply_delta_power(t: QuadInt, n: int) -> QuadInt:
-    """t * DELTA**n evaluated through the recurrence coefficients."""
-    rc = recurrence_coeffs(n)
-    j, k = t.x, t.y
-    return QuadInt(rc.A * j + 2 * rc.B * k, rc.A * k + rc.B * j)
-
-
 def delta_power(m: int) -> QuadInt:
     """DELTA**m for any integer m; norm(DELTA) = 1 makes the conjugate the
     exact inverse, so negative powers stay inside the ring."""
@@ -66,8 +35,6 @@ def delta_power(m: int) -> QuadInt:
 
 def gamma_delta_power(m: int) -> QuadInt:
     """GAMMA * DELTA**m for any integer m."""
-    if m >= 0:
-        return apply_delta_power(GAMMA, m)
     return GAMMA * delta_power(m)
 
 

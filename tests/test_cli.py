@@ -1,10 +1,16 @@
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from pptriples.cli import main
+import pptriples
+from pptriples.cli import RECORDS, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 EXPECTED_RECORD_KEYS = {
     "g_class": {"record", "g", "kind", "m"},
@@ -18,6 +24,23 @@ EXPECTED_RECORD_KEYS = {
     },
     "density_row": {"record", "B", "family_count", "pool_count", "ratio", "predicted"},
 }
+
+
+def test_readme_json_schemas_match_records():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("JSON record schemas (fixed key order):", 1)[1].split("```")[1]
+    documented = {
+        tag: tuple(re.findall(r'"(\w+)"', body))
+        for tag, body in re.findall(r"(\w+)\s*\{([^}]*)\}", block)
+    }
+    assert documented == {tag: ("record",) + fields for tag, fields in RECORDS.items()}
+
+
+def test_readme_csv_columns_match_records():
+    text = README.read_text(encoding="utf-8")
+    documented = set(re.findall(r"`(\w+(?:,\w+)+)`", text))
+    tables = ("g_family_item", "f_triple", "check", "density_row")  # the rest are `#` comments
+    assert documented == {",".join(RECORDS[tag]) for tag in tables}
 
 
 def run(capsys, *argv):
@@ -225,10 +248,14 @@ def test_determinism(capsys):
 
 
 def test_module_invocation_subprocess():
+    # the child imports the same package as this test, installed or not
+    src = str(Path(pptriples.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pptriples", "check", "3", "4", "5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("3,4,5,true,true")

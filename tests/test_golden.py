@@ -1,0 +1,53 @@
+"""Golden CLI bytes: the sha256 of stdout (or of the --out file) and the exit
+code for a fixed set of argvs, pinned from the CLI before its record output
+was rebuilt around one table of field names.  Any change to the rendered
+bytes of any command, format or record tag shows up here."""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from pptriples.cli import main
+
+GOLDEN = [
+    ("gen-g --g 9 --count 5", 0, "efb10c96fa52435570f9ff87afc74a5790fd262a2501804958734e0daf89a1f2"),
+    ("gen-g --g 8 --count 5 --format json", 0, "bc923c3ddcb6af6e56abd915ec15c4c9cea724cf1fcbaf5c84464c942390ecc3"),
+    ("gen-g --g 18 --count 4", 0, "682c158d1ebabd4124a4b0cbb05d2cd64e09a6aeafdcc3612845201f63612b49"),
+    ("gen-g --g 1 --count 3 --format json", 0, "b7ea1e7cd106b5b0a9d7e0b496d926ebfd4288bf10374e5be1496660965a0496"),
+    ("gen-g --g 3 --count 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gen-f --f 7 --m -3..3", 0, "e95a372f4190dfda800f9b71bba5ef4b5fe1becb3ed6c610c7cf8c5ee085fb72"),
+    ("gen-f --f 119 --m -2..2", 0, "9b10f6270559de17e03709d34f151d9b934e6732b3e5fc76f47760e53bff590f"),
+    ("gen-f --f 119 --m -2..2 --format json", 0, "b31b80908334135295508f5082f1ed57e5e9c4b9104139dcd222efff7db32a6e"),
+    ("gen-f --f 49 --m 0..1", 0, "a6b617c2c8d679dff4fe20df305eb700e01729ba615580fc32b1b4fb19ff7b2f"),
+    ("gen-f --f 1 --m -4..4 --format json", 0, "2385176a78605cdc26ebde8504a08945129db39fd6b7ff1762e39a93fb208cf7"),
+    ("gen-f --f 3 --m 0..1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("check 15 8 17", 0, "3f4ec18fb5dce16190275a579f401a74ef63ea3e51ec17d5e8b01bb5021c0260"),
+    ("check 20 21 29 --format json", 0, "26874c022b00ebb4cbaed54d65690dd4f79da38f75ab7dc1449958472664f8bd"),
+    ("check 6 8 10", 4, "fb71568e5ef03a814b25e3d47a86325a61f95cdcfb2897e9013951621605aa97"),
+    ("check 6 8 10 --format json", 4, "9e456e53c4846fd3a6b3bba03b9a7ee7e067105fed69ba2e049b52c0ff908e30"),
+    ("check 1 2 3", 4, "8b83bbaa3f777b4d994c7caf2e4d6a602cd5763db578e1921b9875f7735d5ea5"),
+    ("check 1 2 3 --format json", 4, "0736728ee398cac6ee64e7838ffac4f6e61ed2cd262f107b6adf580421aa110c"),
+    ("density --family GO --grid 10,100,1000", 0, "fa20d47d06bf2bfd79a3c6c504bbab9bf2015a1a90896dd0a694a051309f739b"),
+    ("density --family GEE --grid 10,100 --format json", 0, "224683dc57371087f425eb599089c21a9a95ff5de232667f13fb077d459e3eac"),
+    ("density --family GEO --grid 2,10,500", 0, "5598d02d7f5480ad483d3b1f3649b73477ff531637de5ca979578145b4636f15"),
+    ("density --family G1 --grid 5,50 --format json", 0, "8b7eeb4a42ffdcd37053ad0d75b2ee96c00fd604214475d340e72ebbd820a7b3"),
+    ("density --family GEO --grid 10,100 --out {out}", 0, "ca47e9a8c4fe081802f76576c695fc6a30e2fc6d1e28d0a77d920cc86b35d1ec"),
+    ("density --family GO --grid 10,1000 --format json --out {out}", 0, "d385407adf46b0e7c489fe6fd47d07370c48bf994f414f6b8db266fb751b7ec6"),
+    ("verify pell --m-max 20", 0, "41ed68ed53f0f7675a5feb0f657db3e33d18ecf66347d1c4973ef7330b890499"),
+    ("verify density-cross --b-max 60", 0, "357743501d437478c50d60957b4d68d8016f4f7d6599a3502c9eecbf89343eed"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_bytes(argv, code, digest, tmp_path):
+    out_path = tmp_path / "out"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        got = main([arg.replace("{out}", str(out_path)) for arg in argv.split()])
+    data = stdout.getvalue().encode()
+    if "{out}" in argv:
+        assert data == b""
+        data = out_path.read_bytes()
+    assert (got, hashlib.sha256(data).hexdigest()) == (code, digest)
