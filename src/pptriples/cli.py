@@ -222,14 +222,18 @@ def cmd_density(args: argparse.Namespace) -> int:
     )
     if args.out is None:
         write_records(args.format, sys.stdout, "density_row", values)
-    else:
+        return EXIT_OK
+    try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             write_records(args.format, fh, "density_row", values)
+    except OSError as exc:
+        return _refuse(EXIT_USAGE, f"cannot write --out: {exc}")
     return EXIT_OK
 
 
 # scope -> (suite in `checks`, bound flag, default bound).  The suite is looked
-# up by name when it runs, so a wrapped or patched suite is the one called.
+# up by name when it runs, so a wrapped or patched suite is the one called.  A
+# scope refuses the bound flags of the other scopes.
 VERIFY = {
     "g-coverage": ("check_g_coverage", "c_max", 100_000),
     "f-coverage": ("check_f_coverage", "c_max", 1_000_000),
@@ -237,10 +241,15 @@ VERIFY = {
     "pell": ("check_pell", "m_max", 50),
     "density-cross": ("check_density_cross", "b_max", 2000),
 }
+_BOUND_FLAGS = tuple(dict.fromkeys(flag for _, flag, _ in VERIFY.values()))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suite, flag, default = VERIFY[args.scope]
+    for other in _BOUND_FLAGS:
+        if other != flag and getattr(args, other) is not None:
+            message = f"verify {args.scope} reads --{flag}, not --{other}"
+            return _refuse(EXIT_USAGE, message.replace("_", "-"))  # dest names to flags
     report = getattr(checks, suite)(getattr(args, flag) or default)  # bounds are >= 1
     print(f"{report.scope}: {report.checks} checks, {report.failures} failures")
     if not report.ok:
@@ -300,9 +309,8 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("verify", help="run an oracle-equivalence suite")
     p.add_argument("scope", choices=tuple(VERIFY))
-    p.add_argument("--c-max", type=_positive, default=None)
-    p.add_argument("--m-max", type=_positive, default=None)
-    p.add_argument("--b-max", type=_positive, default=None)
+    for flag in _BOUND_FLAGS:
+        p.add_argument("--" + flag.replace("_", "-"), type=_positive)
     p.set_defaults(func=cmd_verify)
 
     return parser

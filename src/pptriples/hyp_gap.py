@@ -9,8 +9,10 @@ parity of the root m:
     2*m*m, m odd        r = n,          s = m            gcd(n, m) = 1, n even
     2*m*m, m even       r = 2n+1,       s = m            gcd(2n+1, m) = 1
 
-Indices whose side conditions fail are skipped, so item positions are stable.
-The first legs of a family follow the progression a = stride*n + offset.
+`_ROWS` states this table once in code, as the multiplier k = step*n + start
+and the first leg a = leg*m*k.  Indices whose side conditions fail (k <= m
+among them) are skipped, so item positions are stable.  The first legs of a
+family follow the progression a = stride*n + offset.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class GClass:
 @dataclass(frozen=True)
 class GFamilyItem:
     n: int
-    k: int  # the odd multiplier 2n+1, or n itself for the odd-root even gap
+    k: int  # the multiplier step*n + start of the family's table row
     r: int
     s: int
     triple: Triple
@@ -101,11 +103,33 @@ def leg_from_gap(a: int, g: int) -> int | None:
     return num // (2 * g)
 
 
-_PROGRESSION = {
-    GKind.ODD_SQUARE: lambda m: (2 * m, m),
-    GKind.TWICE_SQUARE_ODD: lambda m: (2 * m, 0),
-    GKind.TWICE_SQUARE_EVEN: lambda m: (4 * m, 2 * m),
+# kind -> (leg, step, start): the multiplier k = step*n + start, first leg a = leg*m*k
+_ROWS = {
+    GKind.ODD_SQUARE: (1, 2, 1),
+    GKind.TWICE_SQUARE_ODD: (2, 1, 0),
+    GKind.TWICE_SQUARE_EVEN: (2, 2, 1),
 }
+
+
+def _pair(leg: int, m: int, k: int) -> ParamPair | None:
+    """The pair of multiplier k, or None unless k > m, gcd(k, m) = 1 and, in a
+    leg-2 row, k and m have opposite parity (else the triple is all even).
+
+    A leg-1 row pairs r = (k+m)/2 with s = (k-m)/2; a leg-2 row pairs r = k
+    with s = m.
+    """
+    # parity first: the cheapest test, and it rejects every other step-1 index
+    if (leg == 2 and (k - m) % 2 == 0) or k <= m or math.gcd(k, m) != 1:
+        return None
+    if leg == 1:
+        return ParamPair((k + m) // 2, (k - m) // 2)
+    return ParamPair(k, m)
+
+
+def _triple(leg: int, pair: ParamPair) -> Triple:
+    """A leg-1 row keeps the odd leg first; a leg-2 row puts the even leg 2*k*m first."""
+    t = from_params(pair)
+    return t if leg == 1 else Triple(t.b, t.a, t.c)
 
 
 def family_params(gc: GClass, n: int) -> ParamPair | None:
@@ -115,23 +139,8 @@ def family_params(gc: GClass, n: int) -> ParamPair | None:
         raise ValueError(f"gap {gc.g} admits no primitive triples")
     if n < 1:
         raise ValueError(f"family index starts at 1, got {n}")
-    m = gc.m
-    assert m is not None
-    if gc.kind is GKind.ODD_SQUARE:
-        k = 2 * n + 1
-        if k <= m or math.gcd(k, m) != 1:
-            return None
-        return ParamPair((k + m) // 2, (k - m) // 2)
-    if gc.kind is GKind.TWICE_SQUARE_ODD:
-        # n and the odd root must have opposite parity or the triple
-        # degenerates to an all-even one.
-        if n <= m or n % 2 or math.gcd(n, m) != 1:
-            return None
-        return ParamPair(n, m)
-    k = 2 * n + 1
-    if k <= m or math.gcd(k, m) != 1:
-        return None
-    return ParamPair(k, m)
+    leg, step, start = _ROWS[gc.kind]
+    return _pair(leg, gc.m, step * n + start)
 
 
 def family_triple(gc: GClass, n: int) -> Triple | None:
@@ -141,16 +150,12 @@ def family_triple(gc: GClass, n: int) -> Triple | None:
     second leg is always the one at distance g from the hypotenuse.
     """
     pair = family_params(gc, n)
-    if pair is None:
-        return None
-    t = from_params(pair)
-    if gc.kind is GKind.ODD_SQUARE:
-        return t
-    return Triple(t.b, t.a, t.c)
+    return None if pair is None else _triple(_ROWS[gc.kind][0], pair)
 
 
 def generate_g_family(g: int, count: int) -> list[GFamilyItem]:
-    """The first `count` members of the family for an admissible gap g."""
+    """The first `count` members of the family for an admissible gap g,
+    from the first index with k > m, found in closed form."""
     gc = classify_g(g)
     if not gc.admissible:
         raise ValueError(
@@ -158,29 +163,18 @@ def generate_g_family(g: int, count: int) -> list[GFamilyItem]:
         )
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    assert gc.m is not None
-    stride, offset = _PROGRESSION[gc.kind](gc.m)
+    leg, step, start = _ROWS[gc.kind]
+    m = gc.m
+    assert m is not None
+    stride, offset = leg * m * step, leg * m * start
     items: list[GFamilyItem] = []
-    n = 0
+    n = (m - start) // step + 1  # the least n with step*n + start > m
     while len(items) < count:
+        k = step * n + start
+        pair = _pair(leg, m, k)
+        if pair is not None:
+            items.append(GFamilyItem(n, k, pair.r, pair.s, _triple(leg, pair), stride, offset))
         n += 1
-        pair = family_params(gc, n)
-        if pair is None:
-            continue
-        triple = family_triple(gc, n)
-        assert triple is not None
-        k = n if gc.kind is GKind.TWICE_SQUARE_ODD else 2 * n + 1
-        items.append(
-            GFamilyItem(
-                n=n,
-                k=k,
-                r=pair.r,
-                s=pair.s,
-                triple=triple,
-                stride=stride,
-                offset=offset,
-            )
-        )
     return items
 
 
@@ -189,21 +183,15 @@ def invert_to_family(t: Triple) -> tuple[GClass, int]:
 
     The gap c - b of a primitive triple is always admissible: it is an odd
     square when b is the even leg and twice a square otherwise.  The index
-    comes from the first leg, a = m*(2n+1), 2*m*n or 2*m*(2n+1) by class.
+    comes from the first leg a = leg*m*k of the class's table row.
     """
     if not is_primitive(t):
         raise ValueError(f"{t} is not primitive")
     gc = classify_g(t.c - t.b)
     assert gc.admissible and gc.m is not None, "primitive triples have admissible gaps"
-    m = gc.m
-    if gc.kind is GKind.ODD_SQUARE:
-        k, rem = divmod(t.a, m)
-        n = (k - 1) // 2
-    elif gc.kind is GKind.TWICE_SQUARE_ODD:
-        n, rem = divmod(t.a, 2 * m)
-    else:
-        k, rem = divmod(t.a, 2 * m)
-        n = (k - 1) // 2
+    leg, step, start = _ROWS[gc.kind]
+    k, rem = divmod(t.a, leg * gc.m)
+    n = (k - start) // step
     if rem or family_triple(gc, n) != t:
         raise ValueError(f"{t} does not invert to a gap family")
     return gc, n

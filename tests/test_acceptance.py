@@ -12,20 +12,16 @@ from contextlib import contextmanager
 from pptriples import (
     DELTA,
     QuadInt,
-    Triple,
     admissible_f,
     apply_delta_power,
-    build_sieve,
     classify_g,
     count_G1,
     count_GEE,
     count_GEO,
     count_GO,
     count_pool,
-    family_triple,
     generate_f_triples,
     generate_g_family,
-    invert_to_family,
     is_primitive,
     moebius_inversion_check,
     neg_pell_solution,
@@ -35,7 +31,7 @@ from pptriples import (
     sum_phi2,
     verify_f_triple,
 )
-from pptriples.checks import brute_pair_counts
+from pptriples import checks
 
 
 @contextmanager
@@ -68,24 +64,20 @@ def test_criterion_01_g_family_soundness():
         c["detail"] = f"{families} families, {triples} triples"
 
 
-def test_criterion_02_g_family_completeness(oracle_1e5):
+def test_criterion_02_g_family_completeness():
     with criterion("criterion 2: g-family completeness, c <= 1e5") as c:
-        checked = 0
-        for t in oracle_1e5:
-            for ordered in (t, Triple(t.b, t.a, t.c)):
-                gc, n = invert_to_family(ordered)
-                assert family_triple(gc, n) == ordered
-                checked += 1
-        c["detail"] = f"{checked} inversions round-tripped"
+        report = checks.check_g_coverage(100_000)
+        assert report.ok and report.checks == 31838
+        c["detail"] = f"{report.checks} inversions round-tripped"
 
 
-def test_criterion_03_g_nonexistence(oracle_1e6):
-    bad = {3, 5, 6, 7, 10, 11, 12}
+def test_criterion_03_g_nonexistence():
     with criterion("criterion 3: no hypotenuse gap in {3,5,6,7,10,11,12}, c <= 1e6") as c:
-        for t in oracle_1e6:
-            assert t.c - t.a not in bad
-            assert t.c - t.b not in bad
-        c["detail"] = f"{len(oracle_1e6)} triples scanned"
+        report = checks.check_nonexistence(
+            1_000_000, hyp_gaps=(3, 5, 6, 7, 10, 11, 12), leg_gaps=()
+        )
+        assert report.ok and report.checks == 159139
+        c["detail"] = f"{report.checks} triples scanned"
 
 
 def test_criterion_04_pell_layer():
@@ -140,40 +132,26 @@ def test_criterion_05_f_family_spot_values():
         c["detail"] = "f=1 and f=7 sweeps match hand derivations"
 
 
-def test_criterion_06_f_family_completeness(oracle_1e6):
+def test_criterion_06_f_family_completeness():
     with criterion("criterion 6: f-family completeness, f in {1,7,17}, c <= 1e6") as c:
-        generated = {
-            f: {ft.triple.as_tuple() for ft in generate_f_triples(admissible_f(f), -12, 12)}
-            for f in (1, 7, 17)
-        }
-        matched = 0
-        for t in oracle_1e6:
-            lo, hi = min(t.a, t.b), max(t.a, t.b)
-            f = hi - lo
-            if f in generated:
-                assert (lo, hi, t.c) in generated[f]
-                matched += 1
-        assert matched > 0
-        c["detail"] = f"{matched} oracle triples covered"
+        report = checks.check_f_coverage(1_000_000, gaps=(1, 7, 17), m_lo=-12, m_hi=12)
+        assert report.ok and report.checks == 34
+        c["detail"] = f"{report.checks} oracle triples covered"
 
 
-def test_criterion_07_f_nonexistence(oracle_1e6):
-    bad = {3, 5, 11, 13, 19, 21}
+def test_criterion_07_f_nonexistence():
     with criterion("criterion 7: no leg gap in {3,5,11,13,19,21}, c <= 1e6") as c:
-        for t in oracle_1e6:
-            assert abs(t.a - t.b) not in bad
-        c["detail"] = f"{len(oracle_1e6)} triples scanned"
+        report = checks.check_nonexistence(
+            1_000_000, hyp_gaps=(), leg_gaps=(3, 5, 11, 13, 19, 21)
+        )
+        assert report.ok and report.checks == 159139
+        c["detail"] = f"{report.checks} triples scanned"
 
 
 def test_criterion_08_density_formulas_vs_enumeration():
     with criterion("criterion 8: density formulas vs raw enumeration, B <= 2000") as c:
-        sieve = build_sieve(2000)
-        brute = brute_pair_counts(2000)
-        for B in range(1, 2001):
-            assert count_pool(B, sieve) == brute["pool"][B]
-            assert count_GO(B, sieve) == brute["GO"][B]
-            assert count_GEE(B, sieve) == brute["GEE"][B]
-            assert count_GEO(B, sieve) == brute["GEO"][B]
+        report = checks.check_density_cross(2000)
+        assert report.ok and report.checks == 8000
         c["detail"] = "4 formulas x 2000 bounds"
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import pptriples
-from pptriples.cli import RECORDS, main
+from pptriples.cli import RECORDS, VERIFY, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,6 +41,15 @@ def test_readme_csv_columns_match_records():
     documented = set(re.findall(r"`(\w+(?:,\w+)+)`", text))
     tables = ("g_family_item", "f_triple", "check", "density_row")  # the rest are `#` comments
     assert documented == {",".join(RECORDS[tag]) for tag in tables}
+
+
+def test_readme_verify_flags_match_table():
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\s*\| `([\w-]+)` \| `--([\w-]+)` \| (\d+) \|$", text, re.M)
+    assert rows == [
+        (scope, flag.replace("_", "-"), str(default))
+        for scope, (_, flag, default) in VERIFY.items()
+    ]
 
 
 def run(capsys, *argv):
@@ -205,6 +214,12 @@ class TestDensity:
         data = path.read_bytes()
         assert data.startswith(b"B,family_count") and b"\r" not in data
 
+    def test_unwritable_out_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "rows.csv"
+        code, out, err = run(capsys, "density", "--family", "GO", "--grid", "10", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert "--out" in err and "Traceback" not in err
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "density", "--family", "GO", "--grid", "10", "--format", "json")
         (record,) = validate_jsonl(out)
@@ -232,6 +247,13 @@ class TestVerify:
     def test_nonexistence(self, capsys):
         code, out, _ = run(capsys, "verify", "nonexistence", "--c-max", "20000")
         assert code == 0
+
+    def test_foreign_bound_flag_exits_1(self, capsys):
+        code, out, err = run(capsys, "verify", "pell", "--c-max", "3")
+        assert (code, out) == (1, "")
+        assert "--m-max" in err and "--c-max" in err
+        code, out, _ = run(capsys, "verify", "density-cross", "--b-max", "10", "--m-max", "5")
+        assert (code, out) == (1, "")
 
     def test_unknown_scope_exits_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from pptriples import (
@@ -113,6 +115,45 @@ class TestGenerate:
         for g in (1, 2, 8, 9, 18, 25):
             for it in generate_g_family(g, 25):
                 assert leg_from_gap(it.triple.a, g) == it.triple.b
+
+
+class TestFirstIndex:
+    """Generation starts at the closed-form first index, whatever the root."""
+
+    @pytest.mark.parametrize(
+        "g,ns",
+        [
+            ((10**8 + 1) ** 2, [50000001, 50000002]),  # odd square
+            (2 * (10**8 + 1) ** 2, [100000002, 100000004]),  # twice square, odd root
+            (2 * (10**8) ** 2, [50000000, 50000001]),  # twice square, even root
+        ],
+    )
+    def test_big_root_is_immediate(self, g, ns):
+        start = time.perf_counter()
+        items = generate_g_family(g, 2)
+        assert time.perf_counter() - start < 1.0
+        assert [it.n for it in items] == ns
+        gc = classify_g(g)
+        for it in items:
+            assert it.triple == family_triple(gc, it.n)
+            assert it.triple.c - it.triple.b == g and is_primitive(it.triple)
+
+    def test_first_items_match_the_oracle(self, oracle_1e6):
+        """For every admissible g <= 200 the first 10 items are, in order, the
+        oracle's triples with c - b = g, read in the family's leg order."""
+        by_gap = {}
+        for t in oracle_1e6:
+            for ordered in (t, Triple(t.b, t.a, t.c)):
+                by_gap.setdefault(ordered.c - ordered.b, []).append(ordered)
+        for g in range(1, 201):
+            if not classify_g(g).admissible:
+                continue
+            items = generate_g_family(g, 10)
+            # the hypotenuse grows with the first leg, so the oracle bound
+            # holds every member up to the tenth
+            assert items[-1].triple.c <= 10**6
+            expected = sorted(by_gap[g], key=lambda t: t.a)[:10]
+            assert [it.triple for it in items] == expected
 
 
 class TestInvert:
