@@ -105,6 +105,14 @@ def totient(n: int) -> int:
     return out
 
 
+def moebius(n: int) -> int:
+    """The Moebius function, computed directly from the factorization of n."""
+    factors = factorize(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
+
+
 def odd_part(n: int) -> int:
     """The largest odd divisor of n (n > 0)."""
     if n < 1:

@@ -317,8 +317,18 @@ def build_parser() -> _ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    # decimal strings of any length are part of the contract, so Python's
+    # int/str digit limit (3.11+, process-wide) is lifted for the call and
+    # then restored
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def entrypoint() -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._primes import divisors, odd_part, totient
+from ._primes import divisors, moebius, odd_part, totient
 
 __all__ = [
     "DEFAULT_SIEVE_BUDGET",
@@ -52,16 +52,15 @@ class SieveBudgetError(ValueError):
 
 @dataclass
 class TotientSieve:
-    """Tables of phi(1..bound) and mu(1..bound); index 0 is unused.
+    """The table of phi(1..bound); index 0 is unused.
 
-    Memory cost is two integer tables of length bound+1 (8 + 1 bytes per
-    entry) plus the sieve's list of primes below bound, about 12 bytes per
-    entry in all at peak; `build_sieve` guards it with the budget.
+    Memory cost is one 8-byte integer table of length bound+1 plus the
+    sieve's list of primes below bound, about 11 bytes per entry in all at
+    peak; `build_sieve` guards it with the budget.
     """
 
     bound: int
     phi: array
-    mu: array
 
 
 class Family(enum.Enum):
@@ -86,33 +85,28 @@ def sieve_budget() -> int:
 
 
 def build_sieve(bound: int, budget: int | None = None) -> TotientSieve:
-    """Build phi and mu tables up to `bound` with a single linear sieve."""
+    """Build the phi table up to `bound` with a single linear sieve."""
     if bound < 1:
         raise ValueError(f"sieve bound must be positive, got {bound}")
     limit = sieve_budget() if budget is None else budget
     if bound > limit:
         raise SieveBudgetError(f"sieve bound {bound} exceeds budget {limit}")
     phi = array("q", [0]) * (bound + 1)
-    mu = array("b", [0]) * (bound + 1)
     phi[1] = 1
-    mu[1] = 1
     primes: list[int] = []
     for i in range(2, bound + 1):
         if phi[i] == 0:
             primes.append(i)
             phi[i] = i - 1
-            mu[i] = -1
         for p in primes:
             ip = i * p
             if ip > bound:
                 break
             if i % p == 0:
                 phi[ip] = phi[i] * p
-                mu[ip] = 0
                 break
             phi[ip] = phi[i] * (p - 1)
-            mu[ip] = -mu[i]
-    return TotientSieve(bound, phi, mu)
+    return TotientSieve(bound, phi)
 
 
 def _check_bound(n: int, sieve: TotientSieve) -> None:
@@ -250,5 +244,5 @@ def density_report(
 def moebius_inversion_check(n: int, sieve: TotientSieve) -> bool:
     """Whether sum(mu(d) * odd_part(n/d), d | n) equals phi2(n)."""
     _check_bound(n, sieve)
-    lhs = sum(sieve.mu[d] * odd_part(n // d) for d in divisors(n))
+    lhs = sum(moebius(d) * odd_part(n // d) for d in divisors(n))
     return lhs == phi2(n, sieve)

@@ -7,8 +7,8 @@ elements +/- GAMMA * DELTA**m * u**2 of Z[sqrt(2)], where u ranges over the
 norm-f products built by choosing, for each prime factor of f, either its
 prime-element generator or the conjugate.
 
-Generation over distinct m values is independent; deduplication of the
-resulting triples is the only merge point.
+Generation walks m upward, one DELTA factor per step from a single power
+GAMMA * DELTA**m_lo; a triple reached by several branches keeps the first.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ._primes import factorize
 from .pell import gamma_delta_power
 from .triples import Triple
-from .zsqrt2 import ONE, QuadInt, ideal_generator
+from .zsqrt2 import DELTA, ONE, QuadInt, ideal_generator
 
 __all__ = [
     "FSpec",
@@ -36,12 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FSpec:
-    """A leg gap with its factorization and admissibility verdict."""
+    """A leg gap with its factorization, admissibility verdict and, if it is
+    admissible, one prime-element generator per prime factor, in order."""
 
     f: int
     factorization: tuple[tuple[int, int], ...]
     admissible: bool
     reasons: tuple[str, ...] = ()
+    generators: tuple[QuadInt, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,9 @@ class FTriple:
 def admissible_f(f: int) -> FSpec:
     """Factor f and test the necessary condition: odd, all primes +/-1 mod 8.
 
-    Rejection reasons are listed per offending prime.  Factorization is
-    limited to f < 2**64 (UnsupportedRangeError beyond).
+    Rejection reasons are listed per offending prime; an admissible f gets
+    each prime's generator, found here once.  Factorization is limited to
+    f < 2**64 (UnsupportedRangeError beyond).
     """
     if f < 1:
         raise ValueError(f"leg gap must be a positive integer, got {f}")
@@ -80,7 +83,8 @@ def admissible_f(f: int) -> FSpec:
         for p, _ in factorization
         if p % 8 not in (1, 7)
     )
-    return FSpec(f, factorization, admissible=not reasons, reasons=reasons)
+    generators = () if reasons else tuple(ideal_generator(p) for p, _ in factorization)
+    return FSpec(f, factorization, not reasons, reasons, generators)
 
 
 def pell_recast(t: Triple, f: int) -> tuple[int, int]:
@@ -101,11 +105,10 @@ def cf_elements(spec: FSpec) -> list[CfElement]:
             f"leg gap {spec.f} admits no primitive triples: "
             + "; ".join(spec.reasons)
         )
-    gens = [ideal_generator(p) for p, _ in spec.factorization]
     out: list[CfElement] = []
-    for choices in itertools.product((0, 1), repeat=len(gens)):
+    for choices in itertools.product((0, 1), repeat=len(spec.generators)):
         u = ONE
-        for (p, exp), gen, pick in zip(spec.factorization, gens, choices):
+        for (p, exp), gen, pick in zip(spec.factorization, spec.generators, choices):
             q = gen if pick == 0 else gen.conjugate()
             u = u * q**exp
         out.append(CfElement(u, choices))
@@ -114,38 +117,33 @@ def cf_elements(spec: FSpec) -> list[CfElement]:
 
 def generate_f_triples(spec: FSpec, m_lo: int, m_hi: int) -> list[FTriple]:
     """All distinct triples from +/- GAMMA * DELTA**m * u**2 over m in
-    [m_lo, m_hi], every norm-f element u, and both signs.
+    [m_lo, m_hi] and every norm-f element u.
 
-    Components are normalized to X = |x|, Y = |y|; branches with X <= f are
-    degenerate (they would give a nonpositive first leg) and are skipped.
-    Each triple is emitted once, tagged with the first branch that hit it.
+    Components are normalized to X = |x|, Y = |y|, so the - sign only repeats
+    the + branch and every row has sign = 1.  Branches with X <= f would give
+    a nonpositive first leg and are skipped.  Each triple is emitted once,
+    tagged with the first branch, in ascending m, that hit it.
     """
-    if not spec.admissible:
-        raise ValueError(
-            f"leg gap {spec.f} admits no primitive triples: "
-            + "; ".join(spec.reasons)
-        )
     if m_lo > m_hi:
         raise ValueError(f"empty exponent range [{m_lo}, {m_hi}]")
     f = spec.f
-    elements = cf_elements(spec)
+    branches = [(elem, elem.u * elem.u) for elem in cf_elements(spec)]
     seen: set[tuple[int, int, int]] = set()
     out: list[FTriple] = []
+    base = gamma_delta_power(m_lo)
     for m in range(m_lo, m_hi + 1):
-        base = gamma_delta_power(m)
-        for elem in elements:
-            w = base * elem.u * elem.u
-            for sign in (1, -1):
-                x, y = sign * w.x, sign * w.y
-                X, Y = abs(x), abs(y)
-                if X <= f or (X - f) % 2:
-                    continue
-                a, b = (X - f) // 2, (X + f) // 2
-                key = (a, b, Y)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(FTriple(Triple(a, b, Y), m, sign, elem, X, Y))
+        for elem, square in branches:
+            w = base * square
+            X, Y = abs(w.x), abs(w.y)
+            if X <= f or (X - f) % 2:
+                continue
+            a, b = (X - f) // 2, (X + f) // 2
+            key = (a, b, Y)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(FTriple(Triple(a, b, Y), m, 1, elem, X, Y))
+        base = base * DELTA
     return out
 
 

@@ -27,10 +27,9 @@ class PellSolution:
 
 
 def delta_power(m: int) -> QuadInt:
-    """DELTA**m for any integer m; norm(DELTA) = 1 makes the conjugate the
-    exact inverse, so negative powers stay inside the ring."""
-    base = DELTA if m >= 0 else DELTA.conjugate()
-    return base ** abs(m)
+    """DELTA**m for any integer m; DELTA is a unit, so negative powers stay
+    inside the ring."""
+    return DELTA**m
 
 
 def gamma_delta_power(m: int) -> QuadInt:

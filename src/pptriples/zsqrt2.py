@@ -104,7 +104,7 @@ ONE = QuadInt(1, 0)
 SQRT2 = QuadInt(0, 1)
 GAMMA = QuadInt(1, 1)  # fundamental unit, norm -1
 DELTA = QuadInt(3, 2)  # GAMMA**2, norm +1
-_DELTA_INV = QuadInt(3, -2)
+_DELTA_INV = DELTA.conjugate()
 
 
 def _round_half_toward_zero(num: int, den: int) -> int:

@@ -1,8 +1,10 @@
+import contextlib
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -259,6 +261,63 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
         assert exc.value.code == 1
+
+
+@contextlib.contextmanager
+def digit_limit(n):
+    """Python's int/str digit limit set to n (0 lifts it) inside the block;
+    a no-op before Python 3.11, which has no limit."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    saved = get()
+    sys.set_int_max_str_digits(n)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestBigIntegers:
+    """Decimal strings of any length, beyond Python's default 4300 digits."""
+
+    def test_gen_f_row_past_the_digit_limit(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen-f", "--f", "1", "--m", "6000..6000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        *_, row = out.splitlines()
+        assert len(row.split(",")[2]) > 4300
+        with digit_limit(0):
+            a, b, c, m, sign, u_x, u_y = map(int, row.split(","))
+        assert a * a + b * b == c * c and b - a == 1
+        assert (m, sign, u_x, u_y) == (6000, 1, 1, 0)
+
+    def test_check_5000_digit_hypotenuse(self, capsys):
+        r, s = 10**2500, 10**2500 - 1
+        with digit_limit(0):
+            argv = [str(r * r - s * s), str(2 * r * s), str(r * r + s * s)]
+        assert len(argv[2]) > 5000
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        header, row = out.splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert [record[k] for k in ("a", "b", "c")] == argv
+        assert record["primitive"] == "true" and record["g"] == "1"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit before Python 3.11"
+    )
+    def test_caller_limit_is_restored(self, capsys):
+        with digit_limit(5000):
+            assert run(capsys, "check", "3", "4", "5")[0] == 0
+            assert sys.get_int_max_str_digits() == 5000
+            with pytest.raises(SystemExit):
+                main(["check", "0", "4", "5"])
+            assert sys.get_int_max_str_digits() == 5000
 
 
 def test_determinism(capsys):

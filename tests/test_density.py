@@ -23,6 +23,7 @@ from pptriples import (
     sum_phi,
     sum_phi2,
 )
+from pptriples._primes import moebius
 from pptriples.checks import brute_pair_counts
 
 
@@ -35,13 +36,13 @@ class TestSieve:
     def test_phi_table(self, sieve):
         assert list(sieve.phi[1:11]) == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
 
-    def test_mu_values(self, sieve):
-        assert sieve.mu[1] == 1
-        assert sieve.mu[2] == -1
-        assert sieve.mu[6] == 1
-        assert sieve.mu[12] == 0
-        assert sieve.mu[30] == -1
-        assert all(sieve.mu[n] in (-1, 0, 1) for n in range(1, 200))
+    def test_mu_values(self):
+        assert moebius(1) == 1
+        assert moebius(2) == -1
+        assert moebius(6) == 1
+        assert moebius(12) == 0
+        assert moebius(30) == -1
+        assert all(moebius(n) in (-1, 0, 1) for n in range(1, 200))
 
     def test_phi_prime_and_multiplicative_spot_checks(self, sieve):
         for p in (2, 3, 5, 7, 11, 101, 997):

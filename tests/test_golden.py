@@ -3,7 +3,9 @@ code for a fixed set of argvs, pinned from the CLI before its record output
 was rebuilt around one table of field names.  Any change to the rendered
 bytes of any command, format or record tag shows up here.  The three gen-g
 gaps with roots m = 1000003, 500009 and 499998 were pinned while generation
-still walked every index from n = 1."""
+still walked every index from n = 1, and the gen-f requests for f = 2737,
+31 (m = -40..25) and 1 (m = 3..9) while generation still re-powered DELTA for
+every m and tried both signs."""
 
 import contextlib
 import hashlib
@@ -27,6 +29,9 @@ GOLDEN = [
     ("gen-f --f 119 --m -2..2 --format json", 0, "b31b80908334135295508f5082f1ed57e5e9c4b9104139dcd222efff7db32a6e"),
     ("gen-f --f 49 --m 0..1", 0, "a6b617c2c8d679dff4fe20df305eb700e01729ba615580fc32b1b4fb19ff7b2f"),
     ("gen-f --f 1 --m -4..4 --format json", 0, "2385176a78605cdc26ebde8504a08945129db39fd6b7ff1762e39a93fb208cf7"),
+    ("gen-f --f 2737 --m -5..5", 0, "fdd236d8a5d4d1496328f3f69f5a99c6edc56f207b43fe5b34456877d41e253e"),
+    ("gen-f --f 31 --m -40..25 --format json", 0, "4e3f5928af2ad143241421a2dbd5b16874b6aba17f7e476a8526c7aac96b05ab"),
+    ("gen-f --f 1 --m 3..9", 0, "1feea87d71f7d2292cb5573f88d1a3dd853998f2989d09d54168bb969ae80ec6"),
     ("gen-f --f 3 --m 0..1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("check 15 8 17", 0, "3f4ec18fb5dce16190275a579f401a74ef63ea3e51ec17d5e8b01bb5021c0260"),
     ("check 20 21 29 --format json", 0, "26874c022b00ebb4cbaed54d65690dd4f79da38f75ab7dc1449958472664f8bd"),

@@ -13,6 +13,9 @@ from pptriples import (
     pell_recast,
     verify_f_triple,
 )
+from pptriples import leg_gap
+from pptriples.cli import main
+from pptriples.leg_gap import FTriple
 
 
 class TestAdmissible:
@@ -151,6 +154,46 @@ class TestGenerate:
                 assert pick_set == generator_set
 
 
+def _reference_f_triples(spec, m_lo, m_hi):
+    """The branch walk as first written: a fresh GAMMA * DELTA**m for every m,
+    both signs of every branch, and the first branch to reach a triple wins."""
+    f, elements = spec.f, cf_elements(spec)
+    seen, out = set(), []
+    for m in range(m_lo, m_hi + 1):
+        base = gamma_delta_power(m)
+        for elem in elements:
+            w = base * elem.u * elem.u
+            for sign in (1, -1):
+                X, Y = abs(sign * w.x), abs(sign * w.y)
+                if X <= f or (X - f) % 2:
+                    continue
+                key = ((X - f) // 2, (X + f) // 2, Y)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(FTriple(Triple(*key), m, sign, elem, X, Y))
+    return out
+
+
+@pytest.mark.parametrize("f", [1, 7, 49, 119, 2737])
+@pytest.mark.parametrize("m_lo,m_hi", [(-9, 7), (0, 0), (5, 12)])
+def test_walk_matches_the_per_m_reference(f, m_lo, m_hi):
+    spec = admissible_f(f)
+    assert generate_f_triples(spec, m_lo, m_hi) == _reference_f_triples(spec, m_lo, m_hi)
+
+
+def test_gen_f_scans_for_each_prime_once(monkeypatch, capsys):
+    scanned = []
+
+    def counting(p):
+        scanned.append(p)
+        return ideal_generator(p)
+
+    monkeypatch.setattr(leg_gap, "ideal_generator", counting)
+    assert main(["gen-f", "--f", "119", "--m", "-2..2"]) == 0
+    assert capsys.readouterr().out
+    assert scanned == [7, 17]
+
+
 def test_nonexistence_of_inadmissible_gaps(oracle_1e6):
     bad = {3, 5, 11, 13, 21}
     for t in oracle_1e6:
@@ -159,8 +202,6 @@ def test_nonexistence_of_inadmissible_gaps(oracle_1e6):
 
 def test_verify_rejects_hand_built_composite():
     # a scaled triple shares the gap but fails the primitivity recheck
-    from pptriples.leg_gap import FTriple
-
     spec = admissible_f(7)
     t = Triple(21, 28, 35)
     ft = FTriple(t, 0, 1, cf_elements(spec)[0], 2 * 21 + 7, 35)
