@@ -21,6 +21,10 @@ class UnsupportedRangeError(ValueError):
     """Raised when an input is too large for the deterministic algorithms."""
 
 
+class InadmissibleError(ValueError):
+    """Raised when a gap admits no primitive triple; the message names the failed tests."""
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**64."""
     if n >= PRIME_TEST_LIMIT:

@@ -2,7 +2,8 @@
 
 Each suite compares a closed-form or generator path against the exhaustive
 triple enumerator (or a raw pair count, or the A/B delta recurrences) at a
-caller-chosen bound and reports the number of checks, failures, and the
+caller-chosen bound.  A suite yields one case per check, None or a
+counterexample, and one runner reports the number of checks up to the
 first counterexample.  The oracles here stay off the library's fast paths.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .density import (
     TotientSieve,
@@ -54,25 +56,33 @@ class CheckReport:
         return self.failures == 0
 
 
+def _first_failure(scope: str, cases: Iterable[str | None]) -> CheckReport:
+    """Count the cases, each None or a counterexample, up to the first counterexample."""
+    checks = 0
+    for counterexample in cases:
+        checks += 1
+        if counterexample is not None:
+            return CheckReport(scope, checks, 1, counterexample)
+    return CheckReport(scope, checks, 0)
+
+
+def _regenerated(t: Triple) -> str | None:
+    """Why t does not invert to family coordinates that regenerate it, if so."""
+    try:
+        gc, n = invert_to_family(t)
+    except ValueError as exc:
+        return f"{t}: {exc}"
+    return None if family_triple(gc, n) == t else f"{t} not regenerated at g={gc.g}, n={n}"
+
+
 def check_g_coverage(c_max: int) -> CheckReport:
     """Every enumerated triple, in both leg orders, inverts to family
     coordinates that regenerate it."""
-    checks = 0
-    for t in enumerate_ppts(c_max):
-        for ordered in (t, Triple(t.b, t.a, t.c)):
-            checks += 1
-            try:
-                gc, n = invert_to_family(ordered)
-            except ValueError as exc:
-                return CheckReport("g-coverage", checks, 1, f"{ordered}: {exc}")
-            if family_triple(gc, n) != ordered:
-                return CheckReport(
-                    "g-coverage",
-                    checks,
-                    1,
-                    f"{ordered} not regenerated at g={gc.g}, n={n}",
-                )
-    return CheckReport("g-coverage", checks, 0)
+    return _first_failure("g-coverage", (
+        _regenerated(ordered)
+        for t in enumerate_ppts(c_max)
+        for ordered in (t, Triple(t.b, t.a, t.c))
+    ))
 
 
 def check_f_coverage(
@@ -87,21 +97,13 @@ def check_f_coverage(
         f: {ft.triple.as_tuple() for ft in generate_f_triples(admissible_f(f), m_lo, m_hi)}
         for f in gaps
     }
-    checks = 0
-    for t in enumerate_ppts(c_max):
-        lo, hi = min(t.a, t.b), max(t.a, t.b)
-        f = hi - lo
-        if f not in generated:
-            continue
-        checks += 1
-        if (lo, hi, t.c) not in generated[f]:
-            return CheckReport(
-                "f-coverage",
-                checks,
-                1,
-                f"({lo}, {hi}, {t.c}) missing from the f={f} sweep",
-            )
-    return CheckReport("f-coverage", checks, 0)
+    legs = ((min(t.a, t.b), max(t.a, t.b), t.c) for t in enumerate_ppts(c_max))
+    return _first_failure("f-coverage", (
+        None if (lo, hi, c) in generated[hi - lo]
+        else f"({lo}, {hi}, {c}) missing from the f={hi - lo} sweep"
+        for lo, hi, c in legs
+        if hi - lo in generated
+    ))
 
 
 def check_nonexistence(
@@ -111,19 +113,14 @@ def check_nonexistence(
 ) -> CheckReport:
     """No enumerated triple carries an inadmissible hypotenuse or leg gap."""
     hyp, leg = set(hyp_gaps), set(leg_gaps)
-    checks = 0
-    for t in enumerate_ppts(c_max):
-        checks += 1
+
+    def gap_found(t: Triple) -> str | None:
         for gap in (t.c - t.a, t.c - t.b):
             if gap in hyp:
-                return CheckReport(
-                    "nonexistence", checks, 1, f"{t} has hypotenuse gap {gap}"
-                )
-        if abs(t.a - t.b) in leg:
-            return CheckReport(
-                "nonexistence", checks, 1, f"{t} has leg gap {abs(t.a - t.b)}"
-            )
-    return CheckReport("nonexistence", checks, 0)
+                return f"{t} has hypotenuse gap {gap}"
+        return f"{t} has leg gap {abs(t.a - t.b)}" if abs(t.a - t.b) in leg else None
+
+    return _first_failure("nonexistence", map(gap_found, enumerate_ppts(c_max)))
 
 
 @dataclass(frozen=True)
@@ -161,43 +158,37 @@ def apply_delta_power(t: QuadInt, n: int) -> QuadInt:
 def check_pell(m_max: int, y_max: int = 100_000) -> CheckReport:
     """Negative Pell solutions, recurrence vs plain multiplication, and the
     exhaustive converse over 0 < y <= y_max."""
-    checks = 0
+    return _first_failure("pell", _pell_cases(m_max, y_max))
+
+
+def _pell_cases(m_max: int, y_max: int) -> Iterator[str | None]:
+    """The `check_pell` cases: solutions, then the recurrence, then the converse."""
     for m in range(-m_max, m_max + 1):
-        checks += 1
         try:
             neg_pell_solution(m)  # validates its own defining equation
         except ValueError as exc:
-            return CheckReport("pell", checks, 1, f"m={m}: {exc}")
+            yield f"m={m}: {exc}"
+        else:
+            yield None
     rng = random.Random(0x5EED)
     sample = [QuadInt(rng.randint(-999, 999), rng.randint(-999, 999)) for _ in range(20)]
     for t in sample:
         acc = t
         for n in range(m_max + 1):
-            checks += 1
-            if apply_delta_power(t, n) != acc:
-                return CheckReport(
-                    "pell", checks, 1, f"recurrence mismatch at t={t}, n={n}"
-                )
+            yield None if apply_delta_power(t, n) == acc else f"recurrence mismatch at t={t}, n={n}"
             acc = acc * DELTA
     known = set()
     m = 0
-    while True:
-        sol = neg_pell_solution(m)
-        if sol.y > y_max:
-            break
+    while (sol := neg_pell_solution(m)).y <= y_max:
         known.add((sol.x, sol.y))
         m += 1
     for y in range(1, y_max + 1):
         t = 2 * y * y - 1
         x = math.isqrt(t)
-        if x * x != t:
-            continue
-        checks += 1
-        if (x, y) not in known:
-            return CheckReport(
-                "pell", checks, 1, f"({x}, {y}) solves the equation but is not GAMMA*DELTA^m"
+        if x * x == t:
+            yield None if (x, y) in known else (
+                f"({x}, {y}) solves the equation but is not GAMMA*DELTA^m"
             )
-    return CheckReport("pell", checks, 0)
 
 
 def brute_pair_counts(b_max: int) -> dict[str, list[int]]:
@@ -237,16 +228,12 @@ def check_density_cross(b_max: int, sieve: TotientSieve | None = None) -> CheckR
         "GEE": count_GEE,
         "GEO": count_GEO,
     }
-    checks = 0
-    for B in range(1, b_max + 1):
-        for name, fn in formulas.items():
-            checks += 1
-            got, want = fn(B, sieve), brute[name][B]
-            if got != want:
-                return CheckReport(
-                    "density-cross",
-                    checks,
-                    1,
-                    f"{name}({B}) formula gives {got}, enumeration gives {want}",
-                )
-    return CheckReport("density-cross", checks, 0)
+    counts = (
+        (name, B, fn(B, sieve), brute[name][B])
+        for B in range(1, b_max + 1)
+        for name, fn in formulas.items()
+    )
+    return _first_failure("density-cross", (
+        None if got == want else f"{name}({B}) formula gives {got}, enumeration gives {want}"
+        for name, B, got, want in counts
+    ))

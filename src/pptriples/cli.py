@@ -4,12 +4,12 @@ Commands: gen-g, gen-f, check, density, verify.  CSV (default) and JSON
 Lines output; all runs are deterministic, with fixed sort orders and fixed
 decimal rendering.  Exit codes:
 
-    0  success
+    0  success, or the reader closed stdout early (`| head`): the run ends quietly
     1  malformed flags or input
     2  inadmissible gap
     3  input beyond the supported factorization range (>= 2**64)
     4  `check` input is not a primitive Pythagorean triple
-    5  sieve memory budget refused
+    5  sieve memory budget refused (`density`, `verify density-cross`)
     6  `verify` found a property violation
 """
 
@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from itertools import chain, islice
 from typing import Iterable, TextIO
 
 from . import checks
-from ._primes import UnsupportedRangeError
+from ._primes import InadmissibleError, UnsupportedRangeError
 from .density import Family, SieveBudgetError, density_report, render_ratio
 from .hyp_gap import classify_g, generate_g_family, invert_to_family
 from .leg_gap import admissible_f, cf_elements, generate_f_triples
@@ -140,15 +141,8 @@ def write_records(
         out.write(batch)
 
 
-def _refuse(code: int, message: object) -> int:
-    print(message, file=sys.stderr)
-    return code
-
-
 def cmd_gen_g(args: argparse.Namespace) -> int:
     gc = classify_g(args.g)
-    if not gc.admissible:
-        return _refuse(EXIT_INADMISSIBLE, f"g={args.g} is inadmissible: " + "; ".join(gc.reasons))
     items = generate_g_family(args.g, args.count)
     write_records(
         args.format, sys.stdout, "g_family_item",
@@ -160,12 +154,7 @@ def cmd_gen_g(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_f(args: argparse.Namespace) -> int:
-    try:
-        spec = admissible_f(args.f)
-    except UnsupportedRangeError as exc:
-        return _refuse(EXIT_RANGE, exc)
-    if not spec.admissible:
-        return _refuse(EXIT_INADMISSIBLE, f"f={args.f} is inadmissible: " + "; ".join(spec.reasons))
+    spec = admissible_f(args.f)
     elements = cf_elements(spec)
     triples = sorted(generate_f_triples(spec, *args.m), key=lambda ft: ft.triple.as_tuple())
     factor_text = " ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in spec.factorization)
@@ -209,25 +198,22 @@ def cmd_check(args: argparse.Namespace) -> int:
     return code
 
 
+def _density_values(args: argparse.Namespace) -> Iterable[tuple]:
+    """The `density_row` values, computed when the first one is read: the
+    sieve is built after --out is open, so an unwritable path fails fast."""
+    for r in density_report(Family(args.family), args.grid):
+        yield r.B, r.family_count, r.pool_count, render_ratio(r.ratio), render_ratio(r.predicted)
+
+
 def cmd_density(args: argparse.Namespace) -> int:
-    try:
-        rows = density_report(Family(args.family), args.grid)
-    except SieveBudgetError as exc:
-        return _refuse(EXIT_BUDGET, exc)
-    except ValueError as exc:  # e.g. a malformed PPT_SIEVE_BUDGET value
-        return _refuse(EXIT_USAGE, exc)
-    values = (
-        (r.B, r.family_count, r.pool_count, render_ratio(r.ratio), render_ratio(r.predicted))
-        for r in rows
-    )
     if args.out is None:
-        write_records(args.format, sys.stdout, "density_row", values)
+        write_records(args.format, sys.stdout, "density_row", _density_values(args))
         return EXIT_OK
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            write_records(args.format, fh, "density_row", values)
+            write_records(args.format, fh, "density_row", _density_values(args))
     except OSError as exc:
-        return _refuse(EXIT_USAGE, f"cannot write --out: {exc}")
+        raise ValueError(f"cannot write --out: {exc}") from None
     return EXIT_OK
 
 
@@ -249,7 +235,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for other in _BOUND_FLAGS:
         if other != flag and getattr(args, other) is not None:
             message = f"verify {args.scope} reads --{flag}, not --{other}"
-            return _refuse(EXIT_USAGE, message.replace("_", "-"))  # dest names to flags
+            raise ValueError(message.replace("_", "-"))  # dest names to flags
     report = getattr(checks, suite)(getattr(args, flag) or default)  # bounds are >= 1
     print(f"{report.scope}: {report.checks} checks, {report.failures} failures")
     if not report.ok:
@@ -316,6 +302,15 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
+# refusal type -> exit code, most specific first; every other ValueError is 1
+_EXIT_CODES = (
+    (InadmissibleError, EXIT_INADMISSIBLE),
+    (UnsupportedRangeError, EXIT_RANGE),
+    (SieveBudgetError, EXIT_BUDGET),
+    (ValueError, EXIT_USAGE),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     # decimal strings of any length are part of the contract, so Python's
     # int/str digit limit (3.11+, process-wide) is lifted for the call and
@@ -326,10 +321,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early; the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    raise SystemExit(code)

@@ -21,6 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from ._primes import InadmissibleError
 from .triples import ParamPair, Triple, from_params, is_primitive
 
 __all__ = [
@@ -132,14 +133,20 @@ def _triple(leg: int, pair: ParamPair) -> Triple:
     return t if leg == 1 else Triple(t.b, t.a, t.c)
 
 
+def _admissible(gc: GClass) -> GClass:
+    """gc itself when admissible; else InadmissibleError naming the failed tests."""
+    if not gc.admissible:
+        raise InadmissibleError(f"g={gc.g} is inadmissible: " + "; ".join(gc.reasons))
+    return gc
+
+
 def family_params(gc: GClass, n: int) -> ParamPair | None:
     """The parameter pair of the n-th family member, or None when the
-    table's gcd or parity side condition fails at this index."""
-    if not gc.admissible:
-        raise ValueError(f"gap {gc.g} admits no primitive triples")
+    table's gcd or parity side condition fails at this index.  An
+    inadmissible gap raises InadmissibleError."""
+    leg, step, start = _ROWS[_admissible(gc).kind]
     if n < 1:
         raise ValueError(f"family index starts at 1, got {n}")
-    leg, step, start = _ROWS[gc.kind]
     return _pair(leg, gc.m, step * n + start)
 
 
@@ -155,12 +162,9 @@ def family_triple(gc: GClass, n: int) -> Triple | None:
 
 def generate_g_family(g: int, count: int) -> list[GFamilyItem]:
     """The first `count` members of the family for an admissible gap g,
-    from the first index with k > m, found in closed form."""
-    gc = classify_g(g)
-    if not gc.admissible:
-        raise ValueError(
-            f"gap {g} admits no primitive triples: " + "; ".join(gc.reasons)
-        )
+    from the first index with k > m, found in closed form.  An inadmissible
+    gap raises InadmissibleError."""
+    gc = _admissible(classify_g(g))
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     leg, step, start = _ROWS[gc.kind]

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ._primes import factorize
+from ._primes import InadmissibleError, factorize
 from .pell import gamma_delta_power
 from .triples import Triple
 from .zsqrt2 import DELTA, ONE, QuadInt, ideal_generator
@@ -99,12 +99,10 @@ def pell_recast(t: Triple, f: int) -> tuple[int, int]:
 
 def cf_elements(spec: FSpec) -> list[CfElement]:
     """All 2**k products over the k distinct prime factors, each of norm
-    +/-f; the empty product 1 for f = 1."""
+    +/-f; the empty product 1 for f = 1.  An inadmissible spec raises
+    InadmissibleError, which lists the offending primes."""
     if not spec.admissible:
-        raise ValueError(
-            f"leg gap {spec.f} admits no primitive triples: "
-            + "; ".join(spec.reasons)
-        )
+        raise InadmissibleError(f"f={spec.f} is inadmissible: " + "; ".join(spec.reasons))
     out: list[CfElement] = []
     for choices in itertools.product((0, 1), repeat=len(spec.generators)):
         u = ONE

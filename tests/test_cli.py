@@ -222,6 +222,20 @@ class TestDensity:
         assert (code, out) == (1, "")
         assert "--out" in err and "Traceback" not in err
 
+    def test_unwritable_out_is_refused_before_the_sieve(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "density", "--family", "GO", "--grid", "2000000", "--out", str(path))
+        assert time.perf_counter() - start < 0.2
+        assert (code, out) == (1, "")
+
+    def test_refusal_after_open_leaves_out_empty(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("PPT_SIEVE_BUDGET", "100")
+        path = tmp_path / "rows.csv"
+        path.write_text("older rows\n")
+        code, out, _ = run(capsys, "density", "--family", "GO", "--grid", "1000", "--out", str(path))
+        assert (code, out, path.read_bytes()) == (5, "", b"")
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "density", "--family", "GO", "--grid", "10", "--format", "json")
         (record,) = validate_jsonl(out)
@@ -261,6 +275,35 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
         assert exc.value.code == 1
+
+
+# (argv, environment, exit code); {missing} is a directory that does not exist
+REFUSALS = [
+    ("gen-g --g 3", {}, 2),
+    ("gen-f --f 3 --m 0..1", {}, 2),
+    ("gen-f --f 18446744073709551629 --m 0..0", {}, 3),
+    ("verify pell --c-max 3", {}, 1),
+    ("density --family GO --grid 1000", {"PPT_SIEVE_BUDGET": "100"}, 5),
+    ("density --family GO --grid 1000", {"PPT_SIEVE_BUDGET": "abc"}, 1),
+    ("verify density-cross --b-max 20000000", {}, 5),
+    ("verify density-cross --b-max 10", {"PPT_SIEVE_BUDGET": "abc"}, 1),
+    ("density --family GO --grid 10 --out {missing}/rows.csv", {}, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,env,code",
+    REFUSALS,
+    ids=[" ".join([*map("=".join, env.items()), argv]) for argv, env, _ in REFUSALS],
+)
+def test_refusal_is_one_stderr_line(argv, env, code, capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("PPT_SIEVE_BUDGET", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    got, out, err = run(capsys, *argv.replace("{missing}", str(tmp_path / "missing")).split())
+    assert (got, out) == (code, "")
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert "Traceback" not in err
 
 
 @contextlib.contextmanager
@@ -328,18 +371,41 @@ def test_determinism(capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_module_invocation_subprocess():
-    # the child imports the same package as this test, installed or not
+def child_env():
+    """The environment of a child that imports the same package as this
+    test, installed or not."""
     src = str(Path(pptriples.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_invocation_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "pptriples", "check", "3", "4", "5"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("3,4,5,true,true")
+
+
+def test_reader_closing_stdout_early_ends_the_run_quietly():
+    # about 1 MB of rows: the child is still writing when the pipe closes
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pptriples", "gen-g", "--g", "9", "--count", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=5), err) == (0, b"")
+    assert first == b"# g=9 kind=odd-square m=3\n"
+    assert time.perf_counter() - start < 2.0
 
 
 def test_missing_subcommand_exits_1():

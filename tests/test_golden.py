@@ -5,7 +5,10 @@ bytes of any command, format or record tag shows up here.  The three gen-g
 gaps with roots m = 1000003, 500009 and 499998 were pinned while generation
 still walked every index from n = 1, and the gen-f requests for f = 2737,
 31 (m = -40..25) and 1 (m = 3..9) while generation still re-powered DELTA for
-every m and tried both signs."""
+every m and tried both signs.  The three g-coverage, f-coverage and
+nonexistence requests, the refusal lines and the counterexample reports of
+injected faults were pinned while each `verify` suite still built its own
+reports and each command mapped its own refusals to exit codes."""
 
 import contextlib
 import hashlib
@@ -13,7 +16,9 @@ import io
 
 import pytest
 
+from pptriples import checks
 from pptriples.cli import main
+from pptriples.zsqrt2 import ONE
 
 GOLDEN = [
     ("gen-g --g 9 --count 5", 0, "efb10c96fa52435570f9ff87afc74a5790fd262a2501804958734e0daf89a1f2"),
@@ -47,6 +52,9 @@ GOLDEN = [
     ("density --family GO --grid 10,1000 --format json --out {out}", 0, "d385407adf46b0e7c489fe6fd47d07370c48bf994f414f6b8db266fb751b7ec6"),
     ("verify pell --m-max 20", 0, "41ed68ed53f0f7675a5feb0f657db3e33d18ecf66347d1c4973ef7330b890499"),
     ("verify density-cross --b-max 60", 0, "357743501d437478c50d60957b4d68d8016f4f7d6599a3502c9eecbf89343eed"),
+    ("verify g-coverage --c-max 2000", 0, "4ce93120ea899feb35aee60455b4d03f9f6c62d238d1d27191b9e7d60f842099"),
+    ("verify f-coverage --c-max 20000", 0, "8e000dad9602ea6427bd6886910f693a26dfa5c6814541567b0273b3a19f6b23"),
+    ("verify nonexistence --c-max 20000", 0, "579d3dc13775e8eaa474aabf8c22025936687a30810224378933f7999bcb1647"),
 ]
 
 
@@ -61,3 +69,99 @@ def test_golden_bytes(argv, code, digest, tmp_path):
         assert data == b""
         data = out_path.read_bytes()
     assert (got, hashlib.sha256(data).hexdigest()) == (code, digest)
+
+
+# argv -> (exit code, the one stderr line); stdout stays empty
+REFUSALS = [
+    ("gen-g --g 3", 2, "g=3 is inadmissible: not an odd square; not twice a square"),
+    ("gen-f --f 3 --m 0..1", 2, "f=3 is inadmissible: prime factor 3 is 3 mod 8, not +/-1"),
+    (
+        "gen-f --f 18446744073709551629 --m 0..0",
+        3,
+        "factorization supports n < 2**64, got 18446744073709551629",
+    ),
+    ("verify pell --c-max 3", 1, "verify pell reads --m-max, not --c-max"),
+]
+
+
+@pytest.mark.parametrize("argv,code,line", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusal_lines(argv, code, line):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        got = main(argv.split())
+    assert (got, stdout.getvalue(), stderr.getvalue()) == (code, "", line + "\n")
+
+
+def _fault(name, broken):
+    """Replace `checks.<name>` with `broken(original)` for one suite run."""
+    return lambda monkeypatch: monkeypatch.setattr(checks, name, broken(getattr(checks, name)))
+
+
+def _raise_at(when, message):
+    def broken(original):
+        def call(arg, *rest):
+            if when(arg):
+                raise ValueError(message)
+            return original(arg, *rest)
+        return call
+    return broken
+
+
+# (injected fault, suite call) -> (scope, checks, failures, counterexample)
+COUNTEREXAMPLES = [
+    (
+        _fault("family_triple", lambda orig: lambda gc, n: None if gc.g == 9 else orig(gc, n)),
+        lambda: checks.check_g_coverage(2000),
+        ("g-coverage", 5, 1, "(15, 8, 17) not regenerated at g=9, n=2"),
+    ),
+    (
+        _fault("invert_to_family", _raise_at(lambda t: t.c == 65, "injected")),
+        lambda: checks.check_g_coverage(2000),
+        ("g-coverage", 19, 1, "(33, 56, 65): injected"),
+    ),
+    (
+        _fault(
+            "generate_f_triples",
+            lambda orig: lambda *a: [ft for ft in orig(*a) if ft.triple.c != 29],
+        ),
+        lambda: checks.check_f_coverage(20000),
+        ("f-coverage", 5, 1, "(20, 21, 29) missing from the f=1 sweep"),
+    ),
+    (
+        lambda monkeypatch: None,
+        lambda: checks.check_nonexistence(20000, hyp_gaps=(9,)),
+        ("nonexistence", 3, 1, "(15, 8, 17) has hypotenuse gap 9"),
+    ),
+    (
+        lambda monkeypatch: None,
+        lambda: checks.check_nonexistence(20000, hyp_gaps=(), leg_gaps=(7,)),
+        ("nonexistence", 2, 1, "(5, 12, 13) has leg gap 7"),
+    ),
+    (
+        _fault("neg_pell_solution", _raise_at(lambda m: m == 1, "injected")),
+        lambda: checks.check_pell(5),
+        ("pell", 7, 1, "m=1: injected"),
+    ),
+    (
+        _fault("apply_delta_power", lambda orig: lambda t, n: orig(t, n) + (ONE if n == 5 else 0)),
+        lambda: checks.check_pell(5),
+        ("pell", 17, 1, "recurrence mismatch at t=-709+752√2, n=5"),
+    ),
+    (
+        _fault("neg_pell_solution", lambda orig: lambda m: orig(4 if m == 3 else m)),
+        lambda: checks.check_pell(2),
+        ("pell", 69, 1, "(239, 169) solves the equation but is not GAMMA*DELTA^m"),
+    ),
+    (
+        _fault("count_GEO", lambda orig: lambda B, sieve: orig(B, sieve) + (B == 7)),
+        lambda: checks.check_density_cross(60),
+        ("density-cross", 28, 1, "GEO(7) formula gives 6, enumeration gives 5"),
+    ),
+]
+
+
+@pytest.mark.parametrize("fault,run,want", COUNTEREXAMPLES)
+def test_counterexample_reports(fault, run, want, monkeypatch):
+    fault(monkeypatch)
+    report = run()
+    assert (report.scope, report.checks, report.failures, report.counterexample) == want

@@ -4,6 +4,7 @@ import pytest
 
 from pptriples import (
     GKind,
+    InadmissibleError,
     Triple,
     classify_g,
     enumerate_ppts,
@@ -69,7 +70,8 @@ class TestFamilyParams:
         assert family_params(gc2, 1) is None  # equal parity with the root
 
     def test_rejects_inadmissible(self):
-        with pytest.raises(ValueError):
+        message = "g=3 is inadmissible: not an odd square; not twice a square"
+        with pytest.raises(InadmissibleError, match=f"^{message}$"):
             family_params(classify_g(3), 1)
 
     def test_pairs_are_coprime(self):
@@ -91,7 +93,8 @@ class TestGenerate:
         assert generate_g_family(8, 1)[0].triple.as_tuple() == (12, 5, 13)
 
     def test_rejects_inadmissible(self):
-        with pytest.raises(ValueError):
+        message = "g=3 is inadmissible: not an odd square; not twice a square"
+        with pytest.raises(InadmissibleError, match=f"^{message}$"):
             generate_g_family(3, 1)
 
     def test_soundness_small(self):

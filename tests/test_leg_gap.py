@@ -1,6 +1,7 @@
 import pytest
 
 from pptriples import (
+    InadmissibleError,
     QuadInt,
     Triple,
     UnsupportedRangeError,
@@ -82,7 +83,10 @@ class TestCfElements:
             assert abs(e.u.norm) == 119
 
     def test_rejects_inadmissible(self):
-        with pytest.raises(ValueError):
+        message = r"f=21 is inadmissible: prime factor 3 is 3 mod 8, not \+/-1"
+        with pytest.raises(InadmissibleError, match=f"^{message}$"):
+            cf_elements(admissible_f(21))
+        with pytest.raises(InadmissibleError):
             cf_elements(admissible_f(3))
 
 
