@@ -1,4 +1,4 @@
-"""Rational-prime utilities: deterministic primality, factorization, divisors.
+"""Rational-prime utilities: deterministic primality and factorization.
 
 Everything here is exact integer arithmetic.  The primality test is a
 deterministic Miller-Rabin valid for all inputs below 2**64; larger inputs
@@ -91,41 +91,3 @@ def factorize(n: int) -> list[tuple[int, int]]:
         stack.append(d)
         stack.append(m // d)
     return sorted(factors.items())
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def totient(n: int) -> int:
-    """Euler's totient, computed directly from the factorization of n."""
-    out = 1
-    for p, e in factorize(n):
-        out *= p ** (e - 1) * (p - 1)
-    return out
-
-
-def moebius(n: int) -> int:
-    """The Moebius function, computed directly from the factorization of n."""
-    factors = factorize(n)
-    if any(e > 1 for _, e in factors):
-        return 0
-    return -1 if len(factors) % 2 else 1
-
-
-def odd_part(n: int) -> int:
-    """The largest odd divisor of n (n > 0)."""
-    if n < 1:
-        raise ValueError(f"odd part of {n} undefined; need a positive integer")
-    return n >> ((n & -n).bit_length() - 1)
-
-
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n

@@ -1,10 +1,15 @@
-"""Bulk oracle-equivalence suites backing the CLI `verify` command.
+"""Oracles: the bulk equivalence suites behind the CLI `verify` command,
+and the identities and rechecks the suites and the tests rely on.
 
 Each suite compares a closed-form or generator path against the exhaustive
 triple enumerator (or a raw pair count, or the A/B delta recurrences) at a
 caller-chosen bound.  A suite yields one case per check, None or a
 counterexample, and one runner reports the number of checks up to the
-first counterexample.  The oracles here stay off the library's fast paths.
+first counterexample.  The identities (divisor sums, totients and Moebius
+inversion computed from factorizations, the recheck of a leg-gap triple)
+recompute by a second route what the library computes once.  Nothing on
+the library's fast paths imports this module; of the CLI commands only
+`verify` loads it.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._primes import factorize
 from .density import (
     TotientSieve,
+    _check_bound,
     build_sieve,
     count_GEE,
     count_GEO,
@@ -23,10 +30,10 @@ from .density import (
     count_pool,
 )
 from .hyp_gap import family_triple, invert_to_family
-from .leg_gap import admissible_f, generate_f_triples
+from .leg_gap import FSpec, FTriple, admissible_f, generate_f_triples
 from .pell import neg_pell_solution
 from .triples import Triple, enumerate_ppts
-from .zsqrt2 import DELTA, GAMMA, QuadInt
+from .zsqrt2 import DELTA, QuadInt
 
 __all__ = [
     "CheckReport",
@@ -38,6 +45,14 @@ __all__ = [
     "RecurrencePair",
     "recurrence_coeffs",
     "apply_delta_power",
+    "verify_f_triple",
+    "divisors",
+    "totient",
+    "moebius",
+    "odd_part",
+    "phi2",
+    "phi2_divisor_sum",
+    "moebius_inversion_check",
 ]
 
 HYP_GAP_SAMPLE = (3, 5, 6, 7, 10, 11, 12)
@@ -104,6 +119,20 @@ def check_f_coverage(
         for lo, hi, c in legs
         if hi - lo in generated
     ))
+
+
+def verify_f_triple(ft: FTriple, spec: FSpec) -> bool:
+    """Independent recheck: Pythagorean, leg gap f, primitive, and the Pell
+    identity on (X, Y).  False is the diagnostic, never an exception."""
+    t, f = ft.triple, spec.f
+    return (
+        t.a * t.a + t.b * t.b == t.c * t.c
+        and t.b - t.a == f
+        and math.gcd(t.a, t.b) == 1
+        and ft.X == 2 * t.a + f
+        and ft.Y == t.c
+        and ft.X * ft.X - 2 * ft.Y * ft.Y == -f * f
+    )
 
 
 def check_nonexistence(
@@ -237,3 +266,58 @@ def check_density_cross(b_max: int, sieve: TotientSieve | None = None) -> CheckR
         None if got == want else f"{name}({B}) formula gives {got}, enumeration gives {want}"
         for name, B, got, want in counts
     ))
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def totient(n: int) -> int:
+    """Euler's totient, computed directly from the factorization of n."""
+    out = 1
+    for p, e in factorize(n):
+        out *= p ** (e - 1) * (p - 1)
+    return out
+
+
+def moebius(n: int) -> int:
+    """The Moebius function, computed directly from the factorization of n."""
+    factors = factorize(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
+
+
+def odd_part(n: int) -> int:
+    """The largest odd divisor of n (n > 0)."""
+    if n < 1:
+        raise ValueError(f"odd part of {n} undefined; need a positive integer")
+    return n >> ((n & -n).bit_length() - 1)
+
+
+def phi2(n: int, sieve: TotientSieve) -> int:
+    """The 2-Euler totient: phi(n) for odd n, 0 for even n."""
+    _check_bound(n, sieve)
+    return sieve.phi[n] if n % 2 else 0
+
+
+def phi2_divisor_sum(n: int) -> int:
+    """sum of phi2 over the divisors of n, which equals the odd part of n.
+
+    Computed literally from the divisor list (totients via factorization),
+    independent of any sieve, so it can cross-check both.
+    """
+    if n < 1:
+        raise ValueError(f"need a positive integer, got {n}")
+    return sum(totient(d) for d in divisors(n) if d % 2)
+
+
+def moebius_inversion_check(n: int, sieve: TotientSieve) -> bool:
+    """Whether sum(mu(d) * odd_part(n/d), d | n) equals phi2(n)."""
+    _check_bound(n, sieve)
+    lhs = sum(moebius(d) * odd_part(n // d) for d in divisors(n))
+    return lhs == phi2(n, sieve)

@@ -11,6 +11,7 @@ decimal rendering.  Exit codes:
     4  `check` input is not a primitive Pythagorean triple
     5  sieve memory budget refused (`density`, `verify density-cross`)
     6  `verify` found a property violation
+  130  interrupted (Ctrl-C): the run ends quietly, without a traceback
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import sys
 from itertools import chain, islice
 from typing import Iterable, TextIO
 
-from . import checks
 from ._primes import InadmissibleError, UnsupportedRangeError
 from .density import Family, SieveBudgetError, density_report, render_ratio
 from .hyp_gap import classify_g, generate_g_family, invert_to_family
@@ -66,7 +66,10 @@ def _positive(text: str) -> int:
 
 
 def _exponent_range(text: str) -> tuple[int, int]:
-    """Parse 'lo..hi' (or a single integer) into an inclusive range."""
+    """Parse 'lo..hi' (or a single integer) into an inclusive range.
+
+    An empty range is refused here, before f is factored, as well as in the
+    library: `--f 3 --m 2..1` exits 1 for the range, not 2 for the gap."""
     lo, sep, hi = text.partition("..")
     try:
         m_lo = int(lo, 10)
@@ -79,6 +82,8 @@ def _exponent_range(text: str) -> tuple[int, int]:
 
 
 def _grid(text: str) -> list[int]:
+    """Parse the density grid; its rules are checked here, before --out is
+    opened and truncated, as well as in the library."""
     try:
         values = [int(part, 10) for part in text.split(",")]
     except ValueError:
@@ -231,6 +236,8 @@ _BOUND_FLAGS = tuple(dict.fromkeys(flag for _, flag, _ in VERIFY.values()))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import checks  # the oracles load for `verify` alone
+
     suite, flag, default = VERIFY[args.scope]
     for other in _BOUND_FLAGS:
         if other != flag and getattr(args, other) is not None:
@@ -336,4 +343,6 @@ def entrypoint() -> None:
     except BrokenPipeError:  # the reader stopped early; the flush at exit must not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_OK
+    except KeyboardInterrupt:  # Ctrl-C: 128 + SIGINT, as a shell reports it
+        code = 130
     raise SystemExit(code)

@@ -5,7 +5,9 @@ sum(phi(r), 2 <= r <= B) ~ (3/pi^2) B^2.  Each of the three hypotenuse-gap
 family classes corresponds to a parity-constrained pair set whose size grows
 like (1/pi^2) B^2, via the halved-totient identity for odd moduli and the
 2-Euler totient phi2 (phi on odd arguments, 0 on even ones), so each class
-occupies a limiting third of its pool.
+occupies a limiting third of its pool.  The identities that cross-check
+these sums (phi2 itself, its divisor sum, Moebius inversion) live in
+`checks`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._primes import divisors, moebius, odd_part, totient
-
 __all__ = [
     "DEFAULT_SIEVE_BUDGET",
     "BUDGET_ENV_VAR",
@@ -28,8 +28,6 @@ __all__ = [
     "DensityRow",
     "sieve_budget",
     "build_sieve",
-    "phi2",
-    "phi2_divisor_sum",
     "sum_phi",
     "sum_phi2",
     "count_pool",
@@ -38,7 +36,6 @@ __all__ = [
     "count_GEO",
     "count_G1",
     "density_report",
-    "moebius_inversion_check",
     "render_ratio",
 ]
 
@@ -112,23 +109,6 @@ def build_sieve(bound: int, budget: int | None = None) -> TotientSieve:
 def _check_bound(n: int, sieve: TotientSieve) -> None:
     if not 1 <= n <= sieve.bound:
         raise ValueError(f"{n} outside sieve range 1..{sieve.bound}")
-
-
-def phi2(n: int, sieve: TotientSieve) -> int:
-    """The 2-Euler totient: phi(n) for odd n, 0 for even n."""
-    _check_bound(n, sieve)
-    return sieve.phi[n] if n % 2 else 0
-
-
-def phi2_divisor_sum(n: int) -> int:
-    """sum of phi2 over the divisors of n, which equals the odd part of n.
-
-    Computed literally from the divisor list (totients via factorization),
-    independent of any sieve, so it can cross-check both.
-    """
-    if n < 1:
-        raise ValueError(f"need a positive integer, got {n}")
-    return sum(totient(d) for d in divisors(n) if d % 2)
 
 
 def sum_phi(B: int, sieve: TotientSieve) -> int:
@@ -239,10 +219,3 @@ def density_report(
         pc = count_pool(B, sieve)
         rows.append(DensityRow(B, fc, pc, Fraction(fc, pc), predicted))
     return rows
-
-
-def moebius_inversion_check(n: int, sieve: TotientSieve) -> bool:
-    """Whether sum(mu(d) * odd_part(n/d), d | n) equals phi2(n)."""
-    _check_bound(n, sieve)
-    lhs = sum(moebius(d) * odd_part(n // d) for d in divisors(n))
-    return lhs == phi2(n, sieve)

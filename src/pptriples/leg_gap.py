@@ -14,7 +14,6 @@ GAMMA * DELTA**m_lo; a triple reached by several branches keeps the first.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from ._primes import InadmissibleError, factorize
@@ -30,7 +29,6 @@ __all__ = [
     "pell_recast",
     "cf_elements",
     "generate_f_triples",
-    "verify_f_triple",
 ]
 
 
@@ -143,17 +141,3 @@ def generate_f_triples(spec: FSpec, m_lo: int, m_hi: int) -> list[FTriple]:
             out.append(FTriple(Triple(a, b, Y), m, 1, elem, X, Y))
         base = base * DELTA
     return out
-
-
-def verify_f_triple(ft: FTriple, spec: FSpec) -> bool:
-    """Independent recheck: Pythagorean, leg gap f, primitive, and the Pell
-    identity on (X, Y).  False is the diagnostic, never an exception."""
-    t, f = ft.triple, spec.f
-    return (
-        t.a * t.a + t.b * t.b == t.c * t.c
-        and t.b - t.a == f
-        and math.gcd(t.a, t.b) == 1
-        and ft.X == 2 * t.a + f
-        and ft.Y == t.c
-        and ft.X * ft.X - 2 * ft.Y * ft.Y == -f * f
-    )

@@ -26,15 +26,10 @@ class PellSolution:
             raise ValueError(f"({self.x}, {self.y}) does not solve x^2 - 2y^2 = -1")
 
 
-def delta_power(m: int) -> QuadInt:
-    """DELTA**m for any integer m; DELTA is a unit, so negative powers stay
-    inside the ring."""
-    return DELTA**m
-
-
 def gamma_delta_power(m: int) -> QuadInt:
-    """GAMMA * DELTA**m for any integer m."""
-    return GAMMA * delta_power(m)
+    """GAMMA * DELTA**m for any integer m; DELTA is a unit, so negative
+    powers stay inside the ring."""
+    return GAMMA * DELTA**m
 
 
 def neg_pell_solution(m: int) -> PellSolution:

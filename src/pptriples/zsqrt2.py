@@ -18,10 +18,6 @@ class QuadInt:
     x: int
     y: int
 
-    @classmethod
-    def from_int(cls, n: int) -> QuadInt:
-        return cls(n, 0)
-
     def __repr__(self) -> str:
         return f"QuadInt({self.x}, {self.y})"
 

@@ -13,7 +13,6 @@ from pptriples import (
     DELTA,
     QuadInt,
     admissible_f,
-    apply_delta_power,
     classify_g,
     count_G1,
     count_GEE,
@@ -23,15 +22,18 @@ from pptriples import (
     generate_f_triples,
     generate_g_family,
     is_primitive,
-    moebius_inversion_check,
     neg_pell_solution,
-    odd_part,
-    phi2_divisor_sum,
     sum_phi,
     sum_phi2,
-    verify_f_triple,
 )
 from pptriples import checks
+from pptriples.checks import (
+    apply_delta_power,
+    moebius_inversion_check,
+    odd_part,
+    phi2_divisor_sum,
+    verify_f_triple,
+)
 
 
 @contextmanager

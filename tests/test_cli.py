@@ -1,7 +1,9 @@
 import contextlib
+import doctest
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pptriples
+from pptriples import checks
 from pptriples.cli import RECORDS, VERIFY, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -52,6 +55,42 @@ def test_readme_verify_flags_match_table():
         (scope, flag.replace("_", "-"), str(default))
         for scope, (_, flag, default) in VERIFY.items()
     ]
+
+
+def test_readme_library_block_runs():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README Library", str(README), 0)
+    results = doctest.DocTestRunner().run(test)
+    assert results.attempted > 0 and results.failed == 0
+
+
+# oracles that left the top-level package for `pptriples.checks`
+ORACLES = (
+    "RecurrencePair",
+    "apply_delta_power",
+    "recurrence_coeffs",
+    "odd_part",
+    "phi2",
+    "phi2_divisor_sum",
+    "moebius_inversion_check",
+    "verify_f_triple",
+)
+
+
+def test_every_export_resolves_and_the_oracles_live_in_checks():
+    assert all(hasattr(pptriples, name) for name in pptriples.__all__)
+    for name in ORACLES:
+        assert name not in pptriples.__all__
+        assert name in checks.__all__ and hasattr(checks, name)
+
+
+def test_only_verify_loads_the_oracles():
+    probe = "import sys, pptriples.cli; print('pptriples.checks' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def run(capsys, *argv):
@@ -133,9 +172,11 @@ class TestGenF:
         assert code == 3 and "2**64" in err
 
     def test_bad_range_exits_1(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["gen-f", "--f", "7", "--m", "3..1"])
-        assert exc.value.code == 1
+        # the range is refused while parsing, before f is factored or judged
+        for f, m in (("7", "3..1"), ("3", "2..1"), ("18446744073709551629", "2..1")):
+            with pytest.raises(SystemExit) as exc:
+                main(["gen-f", "--f", f, "--m", m])
+            assert exc.value.code == 1
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "gen-f", "--f", "7", "--m", "0..1", "--format", "json")
@@ -203,11 +244,18 @@ class TestDensity:
         code, _, err = run(capsys, "density", "--family", "GO", "--grid", "1000")
         assert code == 5 and "budget" in err
 
-    def test_bad_grid_exits_1(self):
+    def test_bad_grid_exits_1(self, tmp_path):
         for grid in ("10,5", "1,10", "x"):
             with pytest.raises(SystemExit) as exc:
                 main(["density", "--family", "GO", "--grid", grid])
             assert exc.value.code == 1
+        # the grid is refused while parsing, before --out is opened
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "--family", "GO", "--grid", "5,3", "--out", str(path)])
+        assert exc.value.code == 1
+        assert path.read_bytes() == b"kept\n"
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"
@@ -406,6 +454,24 @@ def test_reader_closing_stdout_early_ends_the_run_quietly():
     assert (proc.wait(timeout=5), err) == (0, b"")
     assert first == b"# g=9 kind=odd-square m=3\n"
     assert time.perf_counter() - start < 2.0
+
+
+def test_interrupt_ends_the_run_quietly_with_130():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pptriples", "verify", "g-coverage", "--c-max", "100000000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    try:
+        time.sleep(0.6)  # past start-up, inside the enumeration
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert b"Traceback" not in err
 
 
 def test_missing_subcommand_exits_1():

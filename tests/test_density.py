@@ -15,16 +15,18 @@ from pptriples import (
     count_pool,
     density_report,
     from_params,
-    moebius_inversion_check,
-    odd_part,
-    phi2,
-    phi2_divisor_sum,
     render_ratio,
     sum_phi,
     sum_phi2,
 )
-from pptriples._primes import moebius
-from pptriples.checks import brute_pair_counts
+from pptriples.checks import (
+    brute_pair_counts,
+    moebius,
+    moebius_inversion_check,
+    odd_part,
+    phi2,
+    phi2_divisor_sum,
+)
 
 
 @pytest.fixture(scope="module")

@@ -12,9 +12,9 @@ from pptriples import (
     ideal_generator,
     is_associate,
     pell_recast,
-    verify_f_triple,
 )
 from pptriples import leg_gap
+from pptriples.checks import verify_f_triple
 from pptriples.cli import main
 from pptriples.leg_gap import FTriple
 

@@ -8,12 +8,10 @@ from pptriples import (
     GAMMA,
     PellSolution,
     QuadInt,
-    apply_delta_power,
-    delta_power,
     gamma_delta_power,
     neg_pell_solution,
-    recurrence_coeffs,
 )
+from pptriples.checks import apply_delta_power, recurrence_coeffs
 
 
 def test_initial_coefficients():
@@ -67,9 +65,9 @@ def test_pell_solution_validates():
 
 
 def test_delta_power_negative_exponent():
-    assert delta_power(-1) == DELTA.conjugate()
+    assert DELTA**-1 == DELTA.conjugate()
     for m in range(-6, 7):
-        assert delta_power(m) * delta_power(-m) == QuadInt(1, 0)
+        assert DELTA**m * DELTA**-m == QuadInt(1, 0)
     assert gamma_delta_power(-2) == GAMMA * DELTA.conjugate() ** 2
 
 
