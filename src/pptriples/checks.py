@@ -6,10 +6,10 @@ triple enumerator (or a raw pair count, or the A/B delta recurrences) at a
 caller-chosen bound.  A suite yields one case per check, None or a
 counterexample, and one runner reports the number of checks up to the
 first counterexample.  The identities (divisor sums, totients and Moebius
-inversion computed from factorizations, the recheck of a leg-gap triple)
-recompute by a second route what the library computes once.  Nothing on
-the library's fast paths imports this module; of the CLI commands only
-`verify` loads it.
+inversion computed from factorizations, totient sums sliced from a full
+sieve, the recheck of a leg-gap triple) recompute by a second route what
+the library computes once.  Nothing on the library's fast paths imports
+this module; of the CLI commands only `verify` loads it.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Iterable, Iterator
 from ._primes import factorize
 from .density import (
     TotientSieve,
-    _check_bound,
-    build_sieve,
+    TotientSums,
+    _check_budget,
     count_GEE,
     count_GEO,
     count_GO,
@@ -50,6 +50,8 @@ __all__ = [
     "totient",
     "moebius",
     "odd_part",
+    "sum_phi",
+    "sum_phi2",
     "phi2",
     "phi2_divisor_sum",
     "moebius_inversion_check",
@@ -246,10 +248,14 @@ def brute_pair_counts(b_max: int) -> dict[str, list[int]]:
     return {"pool": pool, "GO": go, "GEE": gee, "GEO": geo}
 
 
-def check_density_cross(b_max: int, sieve: TotientSieve | None = None) -> CheckReport:
-    """Formula-based counts match the raw pair enumeration at every bound."""
-    if sieve is None:
-        sieve = build_sieve(b_max)
+def check_density_cross(b_max: int) -> CheckReport:
+    """Formula-based counts match the raw pair enumeration at every bound.
+
+    The raw counts fill four lists of b_max + 1 entries, so b_max itself,
+    not the totient table behind the formulas, must fit the budget.
+    """
+    _check_budget(b_max)
+    sums = TotientSums.up_to(b_max)
     brute = brute_pair_counts(b_max)
     formulas = {
         "pool": count_pool,
@@ -258,7 +264,7 @@ def check_density_cross(b_max: int, sieve: TotientSieve | None = None) -> CheckR
         "GEO": count_GEO,
     }
     counts = (
-        (name, B, fn(B, sieve), brute[name][B])
+        (name, B, fn(B, sums), brute[name][B])
         for B in range(1, b_max + 1)
         for name, fn in formulas.items()
     )
@@ -297,6 +303,23 @@ def odd_part(n: int) -> int:
     if n < 1:
         raise ValueError(f"odd part of {n} undefined; need a positive integer")
     return n >> ((n & -n).bit_length() - 1)
+
+
+def _check_bound(n: int, sieve: TotientSieve) -> None:
+    if not 1 <= n <= sieve.bound:
+        raise ValueError(f"{n} outside sieve range 1..{sieve.bound}")
+
+
+def sum_phi(B: int, sieve: TotientSieve) -> int:
+    """Exact partial sum of phi(1..B); grows like (3/pi^2) B^2."""
+    _check_bound(B, sieve)
+    return sum(memoryview(sieve.phi)[1 : B + 1])  # a view: the table is not copied
+
+
+def sum_phi2(B: int, sieve: TotientSieve) -> int:
+    """Exact partial sum of phi2(1..B); grows like (2/pi^2) B^2."""
+    _check_bound(B, sieve)
+    return sum(memoryview(sieve.phi)[1 : B + 1 : 2])
 
 
 def phi2(n: int, sieve: TotientSieve) -> int:

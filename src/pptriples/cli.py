@@ -9,7 +9,8 @@ decimal rendering.  Exit codes:
     2  inadmissible gap
     3  input beyond the supported factorization range (>= 2**64)
     4  `check` input is not a primitive Pythagorean triple
-    5  sieve memory budget refused (`density`, `verify density-cross`)
+    5  memory budget refused: the totient table of `density` (about B^(2/3)
+       entries) or the `verify density-cross` bound
     6  `verify` found a property violation
   130  interrupted (Ctrl-C): the run ends quietly, without a traceback
 """
@@ -205,7 +206,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _density_values(args: argparse.Namespace) -> Iterable[tuple]:
     """The `density_row` values, computed when the first one is read: the
-    sieve is built after --out is open, so an unwritable path fails fast."""
+    totient table is built after --out is open, so an unwritable path fails fast."""
     for r in density_report(Family(args.family), args.grid):
         yield r.B, r.family_count, r.pool_count, render_ratio(r.ratio), render_ratio(r.predicted)
 

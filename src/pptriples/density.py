@@ -1,13 +1,17 @@
-"""Totient sieves and exact counts behind the gap-family density limits.
+"""Exact counts behind the gap-family density limits, from totient sums.
 
 The parameter pool P(B) of coprime pairs 0 < s < r <= B has size
-sum(phi(r), 2 <= r <= B) ~ (3/pi^2) B^2.  Each of the three hypotenuse-gap
-family classes corresponds to a parity-constrained pair set whose size grows
-like (1/pi^2) B^2, via the halved-totient identity for odd moduli and the
-2-Euler totient phi2 (phi on odd arguments, 0 on even ones), so each class
-occupies a limiting third of its pool.  The identities that cross-check
-these sums (phi2 itself, its divisor sum, Moebius inversion) live in
-`checks`.
+S(B) - 1, where S(B) = sum(phi(k), k <= B) ~ (3/pi^2) B^2.  Each of the
+three hypotenuse-gap family classes corresponds to a parity-constrained
+pair set whose size grows like (1/pi^2) B^2, via the halved-totient
+identity for odd moduli and the even-index sum E(B) = sum(phi(k), k <= B,
+k even), so each class occupies a limiting third of its pool.
+
+S and E come from `TotientSums`: a memoized Dirichlet-hyperbola recursion
+over a linear-sieve table of about B^(2/3) entries, so a count at B costs
+about B^(2/3) time and table memory instead of B.  The direct sums over a
+full sieve, and the identities that cross-check them (the 2-Euler totient
+phi2, its divisor sum, Moebius inversion), live in `checks`.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 __all__ = [
@@ -24,12 +29,12 @@ __all__ = [
     "BUDGET_ENV_VAR",
     "SieveBudgetError",
     "TotientSieve",
+    "TotientSums",
     "Family",
     "DensityRow",
     "sieve_budget",
     "build_sieve",
-    "sum_phi",
-    "sum_phi2",
+    "table_bound",
     "count_pool",
     "count_GO",
     "count_GEE",
@@ -44,16 +49,18 @@ BUDGET_ENV_VAR = "PPT_SIEVE_BUDGET"
 
 
 class SieveBudgetError(ValueError):
-    """Requested sieve bound exceeds the configured memory budget."""
+    """Requested table bound exceeds the configured memory budget."""
 
 
 @dataclass
 class TotientSieve:
     """The table of phi(1..bound); index 0 is unused.
 
-    Memory cost is one 8-byte integer table of length bound+1 plus the
-    sieve's list of primes below bound, about 11 bytes per entry in all at
-    peak; `build_sieve` guards it with the budget.
+    `TotientSums` reads it as its prefix table, of about top^(2/3) entries
+    for sums up to top; the oracles in `checks` sum it directly.  Memory
+    cost is one 8-byte integer table of length bound+1 plus the sieve's
+    list of primes below bound, about 11 bytes per entry in all at peak;
+    `build_sieve` guards it with the budget.
     """
 
     bound: int
@@ -68,7 +75,7 @@ class Family(enum.Enum):
 
 
 def sieve_budget() -> int:
-    """The sieve bound ceiling; the PPT_SIEVE_BUDGET variable overrides it."""
+    """The table bound ceiling; the PPT_SIEVE_BUDGET variable overrides it."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_SIEVE_BUDGET
@@ -81,13 +88,18 @@ def sieve_budget() -> int:
     return value
 
 
+def _check_budget(bound: int, budget: int | None = None) -> None:
+    """Refuse a table of `bound` entries above the budget (default: `sieve_budget()`)."""
+    limit = sieve_budget() if budget is None else budget
+    if bound > limit:
+        raise SieveBudgetError(f"sieve bound {bound} exceeds budget {limit}")
+
+
 def build_sieve(bound: int, budget: int | None = None) -> TotientSieve:
     """Build the phi table up to `bound` with a single linear sieve."""
     if bound < 1:
         raise ValueError(f"sieve bound must be positive, got {bound}")
-    limit = sieve_budget() if budget is None else budget
-    if bound > limit:
-        raise SieveBudgetError(f"sieve bound {bound} exceeds budget {limit}")
+    _check_budget(bound, budget)
     phi = array("q", [0]) * (bound + 1)
     phi[1] = 1
     primes: list[int] = []
@@ -106,62 +118,120 @@ def build_sieve(bound: int, budget: int | None = None) -> TotientSieve:
     return TotientSieve(bound, phi)
 
 
-def _check_bound(n: int, sieve: TotientSieve) -> None:
-    if not 1 <= n <= sieve.bound:
-        raise ValueError(f"{n} outside sieve range 1..{sieve.bound}")
+def table_bound(top: int) -> int:
+    """ceil(top^(2/3)), the least L with L**3 >= top**2: the prefix table
+    size that balances table lookups against the recursion for sums up to top."""
+    n = top * top
+    lo, hi = 1, 1 << -(-n.bit_length() // 3)  # hi**3 >= 2**bit_length > n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**3 >= n:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
-def sum_phi(B: int, sieve: TotientSieve) -> int:
-    """Exact partial sum of phi(1..B); grows like (3/pi^2) B^2."""
-    _check_bound(B, sieve)
-    return sum(memoryview(sieve.phi)[1 : B + 1])  # a view: the table is not copied
+class TotientSums:
+    """Exact totient sums S(x) = sum(phi(k), 1 <= k <= x) and the even-index
+    sums E(x) = sum(phi(k), k <= x, k even), for any x >= 0.
+
+    x up to the table bound reads a prefix sum of the phi table.  A larger
+    x runs S(x) = x(x+1)/2 - sum(S(x // d), 2 <= d <= x), which is the
+    divisor-sum identity sum(phi(d), d | n) = n summed over n <= x, with
+    the d of equal x // d taken as one block; every S(x) above the table is
+    memoized.  E(x) = sum(S(x >> j), j >= 1), since phi(2m) is phi(m) for
+    odd m and 2 phi(m) for even m; each x >> j is an x // d key, so E reads
+    the memo.  Over a table of about top^(2/3) entries (`up_to`) the sums
+    up to top cost about top^(2/3) steps.
+    """
+
+    def __init__(self, table: TotientSieve):
+        self.bound = table.bound
+        self._prefix = array("q", accumulate(table.phi))
+        self._memo: dict[int, int] = {}
+
+    @classmethod
+    def up_to(cls, top: int) -> TotientSums:
+        """Sums over a table of `table_bound(top)` entries; the budget bounds that table."""
+        return cls(build_sieve(table_bound(top)))
+
+    def S(self, x: int) -> int:
+        prefix, bound = self._prefix, self.bound
+        if x <= bound:
+            return prefix[x]
+        total = self._memo.get(x)
+        if total is None:
+            total = x * (x + 1) // 2
+            d = 2
+            while d <= x:
+                q = x // d
+                d_next = x // q + 1
+                total -= (d_next - d) * (prefix[q] if q <= bound else self.S(q))
+                d = d_next
+            self._memo[x] = total
+        return total
+
+    def E(self, x: int) -> int:
+        total = 0
+        while x > 1:
+            x >>= 1
+            total += self.S(x)
+        return total
 
 
-def sum_phi2(B: int, sieve: TotientSieve) -> int:
-    """Exact partial sum of phi2(1..B); grows like (2/pi^2) B^2."""
-    _check_bound(B, sieve)
-    return sum(memoryview(sieve.phi)[1 : B + 1 : 2])
+def _sums(source: TotientSums | TotientSieve) -> TotientSums:
+    """`source`, or the sums over the phi table `source`."""
+    return source if isinstance(source, TotientSums) else TotientSums(source)
 
 
-def count_pool(B: int, sieve: TotientSieve) -> int:
+def _check_B(B: int) -> None:
+    if B < 1:
+        raise ValueError(f"need B >= 1, got {B}")
+
+
+def count_pool(B: int, sums: TotientSums | TotientSieve) -> int:
     """#{(r, s): gcd(r, s) = 1, 0 < s < r <= B} = sum(phi(r), 2 <= r <= B).
 
     The r = 1 term of the bare totient sum would count a pair (1, s) with
     0 < s < 1 that does not exist, so it is subtracted here.
     """
-    _check_bound(B, sieve)
-    return sum_phi(B, sieve) - 1
+    _check_B(B)
+    return _sums(sums).S(B) - 1
 
 
-def count_GO(B: int, sieve: TotientSieve) -> int:
+def count_GO(B: int, sums: TotientSums | TotientSieve) -> int:
     """#{(k, m): gcd = 1, 0 < m < k <= B, both odd}.
 
     For odd k >= 3, exactly phi(k)/2 of the coprime residues below k are
-    odd (m and k - m pair off with opposite parity).  k = 1 has no residue
-    below it, so its phi(1) = 1 is taken off the odd-index sum first.
+    odd (m and k - m pair off with opposite parity).  The odd-index sum is
+    S(B) - E(B); k = 1 has no residue below it, so its phi(1) = 1 is taken
+    off first.
     """
-    return (sum_phi2(B, sieve) - 1) // 2
+    _check_B(B)
+    sums = _sums(sums)
+    return (sums.S(B) - sums.E(B) - 1) // 2
 
 
-def count_GEE(B: int, sieve: TotientSieve) -> int:
+def count_GEE(B: int, sums: TotientSums | TotientSieve) -> int:
     """#{(k, m): gcd = 1, 0 < m < k <= B, k odd, m even}.
 
     The other half of the coprime residues of each odd k, hence the same
     halved-totient sum as `count_GO`.
     """
-    return count_GO(B, sieve)
+    return count_GO(B, sums)
 
 
-def count_GEO(B: int, sieve: TotientSieve) -> int:
+def count_GEO(B: int, sums: TotientSums | TotientSieve) -> int:
     """#{(k, m): gcd = 1, 0 < m < k <= B, k even, m odd}: every coprime
-    residue of an even modulus is odd, so this is the even-k totient sum."""
-    return sum_phi(B, sieve) - sum_phi2(B, sieve)
+    residue of an even modulus is odd, so this is the even-index sum E(B)."""
+    _check_B(B)
+    return _sums(sums).E(B)
 
 
 def count_G1(B: int) -> int:
     """#{(n+1, n): n + 1 <= B}, the pairs behind the gap-1 family."""
-    if B < 1:
-        raise ValueError(f"need B >= 1, got {B}")
+    _check_B(B)
     return B - 1
 
 
@@ -188,20 +258,22 @@ _FAMILIES = {
     Family.GO: (count_GO, Fraction(1, 3)),
     Family.GEE: (count_GEE, Fraction(1, 3)),
     Family.GEO: (count_GEO, Fraction(1, 3)),
-    Family.G1: (lambda B, sieve: count_G1(B), Fraction(0)),
+    Family.G1: (lambda B, sums: count_G1(B), Fraction(0)),
 }
 
 
 def density_report(
     family: Family,
     grid: Sequence[int],
-    sieve: TotientSieve | None = None,
+    sums: TotientSums | TotientSieve | None = None,
 ) -> list[DensityRow]:
     """Exact family and pool counts with the limiting prediction per bound.
 
     The grid must be ascending with entries >= 2 (a pool exists only from
     B = 2 on).  Predictions are the asymptotic ratios 1/3 (parity classes)
     and 0 (the single gap-1 family against a quadratically growing pool).
+    Every row reads one `TotientSums`, by default over a table of
+    `table_bound(max(grid))` entries, which the budget bounds.
     """
     family = Family(family)
     if not grid:
@@ -210,12 +282,11 @@ def density_report(
         raise ValueError("grid entries must be >= 2")
     if list(grid) != sorted(set(grid)):
         raise ValueError("grid must be strictly ascending")
-    if sieve is None:
-        sieve = build_sieve(max(grid))
+    sums = TotientSums.up_to(max(grid)) if sums is None else _sums(sums)
     count, predicted = _FAMILIES[family]
     rows = []
     for B in grid:
-        fc = count(B, sieve)
-        pc = count_pool(B, sieve)
+        fc = count(B, sums)
+        pc = count_pool(B, sums)
         rows.append(DensityRow(B, fc, pc, Fraction(fc, pc), predicted))
     return rows

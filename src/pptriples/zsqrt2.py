@@ -7,8 +7,9 @@ splits into a conjugate pair of prime elements of norm +/-p.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable
 
 from ._primes import is_prime
 
@@ -133,21 +134,24 @@ def _canonical_key(v: QuadInt) -> tuple[int, bool, int, bool]:
     return (abs(v.x), v.x <= 0, abs(v.y), v.y < 0)
 
 
-def _orbit_min_candidates(u: QuadInt) -> list[QuadInt]:
-    # |x| along u * DELTA**k is unimodal (DELTA has norm 1, so the norm sign
-    # is fixed along the orbit); greedy descent reaches the minimum.
+def _orbit_min_candidates(
+    u: QuadInt, coord: Callable[[QuadInt], int] = attrgetter("x")
+) -> list[QuadInt]:
+    # Along u * DELTA**k each coordinate is A*DELTA**k + B*DELTA**-k for real
+    # A, B, so its absolute value is unimodal in k; greedy descent reaches the
+    # minimum of |coord|, and the candidates are the orbit points attaining it.
     v = u
     while True:
         step = v * DELTA
-        if abs(step.x) < abs(v.x):
+        if abs(coord(step)) < abs(coord(v)):
             v = step
             continue
         step = v * _DELTA_INV
-        if abs(step.x) < abs(v.x):
+        if abs(coord(step)) < abs(coord(v)):
             v = step
             continue
         break
-    return [w for w in (v, v * DELTA, v * _DELTA_INV) if abs(w.x) == abs(v.x)]
+    return [w for w in (v, v * DELTA, v * _DELTA_INV) if abs(coord(w)) == abs(coord(v))]
 
 
 def canonical_associate(u: QuadInt) -> QuadInt:
@@ -191,20 +195,45 @@ def splits(p: int) -> bool:
     return p % 8 in (1, 7)
 
 
-def ideal_generator(p: int) -> QuadInt:
-    """A prime element u with |norm(u)| = p, for a split prime p.
+def _sqrt_mod(n: int, p: int) -> int:
+    """A square root of the quadratic residue n modulo the odd prime p.
 
-    Scans y = 1, 2, ... for a perfect square p + 2*y*y or 2*y*y - p; the
-    minimal representation is known to appear within y <= 2*ceil(sqrt(p)).
+    Tonelli-Shanks; for p = 3 mod 4 it is the single power n**((p+1)/4).
+    The non-residue it needs is the least one, found by Euler's criterion.
+    """
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def ideal_generator(p: int) -> QuadInt:
+    """The prime element x + y*sqrt(2) with |norm| = p, x, y > 0 and the
+    least y, for a split prime p.
+
+    With a = sqrt(2) mod p, the ideal (p, a + sqrt(2)) is a prime above p,
+    and the Euclidean gcd of its two generators spans it.  Every element of
+    norm +/-p is an associate of that gcd or of its conjugate, so the least
+    |y| is found on the two GAMMA-parity orbits of the gcd; |x| then follows,
+    as p + 2*y*y and 2*y*y - p differ by 2p and cannot both be squares.
+    O(log^2 p) modular multiplications for the square root (Tonelli-Shanks)
+    plus O(log p) ring operations for the gcd and the orbit walk.
     """
     if not splits(p):
         raise ValueError(f"{p} does not split in Z[sqrt(2)]")
-    bound = 2 * (math.isqrt(p - 1) + 1)
-    for y in range(1, bound + 1):
-        for t in (p + 2 * y * y, 2 * y * y - p):
-            if t <= 0:
-                continue
-            x = math.isqrt(t)
-            if x * x == t:
-                return QuadInt(x, y)
-    raise AssertionError(f"no element of norm +/-{p} found within y <= {bound}")
+    g = gcd(QuadInt(p, 0), QuadInt(_sqrt_mod(2, p), 1))
+    u = min(
+        (v for start in (g, g * GAMMA) for v in _orbit_min_candidates(start, attrgetter("y"))),
+        key=lambda v: abs(v.y),
+    )
+    return QuadInt(abs(u.x), abs(u.y))

@@ -23,8 +23,6 @@ from pptriples import (
     generate_g_family,
     is_primitive,
     neg_pell_solution,
-    sum_phi,
-    sum_phi2,
 )
 from pptriples import checks
 from pptriples.checks import (
@@ -32,6 +30,8 @@ from pptriples.checks import (
     moebius_inversion_check,
     odd_part,
     phi2_divisor_sum,
+    sum_phi,
+    sum_phi2,
     verify_f_triple,
 )
 

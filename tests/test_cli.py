@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pptriples
-from pptriples import checks
+from pptriples import CfElement, FTriple, QuadInt, Triple, admissible_f, checks
 from pptriples.cli import RECORDS, VERIFY, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -178,6 +178,25 @@ class TestGenF:
                 main(["gen-f", "--f", f, "--m", m])
             assert exc.value.code == 1
 
+    def test_split_prime_below_2_64(self, capsys):
+        # the norm-p generator of a prime this size was once out of reach
+        f = 18446744073709551521
+        code, out, err = run(capsys, "gen-f", "--f", str(f), "--m", "0..0", "--format", "json")
+        assert (code, err) == (0, "")
+        records = validate_jsonl(out)
+        spec = admissible_f(f)
+        elements = [QuadInt(r["u_x"], r["u_y"]) for r in records if r["record"] == "cf_element"]
+        assert elements and all(abs(u.norm) == f for u in elements)
+        rows = [r for r in records if r["record"] == "f_triple"]
+        assert rows
+        for r in rows:
+            u = QuadInt(r["u_x"], r["u_y"])
+            ft = FTriple(
+                Triple(r["a"], r["b"], r["c"]), r["m"], r["sign"],
+                CfElement(u, (0,)), 2 * r["a"] + f, r["c"],
+            )
+            assert checks.verify_f_triple(ft, spec)
+
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "gen-f", "--f", "7", "--m", "0..1", "--format", "json")
         assert code == 0
@@ -241,7 +260,7 @@ class TestDensity:
 
     def test_budget_exits_5(self, capsys, monkeypatch):
         monkeypatch.setenv("PPT_SIEVE_BUDGET", "100")
-        code, _, err = run(capsys, "density", "--family", "GO", "--grid", "1000")
+        code, _, err = run(capsys, "density", "--family", "GO", "--grid", "100000")
         assert code == 5 and "budget" in err
 
     def test_bad_grid_exits_1(self, tmp_path):
@@ -281,7 +300,7 @@ class TestDensity:
         monkeypatch.setenv("PPT_SIEVE_BUDGET", "100")
         path = tmp_path / "rows.csv"
         path.write_text("older rows\n")
-        code, out, _ = run(capsys, "density", "--family", "GO", "--grid", "1000", "--out", str(path))
+        code, out, _ = run(capsys, "density", "--family", "GO", "--grid", "100000", "--out", str(path))
         assert (code, out, path.read_bytes()) == (5, "", b"")
 
     def test_json(self, capsys):
@@ -331,7 +350,7 @@ REFUSALS = [
     ("gen-f --f 3 --m 0..1", {}, 2),
     ("gen-f --f 18446744073709551629 --m 0..0", {}, 3),
     ("verify pell --c-max 3", {}, 1),
-    ("density --family GO --grid 1000", {"PPT_SIEVE_BUDGET": "100"}, 5),
+    ("density --family GO --grid 100000", {"PPT_SIEVE_BUDGET": "100"}, 5),
     ("density --family GO --grid 1000", {"PPT_SIEVE_BUDGET": "abc"}, 1),
     ("verify density-cross --b-max 20000000", {}, 5),
     ("verify density-cross --b-max 10", {"PPT_SIEVE_BUDGET": "abc"}, 1),

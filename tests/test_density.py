@@ -1,12 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import pptriples
 from pptriples import (
     Family,
     ParamPair,
     SieveBudgetError,
+    TotientSums,
     build_sieve,
     count_G1,
     count_GEE,
@@ -16,9 +19,8 @@ from pptriples import (
     density_report,
     from_params,
     render_ratio,
-    sum_phi,
-    sum_phi2,
 )
+from pptriples import checks, density
 from pptriples.checks import (
     brute_pair_counts,
     moebius,
@@ -26,6 +28,8 @@ from pptriples.checks import (
     odd_part,
     phi2,
     phi2_divisor_sum,
+    sum_phi,
+    sum_phi2,
 )
 
 
@@ -113,6 +117,95 @@ def test_formulas_match_enumeration_to_300(sieve):
         assert count_GO(B, sieve) == brute["GO"][B]
         assert count_GEE(B, sieve) == brute["GEE"][B]
         assert count_GEO(B, sieve) == brute["GEO"][B]
+
+
+def oracle_counts(B, sieve):
+    """pool, GO, GEE and GEO at B from direct slice sums over a full sieve."""
+    every, odd = sum_phi(B, sieve), sum_phi2(B, sieve)
+    return {"pool": every - 1, "GO": (odd - 1) // 2, "GEE": (odd - 1) // 2, "GEO": every - odd}
+
+
+def fast_counts(B, sums):
+    return {
+        "pool": count_pool(B, sums),
+        "GO": count_GO(B, sums),
+        "GEE": count_GEE(B, sums),
+        "GEO": count_GEO(B, sums),
+    }
+
+
+class TestTotientSums:
+    """The sublinear sums against the full-sieve oracle in `checks`."""
+
+    def test_every_bound_to_3000(self, sieve):
+        sums = TotientSums.up_to(3000)
+        assert sums.bound == density.table_bound(3000) < 3000
+        for B in range(1, 3001):
+            assert fast_counts(B, sums) == oracle_counts(B, sieve), B
+
+    @pytest.mark.parametrize("top", [2, 10, 999, 5000, 12345, 10**6])
+    def test_around_the_table_cutoff(self, top, sieve_1e6):
+        sums = TotientSums.up_to(top)
+        L = sums.bound
+        assert L**3 >= top * top > (L - 1) ** 3
+        for B in (L - 1, L, L + 1, top):
+            if B >= 1:
+                assert fast_counts(B, sums) == oracle_counts(B, sieve_1e6), B
+
+    def test_seeded_sample_to_1e6(self, sieve_1e6):
+        sums = TotientSums.up_to(10**6)
+        sample = random.Random(20211).sample(range(2, 10**6), 60) + [10**6]
+        for B in sample:
+            assert fast_counts(B, sums) == oracle_counts(B, sieve_1e6), B
+
+    def test_grid_points_off_the_top_keys(self, sieve_1e6):
+        top = 10**6
+        grid = [4321, 123457, 654321, 999999, top]
+        keys = {top // d for d in range(1, top + 1)}
+        assert not set(grid[:-1]) & keys
+        for family in (Family.GO, Family.GEE, Family.GEO):
+            for row in density_report(family, grid):
+                want = oracle_counts(row.B, sieve_1e6)
+                assert (row.family_count, row.pool_count) == (want[family.value], want["pool"])
+
+    def test_known_totient_sums(self):
+        # sum(phi(k), k <= 10**n), OEIS A064018
+        sums = TotientSums.up_to(10**8)
+        assert [sums.S(10**n) for n in range(9)] == [
+            1, 32, 3044, 304192, 30397486, 3039650754, 303963552392,
+            30396356427242, 3039635516365908,
+        ]
+
+    def test_report_allocates_a_table_of_about_top_to_the_two_thirds(self, monkeypatch):
+        bounds = []
+
+        def recording(bound, budget=None):
+            bounds.append(bound)
+            return build_sieve(bound, budget)
+
+        monkeypatch.setattr(density, "build_sieve", recording)
+        rows = density_report(Family.GEO, [10, 10**8])
+        assert [row.pool_count for row in rows] == [31, 3039635516365907]
+        (bound,) = bounds
+        assert (bound - 1) ** 3 < 10**16  # bound <= 10**(16/3) + 1
+
+    def test_budget_bounds_the_table_not_the_top(self, monkeypatch):
+        monkeypatch.setenv("PPT_SIEVE_BUDGET", "100")
+        (row,) = density_report(Family.GO, [1000])  # a table of 100 entries
+        assert row.pool_count == sum_phi(1000, build_sieve(1000, budget=1000)) - 1
+        with pytest.raises(SieveBudgetError):
+            density_report(Family.GO, [1001])
+
+    def test_density_cross_refuses_a_b_max_above_the_budget(self, monkeypatch):
+        monkeypatch.setenv("PPT_SIEVE_BUDGET", "100")
+        assert checks.check_density_cross(100).ok
+        with pytest.raises(SieveBudgetError, match="sieve bound 101 exceeds budget 100"):
+            checks.check_density_cross(101)  # its table, 22 entries, would fit
+
+    def test_full_sieve_sums_live_in_checks(self):
+        for name in ("sum_phi", "sum_phi2"):
+            assert name not in pptriples.__all__
+            assert name in checks.__all__
 
 
 def test_half_totient_identity_for_odd_moduli(sieve):

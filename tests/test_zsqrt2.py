@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -166,6 +167,17 @@ class TestSplits:
             splits(2**64 + 13)
 
 
+def _scan_generator(p):
+    """The norm +/-p element x + y*sqrt(2) with x, y > 0 and the least y, by
+    scanning y = 1, 2, ... for a perfect square p + 2*y*y or 2*y*y - p; the
+    least y is at most 2*ceil(sqrt(p))."""
+    for y in range(1, 2 * (math.isqrt(p - 1) + 1) + 1):
+        for t in (p + 2 * y * y, 2 * y * y - p):
+            if t > 0 and math.isqrt(t) ** 2 == t:
+                return QuadInt(math.isqrt(t), y)
+    raise AssertionError(f"no element of norm +/-{p}")
+
+
 class TestIdealGenerator:
     def test_examples(self):
         assert ideal_generator(7) == QuadInt(3, 1)
@@ -175,6 +187,15 @@ class TestIdealGenerator:
     def test_rejects_inert_prime(self):
         with pytest.raises(ValueError):
             ideal_generator(3)
+
+    def test_matches_the_scan_for_every_split_prime_below_1e5(self):
+        for p in range(3, 10**5, 2):
+            if p % 8 in (1, 7) and is_prime(p):
+                assert ideal_generator(p) == _scan_generator(p), p
+
+    def test_primes_near_1e12_and_2_64(self):
+        assert ideal_generator(1000000000921) == QuadInt(1162773, 419548)
+        assert ideal_generator(18446744073709551521) == QuadInt(4981338611, 1784235170)
 
     def test_norm_and_genuine_splitting(self):
         split_primes = [p for p in range(3, 1000, 2) if is_prime(p) and splits(p)]
