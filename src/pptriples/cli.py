@@ -2,7 +2,8 @@
 
 Commands: gen-g, gen-f, check, density, verify.  CSV (default) and JSON
 Lines output; all runs are deterministic, with fixed sort orders and fixed
-decimal rendering.  Exit codes:
+decimal rendering.  gen-g and gen-f write each record as it is generated,
+so a reader that stops early stops the work too.  Exit codes:
 
     0  success, or the reader closed stdout early (`| head`): the run ends quietly
     1  malformed flags or input
@@ -27,8 +28,8 @@ from typing import Iterable, TextIO
 
 from ._primes import InadmissibleError, UnsupportedRangeError
 from .density import Family, SieveBudgetError, density_report, render_ratio
-from .hyp_gap import classify_g, generate_g_family, invert_to_family
-from .leg_gap import admissible_f, cf_elements, generate_f_triples
+from .hyp_gap import classify_g, invert_to_family, iter_g_family
+from .leg_gap import admissible_f, cf_elements, iter_f_triples
 from .triples import Triple, classify_triple, is_primitive, to_params
 
 EXIT_OK = 0
@@ -149,7 +150,7 @@ def write_records(
 
 def cmd_gen_g(args: argparse.Namespace) -> int:
     gc = classify_g(args.g)
-    items = generate_g_family(args.g, args.count)
+    items = iter_g_family(args.g, args.count)
     write_records(
         args.format, sys.stdout, "g_family_item",
         ((it.n, it.k, it.r, it.s, *it.triple.as_tuple(), it.stride, it.offset) for it in items),
@@ -162,7 +163,7 @@ def cmd_gen_g(args: argparse.Namespace) -> int:
 def cmd_gen_f(args: argparse.Namespace) -> int:
     spec = admissible_f(args.f)
     elements = cf_elements(spec)
-    triples = sorted(generate_f_triples(spec, *args.m), key=lambda ft: ft.triple.as_tuple())
+    triples = iter_f_triples(spec, *args.m)
     factor_text = " ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in spec.factorization)
     write_records(
         args.format, sys.stdout, "f_triple",

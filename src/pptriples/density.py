@@ -180,27 +180,22 @@ class TotientSums:
         return total
 
 
-def _sums(source: TotientSums | TotientSieve) -> TotientSums:
-    """`source`, or the sums over the phi table `source`."""
-    return source if isinstance(source, TotientSums) else TotientSums(source)
-
-
 def _check_B(B: int) -> None:
     if B < 1:
         raise ValueError(f"need B >= 1, got {B}")
 
 
-def count_pool(B: int, sums: TotientSums | TotientSieve) -> int:
+def count_pool(B: int, sums: TotientSums) -> int:
     """#{(r, s): gcd(r, s) = 1, 0 < s < r <= B} = sum(phi(r), 2 <= r <= B).
 
     The r = 1 term of the bare totient sum would count a pair (1, s) with
     0 < s < 1 that does not exist, so it is subtracted here.
     """
     _check_B(B)
-    return _sums(sums).S(B) - 1
+    return sums.S(B) - 1
 
 
-def count_GO(B: int, sums: TotientSums | TotientSieve) -> int:
+def count_GO(B: int, sums: TotientSums) -> int:
     """#{(k, m): gcd = 1, 0 < m < k <= B, both odd}.
 
     For odd k >= 3, exactly phi(k)/2 of the coprime residues below k are
@@ -209,11 +204,10 @@ def count_GO(B: int, sums: TotientSums | TotientSieve) -> int:
     off first.
     """
     _check_B(B)
-    sums = _sums(sums)
     return (sums.S(B) - sums.E(B) - 1) // 2
 
 
-def count_GEE(B: int, sums: TotientSums | TotientSieve) -> int:
+def count_GEE(B: int, sums: TotientSums) -> int:
     """#{(k, m): gcd = 1, 0 < m < k <= B, k odd, m even}.
 
     The other half of the coprime residues of each odd k, hence the same
@@ -222,11 +216,11 @@ def count_GEE(B: int, sums: TotientSums | TotientSieve) -> int:
     return count_GO(B, sums)
 
 
-def count_GEO(B: int, sums: TotientSums | TotientSieve) -> int:
+def count_GEO(B: int, sums: TotientSums) -> int:
     """#{(k, m): gcd = 1, 0 < m < k <= B, k even, m odd}: every coprime
     residue of an even modulus is odd, so this is the even-index sum E(B)."""
     _check_B(B)
-    return _sums(sums).E(B)
+    return sums.E(B)
 
 
 def count_G1(B: int) -> int:
@@ -265,7 +259,7 @@ _FAMILIES = {
 def density_report(
     family: Family,
     grid: Sequence[int],
-    sums: TotientSums | TotientSieve | None = None,
+    sums: TotientSums | None = None,
 ) -> list[DensityRow]:
     """Exact family and pool counts with the limiting prediction per bound.
 
@@ -282,7 +276,8 @@ def density_report(
         raise ValueError("grid entries must be >= 2")
     if list(grid) != sorted(set(grid)):
         raise ValueError("grid must be strictly ascending")
-    sums = TotientSums.up_to(max(grid)) if sums is None else _sums(sums)
+    if sums is None:
+        sums = TotientSums.up_to(max(grid))
     count, predicted = _FAMILIES[family]
     rows = []
     for B in grid:

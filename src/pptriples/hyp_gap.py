@@ -13,13 +13,19 @@ parity of the root m:
 and the first leg a = leg*m*k.  Indices whose side conditions fail (k <= m
 among them) are skipped, so item positions are stable.  The first legs of a
 family follow the progression a = stride*n + offset.
+
+Families are infinite: `iter_g_family` yields members lazily, one index at
+a time, so the cost of the first member does not depend on how many follow
+and memory stays flat at any count.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from ._primes import InadmissibleError
 from .triples import ParamPair, Triple, from_params, is_primitive
@@ -32,6 +38,7 @@ __all__ = [
     "leg_from_gap",
     "family_params",
     "family_triple",
+    "iter_g_family",
     "generate_g_family",
     "invert_to_family",
 ]
@@ -160,26 +167,35 @@ def family_triple(gc: GClass, n: int) -> Triple | None:
     return None if pair is None else _triple(_ROWS[gc.kind][0], pair)
 
 
-def generate_g_family(g: int, count: int) -> list[GFamilyItem]:
+def iter_g_family(g: int, count: int) -> Iterator[GFamilyItem]:
     """The first `count` members of the family for an admissible gap g,
-    from the first index with k > m, found in closed form.  An inadmissible
-    gap raises InadmissibleError."""
+    lazily, from the first index with k > m, found in closed form.  The gap
+    and the count are checked when this is called, before the first member:
+    an inadmissible gap raises InadmissibleError.
+
+    Time is linear in `count`; memory is one member at a time."""
     gc = _admissible(classify_g(g))
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
+    return itertools.islice(_members(gc), count)
+
+
+def _members(gc: GClass) -> Iterator[GFamilyItem]:
+    """Every member of the family of an admissible gc, in index order."""
     leg, step, start = _ROWS[gc.kind]
     m = gc.m
     assert m is not None
     stride, offset = leg * m * step, leg * m * start
-    items: list[GFamilyItem] = []
-    n = (m - start) // step + 1  # the least n with step*n + start > m
-    while len(items) < count:
+    for n in itertools.count((m - start) // step + 1):  # the least n with step*n + start > m
         k = step * n + start
         pair = _pair(leg, m, k)
         if pair is not None:
-            items.append(GFamilyItem(n, k, pair.r, pair.s, _triple(leg, pair), stride, offset))
-        n += 1
-    return items
+            yield GFamilyItem(n, k, pair.r, pair.s, _triple(leg, pair), stride, offset)
+
+
+def generate_g_family(g: int, count: int) -> list[GFamilyItem]:
+    """`iter_g_family` as a list."""
+    return list(iter_g_family(g, count))
 
 
 def invert_to_family(t: Triple) -> tuple[GClass, int]:

@@ -7,14 +7,23 @@ elements +/- GAMMA * DELTA**m * u**2 of Z[sqrt(2)], where u ranges over the
 norm-f products built by choosing, for each prime factor of f, either its
 prime-element generator or the conjugate.
 
-Generation walks m upward, one DELTA factor per step from a single power
-GAMMA * DELTA**m_lo; a triple reached by several branches keeps the first.
+Along one branch A * DELTA**m, A = GAMMA * u**2, the x component is
+(A L**m + A' L**-m)/2, with A read as the real number, A' its conjugate and
+L = 3 + 2*sqrt(2).  A A' = -f**2 < 0, so x is strictly monotone in m and
+|x| falls, then rises.  Generation splits each
+branch at its least |x| into two runs of rising |x|, one DELTA factor per
+step, and merges the runs by X = |x| = 2a + f, which orders the triples by
+(a, b, c); a triple reached by several branches keeps the first in
+ascending m.  Records stream out as they are merged: live state is one
+element per run, two runs per branch.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from ._primes import InadmissibleError, factorize
 from .pell import gamma_delta_power
@@ -28,6 +37,7 @@ __all__ = [
     "admissible_f",
     "pell_recast",
     "cf_elements",
+    "iter_f_triples",
     "generate_f_triples",
 ]
 
@@ -111,33 +121,94 @@ def cf_elements(spec: FSpec) -> list[CfElement]:
     return out
 
 
-def generate_f_triples(spec: FSpec, m_lo: int, m_hi: int) -> list[FTriple]:
+def iter_f_triples(spec: FSpec, m_lo: int, m_hi: int) -> Iterator[FTriple]:
     """All distinct triples from +/- GAMMA * DELTA**m * u**2 over m in
-    [m_lo, m_hi] and every norm-f element u.
+    [m_lo, m_hi] and every norm-f element u, lazily and in (a, b, c) order.
 
     Components are normalized to X = |x|, Y = |y|, so the - sign only repeats
     the + branch and every row has sign = 1.  Branches with X <= f would give
     a nonpositive first leg and are skipped.  Each triple is emitted once,
-    tagged with the first branch, in ascending m, that hit it.
+    tagged with the first branch, in ascending m, that hit it.  The range
+    and the gap are checked when this is called, before the first triple.
+
+    Each record costs O(1) ring steps on numbers of about 0.77 |m| digits,
+    so a span costs about quadratically many digits in all; the live state
+    is 2 * 2**k run heads for k distinct prime factors of f.
     """
     if m_lo > m_hi:
         raise ValueError(f"empty exponent range [{m_lo}, {m_hi}]")
-    f = spec.f
-    branches = [(elem, elem.u * elem.u) for elem in cf_elements(spec)]
-    seen: set[tuple[int, int, int]] = set()
-    out: list[FTriple] = []
-    base = gamma_delta_power(m_lo)
-    for m in range(m_lo, m_hi + 1):
-        for elem, square in branches:
-            w = base * square
-            X, Y = abs(w.x), abs(w.y)
-            if X <= f or (X - f) % 2:
-                continue
-            a, b = (X - f) // 2, (X + f) // 2
-            key = (a, b, Y)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(FTriple(Triple(a, b, Y), m, 1, elem, X, Y))
-        base = base * DELTA
-    return out
+    elements = cf_elements(spec)
+    inverse = DELTA.conjugate()
+    runs = []
+    for index, elem in enumerate(elements):
+        square = elem.u * elem.u
+        s = _valley(square, m_lo, m_hi)
+        w = gamma_delta_power(s) * square
+        runs.append(_run(spec.f, index, w, s, m_hi + 1, DELTA))
+        runs.append(_run(spec.f, index, w * inverse, s - 1, m_lo - 1, inverse))
+    return _first_of_each(spec.f, elements, heapq.merge(*runs))
+
+
+def _valley(square: QuadInt, m_lo: int, m_hi: int) -> int:
+    """The least m in [m_lo, m_hi] where |x| of GAMMA * DELTA**m * square is
+    least.
+
+    |x| falls strictly before its least value, at some v, and rises from v
+    on, with at most one tie (between v and v + 1), so |x_(m+1)| >= |x_m|
+    holds exactly for m >= v.  v is bracketed by galloping out from 0 and
+    then bisected, so no power much beyond DELTA**(2|v|) is taken whatever
+    the range; v clamped to the range is the answer.
+    """
+
+    def rising(m: int) -> bool:
+        w = gamma_delta_power(m) * square
+        return abs((w * DELTA).x) >= abs(w.x)
+
+    # keep rising(lo) false and rising(hi) true, so v is in (lo, hi]
+    step = 1
+    if rising(0):
+        lo, hi = -1, 0
+        while rising(lo):
+            lo, hi, step = lo - step, lo, 2 * step
+    else:
+        lo, hi = 0, 1
+        while not rising(hi):
+            lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rising(mid):
+            hi = mid
+        else:
+            lo = mid
+    return min(max(hi, m_lo), m_hi)
+
+
+def _run(
+    f: int, index: int, w: QuadInt, m: int, stop: int, unit: QuadInt
+) -> Iterator[tuple[int, int, int, int]]:
+    """(X, m, index, Y) of branch `index` from w at m, one `unit` per step,
+    until m reaches stop.  |x| does not fall along a run and ties at most
+    once, between the valley and the next m up, so the keys ascend."""
+    step = 1 if stop > m else -1
+    while m != stop:
+        X = abs(w.x)
+        if X > f and (X - f) % 2 == 0:
+            yield X, m, index, abs(w.y)
+        w = w * unit
+        m += step
+
+
+def _first_of_each(
+    f: int, elements: list[CfElement], merged: Iterator[tuple[int, int, int, int]]
+) -> Iterator[FTriple]:
+    """The first of each group of equal X in keys sorted by (X, m, index)."""
+    last = None
+    for X, m, index, Y in merged:
+        if X != last:
+            last = X
+            yield FTriple(Triple((X - f) // 2, (X + f) // 2, Y), m, 1, elements[index], X, Y)
+
+
+def generate_f_triples(spec: FSpec, m_lo: int, m_hi: int) -> list[FTriple]:
+    """`iter_f_triples` as a list, in (a, b, c) order."""
+    return list(iter_f_triples(spec, m_lo, m_hi))

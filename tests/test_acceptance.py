@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from pptriples import (
     DELTA,
     QuadInt,
+    TotientSums,
     admissible_f,
     classify_g,
     count_G1,
@@ -165,11 +166,12 @@ def test_criterion_09_asymptotics(sieve_1e6):
         assert 0.999 <= ratio_phi <= 1.001
         ratio_phi2 = sum_phi2(B, sieve_1e6) * pi2 / (2 * B * B)
         assert 0.998 <= ratio_phi2 <= 1.002
-        pool = count_pool(B, sieve_1e6)
-        assert abs(count_GO(B, sieve_1e6) / pool - 1 / 3) < 0.01
-        assert abs(count_GEE(B, sieve_1e6) / pool - 1 / 3) < 0.01
-        assert abs(count_GEO(B, sieve_1e6) / pool - 1 / 3) < 0.01
-        small = count_G1(10**5) / count_pool(10**5, sieve_1e6)
+        sums = TotientSums(sieve_1e6)
+        pool = count_pool(B, sums)
+        assert abs(count_GO(B, sums) / pool - 1 / 3) < 0.01
+        assert abs(count_GEE(B, sums) / pool - 1 / 3) < 0.01
+        assert abs(count_GEO(B, sums) / pool - 1 / 3) < 0.01
+        small = count_G1(10**5) / count_pool(10**5, sums)
         assert small < 1e-4
         c["detail"] = (
             f"phi ratio {ratio_phi:.6f}, phi2 ratio {ratio_phi2:.6f}, "

@@ -1,15 +1,19 @@
 import contextlib
 import doctest
+import io
 import json
+import math
 import os
 import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import pptriples
 from pptriples import CfElement, FTriple, QuadInt, Triple, admissible_f, checks
@@ -430,6 +434,58 @@ class TestBigIntegers:
             assert sys.get_int_max_str_digits() == 5000
 
 
+def run_io(*argv):
+    """main(argv) with stdout captured, for tests that cannot take capsys."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+class TestHugeInputs:
+    """Inputs of about 3*10**4 digits give the right record and exit code.
+
+    At 10**5 digits CPython's quadratic int/str conversion alone takes about
+    0.7 s per triple (README, Limits), so these stay near 3*10**4."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([1, 3, 5, 7, 9, 11]))
+    def test_check_triple_of_30000_digits(self, offset, d):
+        s = 10**15000 + offset
+        assume(math.gcd(s, d) == 1)
+        r = s + d  # coprime, opposite parity: a primitive pair
+        a, b, c = r * r - s * s, 2 * r * s, r * r + s * s
+        with digit_limit(0):
+            argv = list(map(str, (a, b, c)))
+            code, out = run_io("check", *argv)
+            header, row = out.splitlines()
+            record = dict(zip(header.split(","), row.split(",")))
+            want = {
+                "a": a, "b": b, "c": c, "pythagorean": "true", "primitive": "true",
+                "even_leg": "b", "r": r, "s": s, "g": d * d, "g_kind": "odd-square",
+                "g_m": d, "g_n": (r + s - 1) // 2, "f": abs(a - b),
+            }
+            assert len(argv[2]) >= 30000
+            assert (code, record) == (0, {k: str(v) for k, v in want.items()})
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([(1, 1), (2, 1), (2, 0)]))
+    def test_gen_g_on_a_root_of_30000_digits(self, shift, kind):
+        leg, parity = kind  # g = leg * m * m with m of this parity
+        m = 10**30000 + shift
+        m += (m - parity) % 2
+        g = leg * m * m
+        with digit_limit(0):
+            code, out = run_io("gen-g", "--g", str(g), "--count", "2")
+            items = [list(map(int, line.split(","))) for line in out.splitlines()[2:]]
+        assert code == 0 and len(items) == 2
+        ns = [item[0] for item in items]
+        assert ns == sorted(set(ns)) and 0 < items[0][1] - m <= 2  # the first k above m
+        for n, k, r, s, a, b, c, stride, offset in items:
+            assert a * a + b * b == c * c and c - b == g and math.gcd(a, b) == 1
+            assert a == stride * n + offset
+
+
 def test_determinism(capsys):
     outputs = []
     for _ in range(2):
@@ -473,6 +529,59 @@ def test_reader_closing_stdout_early_ends_the_run_quietly():
     assert (proc.wait(timeout=5), err) == (0, b"")
     assert first == b"# g=9 kind=odd-square m=3\n"
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-g", "--g", "9", "--count", "1000000000"],
+        ["gen-f", "--f", "1", "--m", "-20000..20000"],
+    ],
+    ids=" ".join,
+)
+def test_generators_stream_to_a_reader_that_stops_early(argv):
+    # building every record first would exhaust memory or time before line 3;
+    # the watchdog ends such a child, and its exit code fails the test
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pptriples", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    watchdog = threading.Timer(10, proc.kill)
+    watchdog.start()
+    try:
+        lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        code = proc.wait()
+        err = proc.stderr.read()
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert (code, err) == (0, b"")
+    assert all(line.endswith(b"\n") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["gen-g", "--g", "3", "--count", "1000000000"], 2),
+        (["gen-f", "--f", "3", "--m", "-20000..20000"], 2),
+        (["gen-f", "--f", "7", "--m", "2..1"], 1),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_streaming_refusals_write_no_stdout(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pptriples", *argv],
+        capture_output=True,
+        env=child_env(),
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (code, b"")
+    assert proc.stderr and b"Traceback" not in proc.stderr
 
 
 def test_interrupt_ends_the_run_quietly_with_130():

@@ -38,6 +38,11 @@ def sieve():
     return build_sieve(6000)
 
 
+@pytest.fixture(scope="module")
+def sums(sieve):
+    return TotientSums(sieve)
+
+
 class TestSieve:
     def test_phi_table(self, sieve):
         assert list(sieve.phi[1:11]) == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
@@ -94,15 +99,15 @@ class TestSums:
         assert sum_phi2(10, sieve) == 19
         assert sum_phi(1, sieve) == 1
 
-    def test_pool_examples(self, sieve):
-        assert count_pool(10, sieve) == 31
-        assert count_pool(2, sieve) == 1
-        assert count_pool(1, sieve) == 0
+    def test_pool_examples(self, sums):
+        assert count_pool(10, sums) == 31
+        assert count_pool(2, sums) == 1
+        assert count_pool(1, sums) == 0
 
-    def test_family_count_examples(self, sieve):
-        assert count_GO(10, sieve) == 9
-        assert count_GEO(10, sieve) == 13
-        assert count_GEE(10, sieve) == 9
+    def test_family_count_examples(self, sums):
+        assert count_GO(10, sums) == 9
+        assert count_GEO(10, sums) == 13
+        assert count_GEE(10, sums) == 9
         assert count_G1(10) == 9
 
     def test_out_of_range(self, sieve):
@@ -110,13 +115,13 @@ class TestSums:
             sum_phi(6001, sieve)
 
 
-def test_formulas_match_enumeration_to_300(sieve):
+def test_formulas_match_enumeration_to_300(sums):
     brute = brute_pair_counts(300)
     for B in range(1, 301):
-        assert count_pool(B, sieve) == brute["pool"][B]
-        assert count_GO(B, sieve) == brute["GO"][B]
-        assert count_GEE(B, sieve) == brute["GEE"][B]
-        assert count_GEO(B, sieve) == brute["GEO"][B]
+        assert count_pool(B, sums) == brute["pool"][B]
+        assert count_GO(B, sums) == brute["GO"][B]
+        assert count_GEE(B, sums) == brute["GEE"][B]
+        assert count_GEO(B, sums) == brute["GEO"][B]
 
 
 def oracle_counts(B, sieve):
@@ -226,31 +231,31 @@ class TestMoebiusInversion:
 
 
 class TestReport:
-    def test_go_row(self, sieve):
-        (row,) = density_report(Family.GO, [10], sieve)
+    def test_go_row(self, sums):
+        (row,) = density_report(Family.GO, [10], sums)
         assert (row.B, row.family_count, row.pool_count) == (10, 9, 31)
         assert row.ratio == Fraction(9, 31)
         assert render_ratio(row.ratio) == "0.290323"
         assert render_ratio(row.predicted) == "0.333333"
 
-    def test_g1_row(self, sieve):
-        (row,) = density_report(Family.G1, [10], sieve)
+    def test_g1_row(self, sums):
+        (row,) = density_report(Family.G1, [10], sums)
         assert row.family_count == 9 and row.predicted == 0
 
-    def test_geo_row(self, sieve):
-        (row,) = density_report(Family.GEO, [10], sieve)
+    def test_geo_row(self, sums):
+        (row,) = density_report(Family.GEO, [10], sums)
         assert row.family_count == 13
 
-    def test_grid_validation(self, sieve):
+    def test_grid_validation(self, sums):
         with pytest.raises(ValueError):
-            density_report(Family.GO, [], sieve)
+            density_report(Family.GO, [], sums)
         with pytest.raises(ValueError):
-            density_report(Family.GO, [1, 10], sieve)
+            density_report(Family.GO, [1, 10], sums)
         with pytest.raises(ValueError):
-            density_report(Family.GO, [100, 10], sieve)
+            density_report(Family.GO, [100, 10], sums)
 
-    def test_trend_downward(self, sieve):
-        rows = density_report(Family.G1, [10, 100, 1000], sieve)
+    def test_trend_downward(self, sums):
+        rows = density_report(Family.G1, [10, 100, 1000], sums)
         ratios = [row.ratio for row in rows]
         assert ratios == sorted(ratios, reverse=True)
 
@@ -263,7 +268,7 @@ def test_render_ratio_rounding():
     assert render_ratio(Fraction(1)) == "1.000000"
 
 
-def test_geometric_consistency_with_generators(sieve):
+def test_geometric_consistency_with_generators(sums):
     """The odd-pair set maps one-to-one onto the primitive parameter pairs
     with r + s <= B; every image triple has an odd-square hypotenuse gap."""
     B = 500
@@ -278,7 +283,7 @@ def test_geometric_consistency_with_generators(sieve):
             if r + s <= B and (r + s) % 2 and math.gcd(r, s) == 1:
                 direct.add(from_params(ParamPair(r, s)))
     assert from_pairs == direct
-    assert len(from_pairs) == count_GO(B, sieve)
+    assert len(from_pairs) == count_GO(B, sums)
     for t in list(from_pairs)[:50]:
         assert t.b % 2 == 0
         root = math.isqrt(t.c - t.b)

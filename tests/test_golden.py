@@ -153,7 +153,7 @@ COUNTEREXAMPLES = [
         ("pell", 69, 1, "(239, 169) solves the equation but is not GAMMA*DELTA^m"),
     ),
     (
-        _fault("count_GEO", lambda orig: lambda B, sieve: orig(B, sieve) + (B == 7)),
+        _fault("count_GEO", lambda orig: lambda B, sums: orig(B, sums) + (B == 7)),
         lambda: checks.check_density_cross(60),
         ("density-cross", 28, 1, "GEO(7) formula gives 6, enumeration gives 5"),
     ),

@@ -1,0 +1,41 @@
+"""What `perfbench/tracing.py` needs of the library, pinned here so that a
+refactor cannot silently turn every traced benchmark request into a failure.
+
+The harness looks each traced function up by (module, name), wraps it, and
+reads `len()` (and the last item) of the two generators' results.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from pptriples import admissible_f, generate_f_triples, generate_g_family
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves():
+    tracing = load_tracing()
+    for module, fname in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(f"pptriples.{module}"), fname, None)), (
+            module,
+            fname,
+        )
+    names = {f"{module.lstrip('_')}.{fname}" for module, fname in tracing.TRACED}
+    assert tracing.PEAK <= names
+
+
+def test_generators_return_lists():
+    items = generate_g_family(9, 3)
+    triples = generate_f_triples(admissible_f(7), 0, 1)
+    assert type(items) is list and len(items) == 3 and items[-1].n == 5
+    assert type(triples) is list and len(triples) == 3

@@ -1,4 +1,7 @@
+import collections
+import itertools
 import time
+import tracemalloc
 
 import pytest
 
@@ -13,6 +16,7 @@ from pptriples import (
     generate_g_family,
     invert_to_family,
     is_primitive,
+    iter_g_family,
     leg_from_gap,
 )
 
@@ -118,6 +122,33 @@ class TestGenerate:
         for g in (1, 2, 8, 9, 18, 25):
             for it in generate_g_family(g, 25):
                 assert leg_from_gap(it.triple.a, g) == it.triple.b
+
+
+def traced_peak_mb(run):
+    """The peak traced allocation of run(), in MB, counted from its start."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    def test_any_count_is_lazy(self):
+        items = iter_g_family(9, 10**18)
+        assert [it.n for it in itertools.islice(items, 3)] == [2, 3, 5]  # n = 4 has 3 | k
+
+    def test_refusals_come_at_the_call(self):
+        with pytest.raises(InadmissibleError):
+            iter_g_family(3, 10**18)
+        with pytest.raises(ValueError, match="count must be positive"):
+            iter_g_family(9, 0)
+
+    def test_memory_stays_flat(self):
+        stream = traced_peak_mb(lambda: collections.deque(iter_g_family(9, 10**5), maxlen=0))
+        listed = traced_peak_mb(lambda: generate_g_family(9, 10**4))
+        assert stream < 0.1 and listed > 1.0
 
 
 class TestFirstIndex:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from pptriples import (
@@ -11,6 +13,7 @@ from pptriples import (
     generate_f_triples,
     ideal_generator,
     is_associate,
+    iter_f_triples,
     pell_recast,
 )
 from pptriples import leg_gap
@@ -178,11 +181,44 @@ def _reference_f_triples(spec, m_lo, m_hi):
     return out
 
 
+# (5, 12) and (-40, -30) lie wholly on one side of every branch's least |x|
 @pytest.mark.parametrize("f", [1, 7, 49, 119, 2737])
-@pytest.mark.parametrize("m_lo,m_hi", [(-9, 7), (0, 0), (5, 12)])
+@pytest.mark.parametrize("m_lo,m_hi", [(-9, 7), (0, 0), (5, 12), (-40, -30)])
 def test_walk_matches_the_per_m_reference(f, m_lo, m_hi):
     spec = admissible_f(f)
-    assert generate_f_triples(spec, m_lo, m_hi) == _reference_f_triples(spec, m_lo, m_hi)
+    want = sorted(_reference_f_triples(spec, m_lo, m_hi), key=lambda ft: ft.triple.as_tuple())
+    assert generate_f_triples(spec, m_lo, m_hi) == want
+
+
+class TestStreaming:
+    def test_wide_span_is_lazy(self, monkeypatch):
+        powers = []
+
+        def recording(m):
+            powers.append(m)
+            return gamma_delta_power(m)
+
+        monkeypatch.setattr(leg_gap, "gamma_delta_power", recording)
+        triples = iter_f_triples(admissible_f(119), -(10**6), 10**6)
+        got = [ft.triple.as_tuple() for ft in itertools.islice(triples, 3)]
+        assert got == [(24, 143, 145), (57, 176, 185), (180, 299, 349)]
+        # the runs start at each branch's least |x|, near m = 0, not at the ends
+        assert max(map(abs, powers)) <= 8
+
+    def test_refusals_come_at_the_call(self):
+        with pytest.raises(InadmissibleError):
+            iter_f_triples(admissible_f(3), 0, 1)
+        with pytest.raises(ValueError, match="empty exponent range"):
+            iter_f_triples(admissible_f(7), 2, 1)
+
+    @pytest.mark.parametrize("f", [1, 7, 119, 84847, 100000000943])
+    def test_valley_is_the_least_x(self, f):
+        for elem in cf_elements(admissible_f(f)):
+            square = elem.u * elem.u
+            for m_lo, m_hi in ((-30, 30), (-30, -20), (4, 9), (0, 0), (-1, 0), (-2, 1)):
+                xs = {m: abs((gamma_delta_power(m) * square).x) for m in range(m_lo, m_hi + 1)}
+                least = min(xs.values())
+                assert leg_gap._valley(square, m_lo, m_hi) == min(m for m in xs if xs[m] == least)
 
 
 def test_gen_f_scans_for_each_prime_once(monkeypatch, capsys):
