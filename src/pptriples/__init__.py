@@ -1,134 +1,42 @@
 """Exact-arithmetic toolkit for primitive Pythagorean triples (PPTs) whose
 hypotenuse sits a fixed gap g above a leg, or whose legs differ by a fixed
-gap f, plus the totient machinery behind the families' density limits."""
+gap f, plus the totient machinery behind the families' density limits.
 
-from ._primes import InadmissibleError, UnsupportedRangeError, factorize, is_prime
-from .density import (
-    DensityRow,
-    Family,
-    SieveBudgetError,
-    TotientSieve,
-    TotientSums,
-    build_sieve,
-    count_G1,
-    count_GEE,
-    count_GEO,
-    count_GO,
-    count_pool,
-    density_report,
-    render_ratio,
-)
-from .hyp_gap import (
-    GClass,
-    GFamilyItem,
-    GKind,
-    classify_g,
-    family_params,
-    family_triple,
-    generate_g_family,
-    invert_to_family,
-    iter_g_family,
-    leg_from_gap,
-)
-from .leg_gap import (
-    CfElement,
-    FSpec,
-    FTriple,
-    admissible_f,
-    cf_elements,
-    generate_f_triples,
-    iter_f_triples,
-    pell_recast,
-)
-from .pell import PellSolution, gamma_delta_power, neg_pell_solution
-from .triples import (
-    ParamPair,
-    Triple,
-    TripleClass,
-    classify_triple,
-    enumerate_ppts,
-    from_params,
-    is_primitive,
-    normalize,
-    primitive_from_params,
-    to_params,
-)
-from .zsqrt2 import (
-    DELTA,
-    GAMMA,
-    ONE,
-    SQRT2,
-    ZERO,
-    QuadInt,
-    canonical_associate,
-    euclid_div,
-    gcd,
-    ideal_generator,
-    is_associate,
-    splits,
-)
+`import pptriples` loads no submodule: each public name is imported from its
+home module on first use (PEP 562), so a caller pays only for the layers it
+touches."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CfElement",
-    "DELTA",
-    "DensityRow",
-    "FSpec",
-    "FTriple",
-    "Family",
-    "GAMMA",
-    "GClass",
-    "GFamilyItem",
-    "GKind",
-    "InadmissibleError",
-    "ONE",
-    "ParamPair",
-    "PellSolution",
-    "QuadInt",
-    "SQRT2",
-    "SieveBudgetError",
-    "TotientSieve",
-    "TotientSums",
-    "Triple",
-    "TripleClass",
-    "UnsupportedRangeError",
-    "ZERO",
-    "admissible_f",
-    "build_sieve",
-    "canonical_associate",
-    "cf_elements",
-    "classify_g",
-    "classify_triple",
-    "count_G1",
-    "count_GEE",
-    "count_GEO",
-    "count_GO",
-    "count_pool",
-    "density_report",
-    "enumerate_ppts",
-    "euclid_div",
-    "factorize",
-    "family_params",
-    "family_triple",
-    "from_params",
-    "gamma_delta_power",
-    "gcd",
-    "generate_f_triples",
-    "generate_g_family",
-    "ideal_generator",
-    "invert_to_family",
-    "is_associate",
-    "is_prime",
-    "is_primitive",
-    "iter_f_triples",
-    "iter_g_family",
-    "leg_from_gap",
-    "neg_pell_solution",
-    "normalize",
-    "pell_recast",
-    "primitive_from_params",
-    "render_ratio",
-    "splits",
-    "to_params",
-]
+# home module -> the public names it defines
+_EXPORTS = {
+    "_primes": "InadmissibleError SieveBudgetError UnsupportedRangeError factorize is_prime",
+    "density": "DensityRow Family TotientSieve TotientSums build_sieve count_G1 count_GEE "
+    "count_GEO count_GO count_pool density_report render_ratio",
+    "hyp_gap": "GClass GFamilyItem GKind classify_g family_params family_triple "
+    "generate_g_family invert_to_family iter_g_family leg_from_gap",
+    "leg_gap": "CfElement FSpec FTriple admissible_f cf_elements generate_f_triples "
+    "iter_f_triples pell_recast",
+    "pell": "PellSolution gamma_delta_power neg_pell_solution",
+    "triples": "ParamPair Triple TripleClass classify_triple enumerate_ppts from_params "
+    "is_primitive normalize primitive_from_params to_params",
+    "zsqrt2": "DELTA GAMMA ONE SQRT2 ZERO QuadInt canonical_associate euclid_div gcd "
+    "ideal_generator is_associate splits",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -3,6 +3,9 @@
 Everything here is exact integer arithmetic.  The primality test is a
 deterministic Miller-Rabin valid for all inputs below 2**64; larger inputs
 are rejected rather than answered probabilistically.
+
+The refusal types of every layer live here too, so the CLI maps them to
+exit codes without importing the layers that raise them.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ class UnsupportedRangeError(ValueError):
 
 class InadmissibleError(ValueError):
     """Raised when a gap admits no primitive triple; the message names the failed tests."""
+
+
+class SieveBudgetError(ValueError):
+    """Requested table bound exceeds the configured memory budget."""
 
 
 def is_prime(n: int) -> bool:

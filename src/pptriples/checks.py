@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
+from operator import countOf
 from typing import Iterable, Iterator
 
 from ._primes import factorize
@@ -230,21 +232,14 @@ def brute_pair_counts(b_max: int) -> dict[str, list[int]]:
     gee = [0] * (b_max + 1)
     geo = [0] * (b_max + 1)
     for k in range(2, b_max + 1):
-        n_pool = n_go = n_gee = n_geo = 0
-        for m in range(1, k):
-            if math.gcd(k, m) == 1:
-                n_pool += 1
-                if k % 2:
-                    if m % 2:
-                        n_go += 1
-                    else:
-                        n_gee += 1
-                elif m % 2:
-                    n_geo += 1
-        pool[k] = pool[k - 1] + n_pool
-        go[k] = go[k - 1] + n_go
-        gee[k] = gee[k - 1] + n_gee
-        geo[k] = geo[k - 1] + n_geo
+        # one gcd per pair (k, m), 0 < m < k; odd and even m counted apart
+        n_odd = countOf(map(math.gcd, repeat(k), range(1, k, 2)), 1)
+        n_even = countOf(map(math.gcd, repeat(k), range(2, k, 2)), 1)
+        odd_k = k % 2  # odd k: GO takes the odd m, GEE the even; even k: GEO the odd
+        pool[k] = pool[k - 1] + n_odd + n_even
+        go[k] = go[k - 1] + n_odd * odd_k
+        gee[k] = gee[k - 1] + n_even * odd_k
+        geo[k] = geo[k - 1] + n_odd * (1 - odd_k)
     return {"pool": pool, "GO": go, "GEE": gee, "GEO": geo}
 
 

@@ -3,7 +3,11 @@
 Commands: gen-g, gen-f, check, density, verify.  CSV (default) and JSON
 Lines output; all runs are deterministic, with fixed sort orders and fixed
 decimal rendering.  gen-g and gen-f write each record as it is generated,
-so a reader that stops early stops the work too.  Exit codes:
+so a reader that stops early stops the work too.  Each command imports
+only the layers it runs, when it runs: `check` and `gen-g` the triples and
+hypotenuse-gap layers, `gen-f` the Z[sqrt(2)], Pell and leg-gap layers,
+`density` the totient layer, and `verify` every layer through the oracles
+in `checks`; parsing and the refusal types load none.  Exit codes:
 
     0  success, or the reader closed stdout early (`| head`): the run ends quietly
     1  malformed flags or input
@@ -26,11 +30,7 @@ import sys
 from itertools import chain, islice
 from typing import Iterable, TextIO
 
-from ._primes import InadmissibleError, UnsupportedRangeError
-from .density import Family, SieveBudgetError, density_report, render_ratio
-from .hyp_gap import classify_g, invert_to_family, iter_g_family
-from .leg_gap import admissible_f, cf_elements, iter_f_triples
-from .triples import Triple, classify_triple, is_primitive, to_params
+from ._primes import InadmissibleError, SieveBudgetError, UnsupportedRangeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -149,6 +149,8 @@ def write_records(
 
 
 def cmd_gen_g(args: argparse.Namespace) -> int:
+    from .hyp_gap import classify_g, iter_g_family
+
     gc = classify_g(args.g)
     items = iter_g_family(args.g, args.count)
     write_records(
@@ -161,6 +163,8 @@ def cmd_gen_g(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_f(args: argparse.Namespace) -> int:
+    from .leg_gap import admissible_f, cf_elements, iter_f_triples
+
     spec = admissible_f(args.f)
     elements = cf_elements(spec)
     triples = iter_f_triples(spec, *args.m)
@@ -183,6 +187,9 @@ def cmd_gen_f(args: argparse.Namespace) -> int:
 
 def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
     """The `check` record's fields by name, and the exit code."""
+    from .hyp_gap import invert_to_family
+    from .triples import Triple, classify_triple, is_primitive, to_params
+
     record = dict.fromkeys(RECORDS["check"])
     record.update(a=a, b=b, c=c, pythagorean=False)
     try:
@@ -208,6 +215,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def _density_values(args: argparse.Namespace) -> Iterable[tuple]:
     """The `density_row` values, computed when the first one is read: the
     totient table is built after --out is open, so an unwritable path fails fast."""
+    from .density import Family, density_report, render_ratio
+
     for r in density_report(Family(args.family), args.grid):
         yield r.B, r.family_count, r.pool_count, render_ratio(r.ratio), render_ratio(r.predicted)
 
@@ -238,7 +247,7 @@ _BOUND_FLAGS = tuple(dict.fromkeys(flag for _, flag, _ in VERIFY.values()))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from . import checks  # the oracles load for `verify` alone
+    from . import checks
 
     suite, flag, default = VERIFY[args.scope]
     for other in _BOUND_FLAGS:
@@ -289,9 +298,8 @@ def build_parser() -> _ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("density", help="density sweep over a grid of bounds")
-    p.add_argument(
-        "--family", choices=[f.value for f in Family], required=True
-    )
+    # density.Family's values, written out so that parsing loads no layer
+    p.add_argument("--family", choices=("GO", "GEE", "GEO", "G1"), required=True)
     p.add_argument(
         "--grid",
         type=_grid,

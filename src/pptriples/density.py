@@ -24,6 +24,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
+from ._primes import SieveBudgetError
+
 __all__ = [
     "DEFAULT_SIEVE_BUDGET",
     "BUDGET_ENV_VAR",
@@ -46,10 +48,6 @@ __all__ = [
 
 DEFAULT_SIEVE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "PPT_SIEVE_BUDGET"
-
-
-class SieveBudgetError(ValueError):
-    """Requested table bound exceeds the configured memory budget."""
 
 
 @dataclass

@@ -25,10 +25,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from ._primes import InadmissibleError, factorize
-from .pell import gamma_delta_power
+# factorize, gamma_delta_power and ideal_generator are called through their
+# modules, so a function swapped there (a tracer, a test) is the one called
+from . import _primes, pell, zsqrt2
+from ._primes import InadmissibleError
 from .triples import Triple
-from .zsqrt2 import DELTA, ONE, QuadInt, ideal_generator
+from .zsqrt2 import DELTA, ONE, QuadInt
 
 __all__ = [
     "FSpec",
@@ -85,13 +87,13 @@ def admissible_f(f: int) -> FSpec:
     """
     if f < 1:
         raise ValueError(f"leg gap must be a positive integer, got {f}")
-    factorization = tuple(factorize(f))
+    factorization = tuple(_primes.factorize(f))
     reasons = tuple(
         f"prime factor {p} is {p % 8} mod 8, not +/-1"
         for p, _ in factorization
         if p % 8 not in (1, 7)
     )
-    generators = () if reasons else tuple(ideal_generator(p) for p, _ in factorization)
+    generators = () if reasons else tuple(zsqrt2.ideal_generator(p) for p, _ in factorization)
     return FSpec(f, factorization, not reasons, reasons, generators)
 
 
@@ -143,7 +145,7 @@ def iter_f_triples(spec: FSpec, m_lo: int, m_hi: int) -> Iterator[FTriple]:
     for index, elem in enumerate(elements):
         square = elem.u * elem.u
         s = _valley(square, m_lo, m_hi)
-        w = gamma_delta_power(s) * square
+        w = pell.gamma_delta_power(s) * square
         runs.append(_run(spec.f, index, w, s, m_hi + 1, DELTA))
         runs.append(_run(spec.f, index, w * inverse, s - 1, m_lo - 1, inverse))
     return _first_of_each(spec.f, elements, heapq.merge(*runs))
@@ -161,7 +163,7 @@ def _valley(square: QuadInt, m_lo: int, m_hi: int) -> int:
     """
 
     def rising(m: int) -> bool:
-        w = gamma_delta_power(m) * square
+        w = pell.gamma_delta_power(m) * square
         return abs((w * DELTA).x) >= abs(w.x)
 
     # keep rising(lo) false and rising(hi) true, so v is in (lo, hi]

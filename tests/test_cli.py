@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import doctest
+import importlib
 import io
 import json
 import math
@@ -16,8 +18,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pptriples
-from pptriples import CfElement, FTriple, QuadInt, Triple, admissible_f, checks
-from pptriples.cli import RECORDS, VERIFY, main
+from pptriples import CfElement, FTriple, QuadInt, Triple, _primes, admissible_f, checks, density
+from pptriples.cli import RECORDS, VERIFY, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -83,18 +85,51 @@ ORACLES = (
 
 
 def test_every_export_resolves_and_the_oracles_live_in_checks():
-    assert all(hasattr(pptriples, name) for name in pptriples.__all__)
+    for name in pptriples.__all__:
+        home = importlib.import_module(f"pptriples.{pptriples._HOME[name]}")
+        assert getattr(pptriples, name) is getattr(home, name), name
+    assert set(pptriples.__all__) <= set(dir(pptriples))
+    with pytest.raises(AttributeError):
+        pptriples.no_such_name
+    assert pptriples.SieveBudgetError is _primes.SieveBudgetError is density.SieveBudgetError
     for name in ORACLES:
         assert name not in pptriples.__all__
         assert name in checks.__all__ and hasattr(checks, name)
+    # the parser spells out density.Family's values, so that parsing loads no layer
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    family = next(a for a in commands.choices["density"]._actions if a.dest == "family")
+    assert list(family.choices) == [f.value for f in pptriples.Family]
 
 
-def test_only_verify_loads_the_oracles():
-    probe = "import sys, pptriples.cli; print('pptriples.checks' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+# argv -> the pptriples modules `cli.main(argv)` loads besides `cli`
+FOOTPRINTS = {
+    ("check", "3", "4", "5"): {"_primes", "triples", "hyp_gap"},
+    ("gen-g", "--g", "9", "--count", "2"): {"_primes", "triples", "hyp_gap"},
+    ("gen-f", "--f", "7", "--m", "-1..1"): {"_primes", "triples", "zsqrt2", "pell", "leg_gap"},
+    ("density", "--family", "GO", "--grid", "10"): {"_primes", "density"},
+    ("verify", "pell", "--m-max", "3"): {
+        "_primes", "triples", "zsqrt2", "pell", "hyp_gap", "leg_gap", "density", "checks"
+    },
+}
+
+
+def test_each_command_loads_only_its_layers():
+    probe = (
+        "import contextlib, io, sys, pptriples.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = pptriples.cli.main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('pptriples.')))"
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    for argv, layers in FOOTPRINTS.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True, text=True, env=child_env(),
+        )
+        loaded = " ".join(sorted(f"pptriples.{name}" for name in layers | {"cli"}))
+        assert (argv, proc.returncode, proc.stdout, proc.stderr) == (
+            argv, 0, f"0 {loaded}\n", ""
+        )
 
 
 def run(capsys, *argv):

@@ -124,6 +124,25 @@ def test_formulas_match_enumeration_to_300(sums):
         assert count_GEO(B, sums) == brute["GEO"][B]
 
 
+def test_brute_pair_counts_match_a_literal_double_loop():
+    b_max = 300
+    want = {name: [0] * (b_max + 1) for name in ("pool", "GO", "GEE", "GEO")}
+    for k in range(2, b_max + 1):
+        row = dict.fromkeys(want, 0)
+        for m in range(1, k):
+            if math.gcd(k, m) == 1:
+                row["pool"] += 1
+                if k % 2 == 1 and m % 2 == 1:
+                    row["GO"] += 1
+                elif k % 2 == 1:
+                    row["GEE"] += 1
+                elif m % 2 == 1:
+                    row["GEO"] += 1
+        for name, counts in want.items():
+            counts[k] = counts[k - 1] + row[name]
+    assert brute_pair_counts(b_max) == want
+
+
 def oracle_counts(B, sieve):
     """pool, GO, GEE and GEO at B from direct slice sums over a full sieve."""
     every, odd = sum_phi(B, sieve), sum_phi2(B, sieve)

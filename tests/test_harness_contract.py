@@ -7,9 +7,12 @@ reads `len()` (and the last item) of the two generators' results.
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import pptriples
 from pptriples import admissible_f, generate_f_triples, generate_g_family
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -39,3 +42,27 @@ def test_generators_return_lists():
     triples = generate_f_triples(admissible_f(7), 0, 1)
     assert type(items) is list and len(items) == 3 and items[-1].n == 5
     assert type(triples) is list and len(triples) == 3
+
+
+def test_a_traced_pass_leaves_no_wrapper_behind():
+    """The harness imports only `pptriples.cli`, and `installed()` imports
+    each traced layer as it swaps; a layer that bound a traced function by
+    name at its import would keep the wrapper after the pass.  `checks`
+    still does (it binds `enumerate_ppts` and others)."""
+    probe = (
+        f"import sys; sys.path.insert(0, {str(TRACING.parent)!r})\n"
+        "import pptriples.cli, tracing\n"
+        "with tracing.installed(tracing.Tracer()):\n"
+        "    pass\n"
+        "print(sorted(\n"
+        "    f'{name}.{attr}' for name, mod in list(sys.modules.items())\n"
+        "    if name.startswith('pptriples') and name != 'pptriples.checks'\n"
+        "    for attr, value in vars(mod).items()\n"
+        "    if getattr(value, '__qualname__', '') == 'installed.<locals>.wrapper'\n"
+        "))"
+    )
+    src = str(Path(pptriples.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

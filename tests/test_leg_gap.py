@@ -16,7 +16,7 @@ from pptriples import (
     iter_f_triples,
     pell_recast,
 )
-from pptriples import leg_gap
+from pptriples import leg_gap, pell, zsqrt2
 from pptriples.checks import verify_f_triple
 from pptriples.cli import main
 from pptriples.leg_gap import FTriple
@@ -198,7 +198,7 @@ class TestStreaming:
             powers.append(m)
             return gamma_delta_power(m)
 
-        monkeypatch.setattr(leg_gap, "gamma_delta_power", recording)
+        monkeypatch.setattr(pell, "gamma_delta_power", recording)
         triples = iter_f_triples(admissible_f(119), -(10**6), 10**6)
         got = [ft.triple.as_tuple() for ft in itertools.islice(triples, 3)]
         assert got == [(24, 143, 145), (57, 176, 185), (180, 299, 349)]
@@ -228,7 +228,7 @@ def test_gen_f_scans_for_each_prime_once(monkeypatch, capsys):
         scanned.append(p)
         return ideal_generator(p)
 
-    monkeypatch.setattr(leg_gap, "ideal_generator", counting)
+    monkeypatch.setattr(zsqrt2, "ideal_generator", counting)
     assert main(["gen-f", "--f", "119", "--m", "-2..2"]) == 0
     assert capsys.readouterr().out
     assert scanned == [7, 17]
