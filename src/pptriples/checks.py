@@ -34,7 +34,7 @@ from .density import (
 from .hyp_gap import family_triple, invert_to_family
 from .leg_gap import FSpec, FTriple, admissible_f, generate_f_triples
 from .pell import neg_pell_solution
-from .triples import Triple, enumerate_ppts
+from .triples import Triple, iter_ppts
 from .zsqrt2 import DELTA, QuadInt
 
 __all__ = [
@@ -99,7 +99,7 @@ def check_g_coverage(c_max: int) -> CheckReport:
     coordinates that regenerate it."""
     return _first_failure("g-coverage", (
         _regenerated(ordered)
-        for t in enumerate_ppts(c_max)
+        for t in iter_ppts(c_max)
         for ordered in (t, Triple(t.b, t.a, t.c))
     ))
 
@@ -116,7 +116,7 @@ def check_f_coverage(
         f: {ft.triple.as_tuple() for ft in generate_f_triples(admissible_f(f), m_lo, m_hi)}
         for f in gaps
     }
-    legs = ((min(t.a, t.b), max(t.a, t.b), t.c) for t in enumerate_ppts(c_max))
+    legs = ((min(t.a, t.b), max(t.a, t.b), t.c) for t in iter_ppts(c_max))
     return _first_failure("f-coverage", (
         None if (lo, hi, c) in generated[hi - lo]
         else f"({lo}, {hi}, {c}) missing from the f={hi - lo} sweep"
@@ -153,7 +153,7 @@ def check_nonexistence(
                 return f"{t} has hypotenuse gap {gap}"
         return f"{t} has leg gap {abs(t.a - t.b)}" if abs(t.a - t.b) in leg else None
 
-    return _first_failure("nonexistence", map(gap_found, enumerate_ppts(c_max)))
+    return _first_failure("nonexistence", map(gap_found, iter_ppts(c_max)))
 
 
 @dataclass(frozen=True)

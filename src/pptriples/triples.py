@@ -2,14 +2,15 @@
 
 A primitive Pythagorean triple (PPT) is (a, b, c) with a**2 + b**2 = c**2 and
 no common divisor.  Every PPT arises as (r*r - s*s, 2*r*s, r*r + s*s) from a
-coprime, opposite-parity pair 0 < s < r, and `enumerate_ppts` built on that
-fact serves as the verification oracle for the rest of the package.
+coprime, opposite-parity pair 0 < s < r, and `iter_ppts` built on that fact
+serves as the verification oracle for the rest of the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -118,22 +119,46 @@ def normalize(t: Triple) -> Triple:
     return t if t.a % 2 else Triple(t.b, t.a, t.c)
 
 
-def enumerate_ppts(c_max: int) -> list[Triple]:
-    """Every PPT with hypotenuse <= c_max, odd leg first, sorted by (c, a).
+# A window of hypotenuses spans _WINDOW_ROOTS * isqrt(c_max) values, at least
+# _WINDOW_FLOOR: it holds O(sqrt(c_max)) triples, and the per-window row
+# scan, about 0.3 * sqrt(c_max) rows, stays a small share of its pairs.
+_WINDOW_ROOTS = 64
+_WINDOW_FLOOR = 1 << 16
+
+
+def iter_ppts(c_max: int) -> Iterator[Triple]:
+    """Every PPT with hypotenuse <= c_max, odd leg first, in (c, a) order.
 
     Exhaustive over coprime opposite-parity parameter pairs; each triple
-    appears exactly once.  Empty below the smallest hypotenuse 5.
+    appears exactly once.  Empty below the smallest hypotenuse 5.  The
+    hypotenuses are swept one window [lo, hi) at a time, so only one
+    window's triples are held at once.
     """
-    found: list[Triple] = []
-    r = 2
-    while r * r + 1 <= c_max:
-        start = 2 if r % 2 else 1
-        for s in range(start, r, 2):
-            c = r * r + s * s
-            if c > c_max:
-                break
-            if math.gcd(r, s) == 1:
-                found.append(Triple(r * r - s * s, 2 * r * s, c))
-        r += 1
-    found.sort(key=lambda t: (t.c, t.a))
-    return found
+    width = max(_WINDOW_FLOOR, _WINDOW_ROOTS * math.isqrt(max(c_max, 0)))
+    gcd, isqrt = math.gcd, math.isqrt
+    lo = 0
+    while lo <= c_max:
+        hi = min(lo + width, c_max + 1)
+        window: list[tuple[int, int, int]] = []
+        # row r holds c = r*r + s*s for 0 < s < r, all below 2*r*r
+        r = max(2, isqrt(lo // 2))
+        while r * r + 1 < hi:
+            rr = r * r
+            s_lo = isqrt(lo - rr - 1) + 1 if lo > rr else 1
+            s_lo += (s_lo + r + 1) % 2  # s of the opposite parity to r
+            s_hi = min(r, isqrt(hi - 1 - rr) + 1)
+            window += [
+                (rr + s * s, rr - s * s, 2 * r * s)
+                for s in range(s_lo, s_hi, 2)
+                if gcd(r, s) == 1
+            ]
+            r += 1
+        window.sort()  # (c, a) is unique to a primitive triple
+        for c, a, b in window:
+            yield Triple(a, b, c)
+        lo = hi
+
+
+def enumerate_ppts(c_max: int) -> list[Triple]:
+    """The triples of `iter_ppts(c_max)`, as a list."""
+    return list(iter_ppts(c_max))

@@ -9,10 +9,5 @@ def oracle_1e5():
 
 
 @pytest.fixture(scope="session")
-def oracle_1e6():
-    return enumerate_ppts(1_000_000)
-
-
-@pytest.fixture(scope="session")
 def sieve_1e6():
     return build_sieve(1_000_000)

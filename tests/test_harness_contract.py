@@ -2,7 +2,8 @@
 refactor cannot silently turn every traced benchmark request into a failure.
 
 The harness looks each traced function up by (module, name), wraps it, and
-reads `len()` (and the last item) of the two generators' results.
+reads `len()` of the enumerator's and the two generators' results (and the
+last g-family item).
 """
 
 import importlib
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 import pptriples
-from pptriples import admissible_f, generate_f_triples, generate_g_family
+from pptriples import admissible_f, enumerate_ppts, generate_f_triples, generate_g_family
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -42,13 +43,14 @@ def test_generators_return_lists():
     triples = generate_f_triples(admissible_f(7), 0, 1)
     assert type(items) is list and len(items) == 3 and items[-1].n == 5
     assert type(triples) is list and len(triples) == 3
+    assert type(enumerate_ppts(17)) is list
 
 
 def test_a_traced_pass_leaves_no_wrapper_behind():
     """The harness imports only `pptriples.cli`, and `installed()` imports
     each traced layer as it swaps; a layer that bound a traced function by
     name at its import would keep the wrapper after the pass.  `checks`
-    still does (it binds `enumerate_ppts` and others)."""
+    still does (it binds `invert_to_family` and `generate_f_triples`)."""
     probe = (
         f"import sys; sys.path.insert(0, {str(TRACING.parent)!r})\n"
         "import pptriples.cli, tracing\n"

@@ -1,6 +1,9 @@
 import math
+import tracemalloc
+from itertools import zip_longest
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pptriples import (
     ParamPair,
@@ -9,10 +12,29 @@ from pptriples import (
     enumerate_ppts,
     from_params,
     is_primitive,
+    iter_ppts,
     normalize,
     primitive_from_params,
     to_params,
 )
+from pptriples.triples import _WINDOW_FLOOR
+
+
+def reference_ppts(c_max):
+    """Reference enumerator: every parameter row at once, then one sort by (c, a)."""
+    found = []
+    r = 2
+    while r * r + 1 <= c_max:
+        start = 2 if r % 2 else 1
+        for s in range(start, r, 2):
+            c = r * r + s * s
+            if c > c_max:
+                break
+            if math.gcd(r, s) == 1:
+                found.append(Triple(r * r - s * s, 2 * r * s, c))
+        r += 1
+    found.sort(key=lambda t: (t.c, t.a))
+    return found
 
 
 def naive_ppt_count(c_max):
@@ -123,6 +145,39 @@ class TestEnumerate:
         ppts = enumerate_ppts(10_000)
         keys = [(t.c, t.a) for t in ppts]
         assert keys == sorted(keys)
+
+
+# One below, at and one above the first two window edges: below 2**20 every
+# window is _WINDOW_FLOOR wide.
+EDGES = [k * _WINDOW_FLOOR + d for k in (1, 2) for d in (-1, 0, 1)]
+
+
+class TestIterPpts:
+    @pytest.mark.parametrize("c_max", [0, 4, 5, 17, *EDGES, 10**6])
+    def test_matches_the_reference(self, c_max):
+        # compared as a stream, so only the reference list is held
+        pairs = zip_longest(iter_ppts(c_max), reference_ppts(c_max))
+        assert all(t == ref for t, ref in pairs)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2 * 10**5), st.integers(0, 2 * 10**5))
+    def test_a_smaller_bound_is_a_prefix(self, c1, c2):
+        c1, c2 = sorted((c1, c2))
+        small, large = list(iter_ppts(c1)), list(iter_ppts(c2))
+        assert large[: len(small)] == small
+        assert all(t.c > c1 for t in large[len(small) :])
+
+    def test_memory_stays_one_window(self):
+        """At 250,000 the list of all 39,788 triples peaks near 10.6 MB traced;
+        the stream holds one window of about 10,000 (c, a, b) tuples."""
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in iter_ppts(250_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 39_788
+        assert peak < 2.5e6
 
 
 def test_classify_triple():
