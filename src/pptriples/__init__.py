@@ -21,7 +21,7 @@ _EXPORTS = {
     "iter_f_triples pell_recast",
     "pell": "PellSolution gamma_delta_power neg_pell_solution",
     "triples": "ParamPair Triple TripleClass classify_triple enumerate_ppts from_params "
-    "is_primitive iter_ppts normalize primitive_from_params to_params",
+    "is_primitive iter_ppt_rows iter_ppts normalize primitive_from_params to_params",
     "zsqrt2": "DELTA GAMMA ONE SQRT2 ZERO QuadInt canonical_associate euclid_div gcd "
     "ideal_generator is_associate splits",
 }

@@ -2,10 +2,10 @@
 and the identities and rechecks the suites and the tests rely on.
 
 Each suite compares a closed-form or generator path against the exhaustive
-triple enumerator (or a raw pair count, or the A/B delta recurrences) at a
-caller-chosen bound.  A suite yields one case per check, None or a
-counterexample, and one runner reports the number of checks up to the
-first counterexample.  The identities (divisor sums, totients and Moebius
+triple enumerator (or inclusion-exclusion pair counts, or the A/B delta
+recurrences) at a caller-chosen bound.  A suite yields one case per check,
+None or a counterexample, and one runner reports the number of checks up to
+the first counterexample.  The identities (divisor sums, totients and Moebius
 inversion computed from factorizations, totient sums sliced from a full
 sieve, the recheck of a leg-gap triple) recompute by a second route what
 the library computes once.  Nothing on the library's fast paths imports
@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
-from operator import countOf
+from itertools import starmap
 from typing import Iterable, Iterator
 
 from ._primes import factorize
@@ -34,7 +33,7 @@ from .density import (
 from .hyp_gap import family_triple, invert_to_family
 from .leg_gap import FSpec, FTriple, admissible_f, generate_f_triples
 from .pell import neg_pell_solution
-from .triples import Triple, iter_ppts
+from .triples import Triple, iter_ppt_rows, iter_ppts
 from .zsqrt2 import DELTA, QuadInt
 
 __all__ = [
@@ -44,6 +43,7 @@ __all__ = [
     "check_nonexistence",
     "check_pell",
     "check_density_cross",
+    "pair_count_rows",
     "RecurrencePair",
     "recurrence_coeffs",
     "apply_delta_power",
@@ -116,7 +116,7 @@ def check_f_coverage(
         f: {ft.triple.as_tuple() for ft in generate_f_triples(admissible_f(f), m_lo, m_hi)}
         for f in gaps
     }
-    legs = ((min(t.a, t.b), max(t.a, t.b), t.c) for t in iter_ppts(c_max))
+    legs = ((min(a, b), max(a, b), c) for c, a, b in iter_ppt_rows(c_max))
     return _first_failure("f-coverage", (
         None if (lo, hi, c) in generated[hi - lo]
         else f"({lo}, {hi}, {c}) missing from the f={hi - lo} sweep"
@@ -147,13 +147,13 @@ def check_nonexistence(
     """No enumerated triple carries an inadmissible hypotenuse or leg gap."""
     hyp, leg = set(hyp_gaps), set(leg_gaps)
 
-    def gap_found(t: Triple) -> str | None:
-        for gap in (t.c - t.a, t.c - t.b):
+    def gap_found(c: int, a: int, b: int) -> str | None:
+        for gap in (c - a, c - b):
             if gap in hyp:
-                return f"{t} has hypotenuse gap {gap}"
-        return f"{t} has leg gap {abs(t.a - t.b)}" if abs(t.a - t.b) in leg else None
+                return f"({a}, {b}, {c}) has hypotenuse gap {gap}"
+        return f"({a}, {b}, {c}) has leg gap {abs(a - b)}" if abs(a - b) in leg else None
 
-    return _first_failure("nonexistence", map(gap_found, iter_ppts(c_max)))
+    return _first_failure("nonexistence", starmap(gap_found, iter_ppt_rows(c_max)))
 
 
 @dataclass(frozen=True)
@@ -224,34 +224,46 @@ def _pell_cases(m_max: int, y_max: int) -> Iterator[str | None]:
             )
 
 
-def brute_pair_counts(b_max: int) -> dict[str, list[int]]:
-    """Prefix pair counts per parity class from a raw double loop with
-    explicit gcd tests; index B holds the count for bound B."""
-    pool = [0] * (b_max + 1)
-    go = [0] * (b_max + 1)
-    gee = [0] * (b_max + 1)
-    geo = [0] * (b_max + 1)
-    for k in range(2, b_max + 1):
-        # one gcd per pair (k, m), 0 < m < k; odd and even m counted apart
-        n_odd = countOf(map(math.gcd, repeat(k), range(1, k, 2)), 1)
-        n_even = countOf(map(math.gcd, repeat(k), range(2, k, 2)), 1)
-        odd_k = k % 2  # odd k: GO takes the odd m, GEE the even; even k: GEO the odd
-        pool[k] = pool[k - 1] + n_odd + n_even
-        go[k] = go[k - 1] + n_odd * odd_k
-        gee[k] = gee[k - 1] + n_even * odd_k
-        geo[k] = geo[k - 1] + n_odd * (1 - odd_k)
-    return {"pool": pool, "GO": go, "GEE": gee, "GEO": geo}
+def pair_count_rows(b_max: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Running pair counts (B, pool, GO, GEE, GEO) for B = 1..b_max.
+
+    pool counts the coprime pairs 0 < m < k <= B; GO those with k and m odd,
+    GEE k odd and m even, GEO k even and m odd.  The coprime m < k of each
+    parity come from inclusion-exclusion over the odd primes of k: an odd d
+    has q = (k - 1) // d multiples d*j below k, and d*j is odd exactly when
+    j is, so (q + 1) // 2 of them are odd.  An even k keeps only the odd m.
+    No gcd and no totient table is used.
+    """
+    pool = go = gee = geo = 0
+    for k in range(1, b_max + 1):
+        n_odd = n_even = 0
+        terms = [(1, 1)]  # (squarefree odd divisor d of k, moebius(d))
+        for p, _ in factorize(k):
+            if p != 2:
+                terms += [(d * p, -mu) for d, mu in terms]
+        for d, mu in terms:
+            q = (k - 1) // d  # multiples of d below k
+            n_odd += mu * ((q + 1) // 2)
+            n_even += mu * (q // 2)
+        if k % 2:  # odd k: GO takes the odd m, GEE the even
+            go += n_odd
+            gee += n_even
+            pool += n_odd + n_even
+        else:  # even k: every coprime m is odd
+            geo += n_odd
+            pool += n_odd
+        yield k, pool, go, gee, geo
 
 
 def check_density_cross(b_max: int) -> CheckReport:
-    """Formula-based counts match the raw pair enumeration at every bound.
+    """Formula-based counts match the inclusion-exclusion pair counts at
+    every bound 1..b_max, one bound at a time.
 
-    The raw counts fill four lists of b_max + 1 entries, so b_max itself,
-    not the totient table behind the formulas, must fit the budget.
+    The formulas memoize one totient sum per bound, so b_max itself, not
+    the totient table behind them, must fit the budget.
     """
     _check_budget(b_max)
     sums = TotientSums.up_to(b_max)
-    brute = brute_pair_counts(b_max)
     formulas = {
         "pool": count_pool,
         "GO": count_GO,
@@ -259,9 +271,9 @@ def check_density_cross(b_max: int) -> CheckReport:
         "GEO": count_GEO,
     }
     counts = (
-        (name, B, fn(B, sums), brute[name][B])
-        for B in range(1, b_max + 1)
-        for name, fn in formulas.items()
+        (name, B, fn(B, sums), want)
+        for B, *wants in pair_count_rows(b_max)
+        for (name, fn), want in zip(formulas.items(), wants)
     )
     return _first_failure("density-cross", (
         None if got == want else f"{name}({B}) formula gives {got}, enumeration gives {want}"

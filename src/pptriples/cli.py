@@ -188,7 +188,7 @@ def cmd_gen_f(args: argparse.Namespace) -> int:
 def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
     """The `check` record's fields by name, and the exit code."""
     from .hyp_gap import invert_to_family
-    from .triples import Triple, classify_triple, is_primitive, to_params
+    from .triples import Triple, classify_triple, to_params
 
     record = dict.fromkeys(RECORDS["check"])
     record.update(a=a, b=b, c=c, pythagorean=False)
@@ -198,7 +198,7 @@ def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
         return record, EXIT_NOT_PPT
     cls = classify_triple(t)
     record.update(pythagorean=True, primitive=cls.primitive, even_leg=cls.even_leg, f=cls.f)
-    if not is_primitive(t):
+    if not cls.primitive:
         return record, EXIT_NOT_PPT
     pair = to_params(t)
     gc, n = invert_to_family(t)

@@ -136,8 +136,10 @@ def _pair(leg: int, m: int, k: int) -> ParamPair | None:
 
 def _triple(leg: int, pair: ParamPair) -> Triple:
     """A leg-1 row keeps the odd leg first; a leg-2 row puts the even leg 2*k*m first."""
-    t = from_params(pair)
-    return t if leg == 1 else Triple(t.b, t.a, t.c)
+    if leg == 1:
+        return from_params(pair)
+    r, s = pair.r, pair.s
+    return Triple(2 * r * s, r * r - s * s, r * r + s * s)
 
 
 def _admissible(gc: GClass) -> GClass:

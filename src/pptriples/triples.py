@@ -2,8 +2,9 @@
 
 A primitive Pythagorean triple (PPT) is (a, b, c) with a**2 + b**2 = c**2 and
 no common divisor.  Every PPT arises as (r*r - s*s, 2*r*s, r*r + s*s) from a
-coprime, opposite-parity pair 0 < s < r, and `iter_ppts` built on that fact
-serves as the verification oracle for the rest of the package.
+coprime, opposite-parity pair 0 < s < r, and `iter_ppt_rows` built on that
+fact (with `iter_ppts`, its rows as `Triple`s) serves as the verification
+oracle for the rest of the package.
 """
 
 from __future__ import annotations
@@ -11,6 +12,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator
+
+__all__ = [
+    "Triple",
+    "ParamPair",
+    "TripleClass",
+    "from_params",
+    "is_primitive",
+    "primitive_from_params",
+    "to_params",
+    "classify_triple",
+    "normalize",
+    "iter_ppt_rows",
+    "iter_ppts",
+    "enumerate_ppts",
+]
 
 
 @dataclass(frozen=True)
@@ -126,13 +142,14 @@ _WINDOW_ROOTS = 64
 _WINDOW_FLOOR = 1 << 16
 
 
-def iter_ppts(c_max: int) -> Iterator[Triple]:
-    """Every PPT with hypotenuse <= c_max, odd leg first, in (c, a) order.
+def iter_ppt_rows(c_max: int) -> Iterator[tuple[int, int, int]]:
+    """Every PPT with hypotenuse <= c_max as a plain (c, a, b) tuple, odd leg
+    a first, in (c, a) order.
 
     Exhaustive over coprime opposite-parity parameter pairs; each triple
     appears exactly once.  Empty below the smallest hypotenuse 5.  The
     hypotenuses are swept one window [lo, hi) at a time, so only one
-    window's triples are held at once.
+    window's rows are held at once.
     """
     width = max(_WINDOW_FLOOR, _WINDOW_ROOTS * math.isqrt(max(c_max, 0)))
     gcd, isqrt = math.gcd, math.isqrt
@@ -154,9 +171,14 @@ def iter_ppts(c_max: int) -> Iterator[Triple]:
             ]
             r += 1
         window.sort()  # (c, a) is unique to a primitive triple
-        for c, a, b in window:
-            yield Triple(a, b, c)
+        yield from window
         lo = hi
+
+
+def iter_ppts(c_max: int) -> Iterator[Triple]:
+    """The rows of `iter_ppt_rows(c_max)` as validated `Triple`s, in its order."""
+    for c, a, b in iter_ppt_rows(c_max):
+        yield Triple(a, b, c)
 
 
 def enumerate_ppts(c_max: int) -> list[Triple]:

@@ -1,6 +1,8 @@
 import math
 import random
 from fractions import Fraction
+from itertools import repeat
+from operator import countOf
 
 import pytest
 
@@ -22,10 +24,10 @@ from pptriples import (
 )
 from pptriples import checks, density
 from pptriples.checks import (
-    brute_pair_counts,
     moebius,
     moebius_inversion_check,
     odd_part,
+    pair_count_rows,
     phi2,
     phi2_divisor_sum,
     sum_phi,
@@ -115,6 +117,25 @@ class TestSums:
             sum_phi(6001, sieve)
 
 
+def brute_pair_counts(b_max):
+    """Prefix pair counts per parity class from a raw double loop with
+    explicit gcd tests; index B holds the count for bound B."""
+    pool = [0] * (b_max + 1)
+    go = [0] * (b_max + 1)
+    gee = [0] * (b_max + 1)
+    geo = [0] * (b_max + 1)
+    for k in range(2, b_max + 1):
+        # one gcd per pair (k, m), 0 < m < k; odd and even m counted apart
+        n_odd = countOf(map(math.gcd, repeat(k), range(1, k, 2)), 1)
+        n_even = countOf(map(math.gcd, repeat(k), range(2, k, 2)), 1)
+        odd_k = k % 2  # odd k: GO takes the odd m, GEE the even; even k: GEO the odd
+        pool[k] = pool[k - 1] + n_odd + n_even
+        go[k] = go[k - 1] + n_odd * odd_k
+        gee[k] = gee[k - 1] + n_even * odd_k
+        geo[k] = geo[k - 1] + n_odd * (1 - odd_k)
+    return {"pool": pool, "GO": go, "GEE": gee, "GEO": geo}
+
+
 def test_formulas_match_enumeration_to_300(sums):
     brute = brute_pair_counts(300)
     for B in range(1, 301):
@@ -141,6 +162,28 @@ def test_brute_pair_counts_match_a_literal_double_loop():
         for name, counts in want.items():
             counts[k] = counts[k - 1] + row[name]
     assert brute_pair_counts(b_max) == want
+
+
+class TestPairCountRows:
+    """The inclusion-exclusion referee of `check_density_cross` against the
+    gcd double loop."""
+
+    @pytest.mark.parametrize("b_max", [1, 2, 3, 2000])
+    def test_matches_the_double_loop_at_every_bound(self, b_max):
+        brute = brute_pair_counts(b_max)
+        assert list(pair_count_rows(b_max)) == [
+            (B, brute["pool"][B], brute["GO"][B], brute["GEE"][B], brute["GEO"][B])
+            for B in range(1, b_max + 1)
+        ]
+
+    def test_density_cross_makes_no_gcd_call(self, monkeypatch):
+        # factorize reaches Pollard rho, its only gcd, for no k <= 2000 < 53**2
+        def refuse(*args):
+            raise AssertionError("gcd called")
+
+        monkeypatch.setattr(math, "gcd", refuse)
+        report = checks.check_density_cross(2000)
+        assert (report.checks, report.failures) == (8000, 0)
 
 
 def oracle_counts(B, sieve):

@@ -12,12 +12,13 @@ from pptriples import (
     enumerate_ppts,
     from_params,
     is_primitive,
+    iter_ppt_rows,
     iter_ppts,
     normalize,
     primitive_from_params,
     to_params,
 )
-from pptriples.triples import _WINDOW_FLOOR
+from pptriples.triples import _WINDOW_FLOOR, _WINDOW_ROOTS
 
 
 def reference_ppts(c_max):
@@ -158,6 +159,15 @@ class TestIterPpts:
         # compared as a stream, so only the reference list is held
         pairs = zip_longest(iter_ppts(c_max), reference_ppts(c_max))
         assert all(t == ref for t, ref in pairs)
+
+    @pytest.mark.parametrize(
+        "c_max", [0, 4, 5, _WINDOW_FLOOR - 1, _WINDOW_FLOOR, _WINDOW_FLOOR + 1, 1_100_000]
+    )
+    def test_rows_are_the_triples_as_tuples(self, c_max):
+        # the last bound is above 1025**2, where windows are wider than the floor
+        assert _WINDOW_ROOTS * math.isqrt(1_100_000) > _WINDOW_FLOOR
+        pairs = zip_longest(iter_ppt_rows(c_max), iter_ppts(c_max))
+        assert all(t is not None and row == (t.c, t.a, t.b) for row, t in pairs)
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 2 * 10**5), st.integers(0, 2 * 10**5))
