@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import starmap
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ._primes import factorize
 from .density import (
@@ -63,8 +62,7 @@ HYP_GAP_SAMPLE = (3, 5, 6, 7, 10, 11, 12)
 LEG_GAP_SAMPLE = (3, 5, 11, 13, 19, 21)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     scope: str
     checks: int
     failures: int
@@ -156,8 +154,7 @@ def check_nonexistence(
     return _first_failure("nonexistence", starmap(gap_found, iter_ppt_rows(c_max)))
 
 
-@dataclass(frozen=True)
-class RecurrencePair:
+class RecurrencePair(NamedTuple):
     n: int
     A: int
     B: int
@@ -229,18 +226,24 @@ def pair_count_rows(b_max: int) -> Iterator[tuple[int, int, int, int, int]]:
 
     pool counts the coprime pairs 0 < m < k <= B; GO those with k and m odd,
     GEE k odd and m even, GEO k even and m odd.  The coprime m < k of each
-    parity come from inclusion-exclusion over the odd primes of k: an odd d
-    has q = (k - 1) // d multiples d*j below k, and d*j is odd exactly when
-    j is, so (q + 1) // 2 of them are odd.  An even k keeps only the odd m.
-    No gcd and no totient table is used.
+    parity come from inclusion-exclusion over the odd primes of k, found by
+    trial division: an odd d has q = (k - 1) // d multiples d*j below k, and
+    d*j is odd exactly when j is, so (q + 1) // 2 of them are odd.  An even
+    k keeps only the odd m.  No gcd and no totient table is used.
     """
     pool = go = gee = geo = 0
     for k in range(1, b_max + 1):
         n_odd = n_even = 0
         terms = [(1, 1)]  # (squarefree odd divisor d of k, moebius(d))
-        for p, _ in factorize(k):
-            if p != 2:
+        rest, p = odd_part(k), 3
+        while rest > 1:
+            if p * p > rest:
+                p = rest  # no factor up to its square root: rest is prime
+            if rest % p == 0:
                 terms += [(d * p, -mu) for d, mu in terms]
+                while rest % p == 0:
+                    rest //= p
+            p += 2
         for d, mu in terms:
             q = (k - 1) // d  # multiples of d below k
             n_odd += mu * ((q + 1) // 2)

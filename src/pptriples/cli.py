@@ -155,7 +155,7 @@ def cmd_gen_g(args: argparse.Namespace) -> int:
     items = iter_g_family(args.g, args.count)
     write_records(
         args.format, sys.stdout, "g_family_item",
-        ((it.n, it.k, it.r, it.s, *it.triple.as_tuple(), it.stride, it.offset) for it in items),
+        ((n, k, r, s, *t, stride, offset) for n, k, r, s, t, stride, offset in items),
         meta=[("g_class", (gc.g, gc.kind.value, gc.m))],
         comments=[f"g={gc.g} kind={gc.kind.value} m={gc.m}"],
     )
@@ -171,10 +171,7 @@ def cmd_gen_f(args: argparse.Namespace) -> int:
     factor_text = " ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in spec.factorization)
     write_records(
         args.format, sys.stdout, "f_triple",
-        (
-            (*ft.triple.as_tuple(), ft.m, ft.sign, ft.cf_choice.u.x, ft.cf_choice.u.y)
-            for ft in triples
-        ),
+        ((*ft.triple, ft.m, ft.sign, *ft.cf_choice.u) for ft in triples),
         meta=[("f_spec", (spec.f, spec.admissible, [list(pe) for pe in spec.factorization]))]
         + [("cf_element", (elem.u.x, elem.u.y, list(elem.choices))) for elem in elements],
         comments=[

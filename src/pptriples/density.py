@@ -19,10 +19,9 @@ from __future__ import annotations
 import enum
 import os
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._primes import SieveBudgetError
 
@@ -50,8 +49,7 @@ DEFAULT_SIEVE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "PPT_SIEVE_BUDGET"
 
 
-@dataclass
-class TotientSieve:
+class TotientSieve(NamedTuple):
     """The table of phi(1..bound); index 0 is unused.
 
     `TotientSums` reads it as its prefix table, of about top^(2/3) entries
@@ -227,8 +225,7 @@ def count_G1(B: int) -> int:
     return B - 1
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(NamedTuple):
     """One row of a density sweep; the ratio is kept as an exact rational."""
 
     B: int

@@ -24,8 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ._primes import InadmissibleError
 from .triples import ParamPair, Triple, from_params, is_primitive
@@ -51,8 +50,7 @@ class GKind(enum.Enum):
     INADMISSIBLE = "inadmissible"
 
 
-@dataclass(frozen=True)
-class GClass:
+class GClass(NamedTuple):
     """Admissibility class of a gap; inadmissible values record the failed tests."""
 
     g: int
@@ -65,8 +63,7 @@ class GClass:
         return self.kind is not GKind.INADMISSIBLE
 
 
-@dataclass(frozen=True)
-class GFamilyItem:
+class GFamilyItem(NamedTuple):
     n: int
     k: int  # the multiplier step*n + start of the family's table row
     r: int

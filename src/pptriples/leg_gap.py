@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 # factorize, gamma_delta_power and ideal_generator are called through their
 # modules, so a function swapped there (a tracer, a test) is the one called
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FSpec:
+class FSpec(NamedTuple):
     """A leg gap with its factorization, admissibility verdict and, if it is
     admissible, one prime-element generator per prime factor, in order."""
 
@@ -56,8 +54,7 @@ class FSpec:
     generators: tuple[QuadInt, ...] = ()
 
 
-@dataclass(frozen=True)
-class CfElement:
+class CfElement(NamedTuple):
     """A norm +/-f element; choices[i] = 0 picks the generator of the i-th
     prime factor, 1 its conjugate."""
 
@@ -65,8 +62,7 @@ class CfElement:
     choices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FTriple:
+class FTriple(NamedTuple):
     """A generated triple with its branch provenance and Pell components
     X = 2a + f, Y = c."""
 

@@ -8,22 +8,25 @@ A/B integer recurrences live in `checks` as the independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import Iterable
 
 from .zsqrt2 import DELTA, GAMMA, QuadInt
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class PellSolution(namedtuple("PellSolution", "x y m")):
     """Components of GAMMA * DELTA**m; validates x**2 - 2*y**2 = -1."""
 
-    x: int
-    y: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.x * self.x - 2 * self.y * self.y != -1:
-            raise ValueError(f"({self.x}, {self.y}) does not solve x^2 - 2y^2 = -1")
+    def __new__(cls, x: int, y: int, m: int) -> PellSolution:
+        if x * x - 2 * y * y != -1:
+            raise ValueError(f"({x}, {y}) does not solve x^2 - 2y^2 = -1")
+        return tuple.__new__(cls, (x, y, m))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> PellSolution:
+        return cls(*iterable)
 
 
 def gamma_delta_power(m: int) -> QuadInt:

@@ -10,8 +10,8 @@ oracle for the rest of the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "Triple",
@@ -29,19 +29,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Triple:
-    """An immutable Pythagorean triple; validates its identity eagerly."""
+class Triple(namedtuple("Triple", "a b c")):
+    """An immutable Pythagorean triple; validates it on every constructor path."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a <= 0 or self.b <= 0 or self.c <= 0:
-            raise ValueError(f"triple entries must be positive: {self.as_tuple()}")
-        if self.a * self.a + self.b * self.b != self.c * self.c:
-            raise ValueError(f"not a Pythagorean triple: {self.as_tuple()}")
+    def __new__(cls, a: int, b: int, c: int) -> Triple:
+        if a <= 0 or b <= 0 or c <= 0:
+            raise ValueError(f"triple entries must be positive: {(a, b, c)}")
+        if a * a + b * b != c * c:
+            raise ValueError(f"not a Pythagorean triple: {(a, b, c)}")
+        return tuple.__new__(cls, (a, b, c))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> Triple:
+        # the base's _make, which _replace calls, would skip the check in __new__
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
@@ -50,23 +53,25 @@ class Triple:
         return f"({self.a}, {self.b}, {self.c})"
 
 
-@dataclass(frozen=True)
-class ParamPair:
+class ParamPair(namedtuple("ParamPair", "r s")):
     """A parameter pair 0 < s < r for the classical triple form."""
 
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.s < self.r:
-            raise ValueError(f"need 0 < s < r, got r={self.r}, s={self.s}")
+    def __new__(cls, r: int, s: int) -> ParamPair:
+        if not 0 < s < r:
+            raise ValueError(f"need 0 < s < r, got r={r}, s={s}")
+        return tuple.__new__(cls, (r, s))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> ParamPair:
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.r, self.s)
 
 
-@dataclass(frozen=True)
-class TripleClass:
+class TripleClass(NamedTuple):
     """Derived facts about a triple: primitivity, even leg, and its two gaps."""
 
     primitive: bool

@@ -7,15 +7,16 @@ splits into a conjugate pair of prime elements of norm +/-p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._primes import is_prime
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(NamedTuple):
+    """x + y*sqrt(2).  + - * are the ring's, an int n on either side read as
+    (n, 0); any other operand, a plain tuple among them, is a TypeError."""
+
     x: int
     y: int
 
@@ -26,16 +27,13 @@ class QuadInt:
         return f"{self.x}{self.y:+}√2"
 
     def __add__(self, other: QuadInt | int) -> QuadInt:
-        if isinstance(other, int):
-            other = QuadInt(other, 0)
-        if not isinstance(other, QuadInt):
-            return NotImplemented
-        return QuadInt(self.x + other.x, self.y + other.y)
+        x, y = _ring_operand(other)
+        return QuadInt(self.x + x, self.y + y)
 
     __radd__ = __add__
 
     def __sub__(self, other: QuadInt | int) -> QuadInt:
-        return self + (-(other if isinstance(other, QuadInt) else QuadInt(other, 0)))
+        return self + -_ring_operand(other)
 
     def __rsub__(self, other: QuadInt | int) -> QuadInt:
         return (-self) + other
@@ -44,14 +42,8 @@ class QuadInt:
         return QuadInt(-self.x, -self.y)
 
     def __mul__(self, other: QuadInt | int) -> QuadInt:
-        if isinstance(other, int):
-            return QuadInt(self.x * other, self.y * other)
-        if not isinstance(other, QuadInt):
-            return NotImplemented
-        return QuadInt(
-            self.x * other.x + 2 * self.y * other.y,
-            self.x * other.y + self.y * other.x,
-        )
+        x, y = _ring_operand(other)
+        return QuadInt(self.x * x + 2 * self.y * y, self.x * y + self.y * x)
 
     __rmul__ = __mul__
 
@@ -94,6 +86,15 @@ class QuadInt:
 
     def __mod__(self, other: QuadInt) -> QuadInt:
         return euclid_div(self, other)[1]
+
+
+def _ring_operand(v: QuadInt | int) -> QuadInt:
+    """A ring operand as an element; a plain tuple or anything else is a TypeError."""
+    if isinstance(v, QuadInt):
+        return v
+    if isinstance(v, int):
+        return QuadInt(v, 0)
+    raise TypeError(f"unsupported operand for Z[sqrt(2)] arithmetic: {type(v).__name__}")
 
 
 ZERO = QuadInt(0, 0)

@@ -115,11 +115,19 @@ FOOTPRINTS = {
 
 
 def test_each_command_loads_only_its_layers():
+    """No command loads `dataclasses` (and the `inspect` and `ast` behind it)
+    either, unless the interpreter's own start-up (`site`) already has."""
+    has_dataclasses = "'dataclasses' in sys.modules"
+    bare = subprocess.run(
+        [sys.executable, "-c", f"import sys; print({has_dataclasses})"],
+        capture_output=True, text=True, env=child_env(), check=True,
+    )
     probe = (
         "import contextlib, io, sys, pptriples.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = pptriples.cli.main(sys.argv[1:])\n"
-        "print(code, *sorted(m for m in sys.modules if m.startswith('pptriples.')))"
+        f"print(code, {has_dataclasses}, "
+        "*sorted(m for m in sys.modules if m.startswith('pptriples.')))"
     )
     for argv, layers in FOOTPRINTS.items():
         proc = subprocess.run(
@@ -128,7 +136,7 @@ def test_each_command_loads_only_its_layers():
         )
         loaded = " ".join(sorted(f"pptriples.{name}" for name in layers | {"cli"}))
         assert (argv, proc.returncode, proc.stdout, proc.stderr) == (
-            argv, 0, f"0 {loaded}\n", ""
+            argv, 0, f"0 {bare.stdout.strip()} {loaded}\n", ""
         )
 
 

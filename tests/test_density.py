@@ -176,14 +176,16 @@ class TestPairCountRows:
             for B in range(1, b_max + 1)
         ]
 
-    def test_density_cross_makes_no_gcd_call(self, monkeypatch):
-        # factorize reaches Pollard rho, its only gcd, for no k <= 2000 < 53**2
+    @pytest.mark.parametrize("b_max", [2000, 3000])
+    def test_density_cross_makes_no_gcd_call(self, monkeypatch, b_max):
+        # trial division needs no gcd at any bound; `factorize` would reach
+        # Pollard rho, and its gcd, from k = 53**2 = 2809 on
         def refuse(*args):
             raise AssertionError("gcd called")
 
         monkeypatch.setattr(math, "gcd", refuse)
-        report = checks.check_density_cross(2000)
-        assert (report.checks, report.failures) == (8000, 0)
+        report = checks.check_density_cross(b_max)
+        assert (report.checks, report.failures) == (4 * b_max, 0)
 
 
 def oracle_counts(B, sieve):

@@ -62,6 +62,16 @@ def test_neg_pell_solutions_up_to_50():
 def test_pell_solution_validates():
     with pytest.raises(ValueError):
         PellSolution(2, 1, 0)
+    sol = neg_pell_solution(1)  # an immutable named tuple, checked on every path
+    with pytest.raises(ValueError):
+        PellSolution._make((7, 6, 1))
+    with pytest.raises(ValueError):
+        sol._replace(y=6)
+    assert type(sol._replace(m=5)) is PellSolution  # m is not checked
+    with pytest.raises(AttributeError):
+        sol.x = 1
+    with pytest.raises(AttributeError):
+        sol.extra = 1
 
 
 def test_delta_power_negative_exponent():

@@ -78,6 +78,48 @@ class TestParamPair:
             ParamPair(r, s)
 
 
+class TestRecords:
+    """`Triple` and `ParamPair` are immutable named tuples that validate on
+    every constructor path."""
+
+    @pytest.mark.parametrize("record,bad", [
+        (Triple(3, 4, 5), {"c": 6}),
+        (Triple(3, 4, 5), {"a": -3}),
+        (ParamPair(2, 1), {"s": 2}),
+        (ParamPair(2, 1), {"r": 0}),
+    ])
+    def test_every_constructor_path_validates(self, record, bad):
+        fields = record._asdict() | bad
+        with pytest.raises(ValueError):
+            type(record)(**fields)
+        with pytest.raises(ValueError):
+            type(record)._make(fields.values())
+        with pytest.raises(ValueError):
+            record._replace(**bad)
+
+    @pytest.mark.parametrize("record", [Triple(3, 4, 5), ParamPair(2, 1)])
+    def test_valid_paths_keep_the_type(self, record):
+        for built in (type(record)._make(record), record._replace(), type(record)(*record)):
+            assert type(built) is type(record) and built == record
+
+    @pytest.mark.parametrize("record", [
+        Triple(3, 4, 5), ParamPair(2, 1), classify_triple(Triple(3, 4, 5))
+    ])
+    def test_immutable(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 1)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_a_record_is_its_tuple(self):
+        t = Triple(3, 4, 5)
+        assert t == (3, 4, 5) and hash(t) == hash((3, 4, 5))
+        assert str(t) == "(3, 4, 5)" and repr(t) == "Triple(a=3, b=4, c=5)"
+        a, b, c = t
+        assert (a, b, c, t[2]) == (3, 4, 5, 5)
+        assert Triple(3, 4, 5) < Triple(5, 12, 13)
+
+
 def test_from_params_examples():
     assert from_params(ParamPair(2, 1)).as_tuple() == (3, 4, 5)
     assert from_params(ParamPair(4, 1)).as_tuple() == (15, 8, 17)

@@ -56,6 +56,34 @@ class TestArithmetic:
     def test_norm_of_conjugate_product(self, u):
         assert (u * u.conjugate()).norm == u.norm**2
 
+    def test_an_int_on_either_side_is_ring_arithmetic(self):
+        q = QuadInt(1, 2)
+        cases = [
+            (3 * q, QuadInt(3, 6)), (q * 3, QuadInt(3, 6)),
+            (1 + q, QuadInt(2, 2)), (q + 1, QuadInt(2, 2)),
+            (1 - q, QuadInt(0, -2)), (q - 1, QuadInt(0, 2)),
+            (0 * q, ZERO), (sum([q, q]), QuadInt(2, 4)),
+        ]
+        for got, want in cases:
+            assert type(got) is QuadInt and got == want
+
+    @pytest.mark.parametrize("other", [(3, 4), (), [3, 4], 2.0, "x"])
+    def test_no_tuple_concatenation_or_repetition(self, other):
+        q = QuadInt(1, 2)
+        for op in (
+            lambda: q + other, lambda: other + q, lambda: q - other,
+            lambda: other - q, lambda: q * other, lambda: other * q,
+        ):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_immutable(self):
+        q = QuadInt(1, 2)
+        with pytest.raises(AttributeError):
+            q.x = 3
+        with pytest.raises(AttributeError):
+            q.extra = 3
+
     def test_pow(self):
         assert GAMMA**2 == DELTA
         assert DELTA**0 == ONE
