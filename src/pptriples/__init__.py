@@ -16,14 +16,14 @@ _EXPORTS = {
     "density": "DensityRow Family TotientSieve TotientSums build_sieve count_G1 count_GEE "
     "count_GEO count_GO count_pool density_report render_ratio",
     "hyp_gap": "GClass GFamilyItem GKind classify_g family_params family_triple "
-    "generate_g_family invert_to_family iter_g_family leg_from_gap",
+    "generate_g_family invert_to_family iter_g_family",
     "leg_gap": "CfElement FSpec FTriple admissible_f cf_elements generate_f_triples "
-    "iter_f_triples pell_recast",
+    "iter_f_triples",
     "pell": "PellSolution gamma_delta_power neg_pell_solution",
     "triples": "ParamPair Triple TripleClass classify_triple enumerate_ppts from_params "
-    "is_primitive iter_ppt_rows iter_ppts normalize primitive_from_params to_params",
+    "is_primitive iter_ppt_rows iter_ppts to_params",
     "zsqrt2": "DELTA GAMMA ONE SQRT2 ZERO QuadInt canonical_associate euclid_div gcd "
-    "ideal_generator is_associate splits",
+    "ideal_generator splits",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

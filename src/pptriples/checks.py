@@ -7,9 +7,10 @@ recurrences) at a caller-chosen bound.  A suite yields one case per check,
 None or a counterexample, and one runner reports the number of checks up to
 the first counterexample.  The identities (divisor sums, totients and Moebius
 inversion computed from factorizations, totient sums sliced from a full
-sieve, the recheck of a leg-gap triple) recompute by a second route what
-the library computes once.  Nothing on the library's fast paths imports
-this module; of the CLI commands only `verify` loads it.
+sieve, the recheck of a leg-gap triple, the leg across a hypotenuse gap,
+associates in Z[sqrt(2)]) recompute by a second route what the library
+computes once.  Nothing on the library's fast paths imports this module; of
+the CLI commands only `verify` loads it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ __all__ = [
     "recurrence_coeffs",
     "apply_delta_power",
     "verify_f_triple",
+    "leg_from_gap",
+    "is_associate",
     "divisors",
     "totient",
     "moebius",
@@ -60,6 +63,7 @@ __all__ = [
 
 HYP_GAP_SAMPLE = (3, 5, 6, 7, 10, 11, 12)
 LEG_GAP_SAMPLE = (3, 5, 11, 13, 19, 21)
+PELL_Y_MAX = 100_000  # the exhaustive converse of `check_pell` runs over 0 < y <= this
 
 
 class CheckReport(NamedTuple):
@@ -111,7 +115,7 @@ def check_f_coverage(
     """Every enumerated triple with legs `f` apart shows up in the
     exponent sweep, for each sampled admissible f."""
     generated = {
-        f: {ft.triple.as_tuple() for ft in generate_f_triples(admissible_f(f), m_lo, m_hi)}
+        f: {ft.triple for ft in generate_f_triples(admissible_f(f), m_lo, m_hi)}
         for f in gaps
     }
     legs = ((min(a, b), max(a, b), c) for c, a, b in iter_ppt_rows(c_max))
@@ -135,6 +139,26 @@ def verify_f_triple(ft: FTriple, spec: FSpec) -> bool:
         and ft.Y == t.c
         and ft.X * ft.X - 2 * ft.Y * ft.Y == -f * f
     )
+
+
+def leg_from_gap(a: int, g: int) -> int | None:
+    """The leg b with (a, b, b+g) Pythagorean, when it is a positive integer.
+
+    Solving a*a + b*b = (b+g)**2 gives b = (a*a - g*g) / (2*g).
+    """
+    if g < 1:
+        raise ValueError(f"gap must be a positive integer, got {g}")
+    num = a * a - g * g
+    if num <= 0 or num % (2 * g):
+        return None
+    return num // (2 * g)
+
+
+def is_associate(u: QuadInt, v: QuadInt) -> bool:
+    """True iff u and v differ by a unit factor."""
+    if u.is_zero() or v.is_zero():
+        return u.is_zero() and v.is_zero()
+    return (u % v).is_zero() and (v % u).is_zero()
 
 
 def check_nonexistence(
@@ -185,13 +209,13 @@ def apply_delta_power(t: QuadInt, n: int) -> QuadInt:
     return QuadInt(rc.A * j + 2 * rc.B * k, rc.A * k + rc.B * j)
 
 
-def check_pell(m_max: int, y_max: int = 100_000) -> CheckReport:
+def check_pell(m_max: int) -> CheckReport:
     """Negative Pell solutions, recurrence vs plain multiplication, and the
-    exhaustive converse over 0 < y <= y_max."""
-    return _first_failure("pell", _pell_cases(m_max, y_max))
+    exhaustive converse over 0 < y <= PELL_Y_MAX."""
+    return _first_failure("pell", _pell_cases(m_max))
 
 
-def _pell_cases(m_max: int, y_max: int) -> Iterator[str | None]:
+def _pell_cases(m_max: int) -> Iterator[str | None]:
     """The `check_pell` cases: solutions, then the recurrence, then the converse."""
     for m in range(-m_max, m_max + 1):
         try:
@@ -209,10 +233,10 @@ def _pell_cases(m_max: int, y_max: int) -> Iterator[str | None]:
             acc = acc * DELTA
     known = set()
     m = 0
-    while (sol := neg_pell_solution(m)).y <= y_max:
+    while (sol := neg_pell_solution(m)).y <= PELL_Y_MAX:
         known.add((sol.x, sol.y))
         m += 1
-    for y in range(1, y_max + 1):
+    for y in range(1, PELL_Y_MAX + 1):
         t = 2 * y * y - 1
         x = math.isqrt(t)
         if x * x == t:

@@ -184,8 +184,8 @@ def cmd_gen_f(args: argparse.Namespace) -> int:
 
 def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
     """The `check` record's fields by name, and the exit code."""
-    from .hyp_gap import invert_to_family
-    from .triples import Triple, classify_triple, to_params
+    from .hyp_gap import family_params, invert_to_family
+    from .triples import Triple, classify_triple
 
     record = dict.fromkeys(RECORDS["check"])
     record.update(a=a, b=b, c=c, pythagorean=False)
@@ -197,8 +197,8 @@ def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
     record.update(pythagorean=True, primitive=cls.primitive, even_leg=cls.even_leg, f=cls.f)
     if not cls.primitive:
         return record, EXIT_NOT_PPT
-    pair = to_params(t)
     gc, n = invert_to_family(t)
+    pair = family_params(gc, n)
     record.update(r=pair.r, s=pair.s, g=t.c - t.b, g_kind=gc.kind.value, g_m=gc.m, g_n=n)
     return record, EXIT_OK
 

@@ -84,18 +84,18 @@ def sieve_budget() -> int:
     return value
 
 
-def _check_budget(bound: int, budget: int | None = None) -> None:
-    """Refuse a table of `bound` entries above the budget (default: `sieve_budget()`)."""
-    limit = sieve_budget() if budget is None else budget
+def _check_budget(bound: int) -> None:
+    """Refuse a table of `bound` entries above `sieve_budget()`."""
+    limit = sieve_budget()
     if bound > limit:
         raise SieveBudgetError(f"sieve bound {bound} exceeds budget {limit}")
 
 
-def build_sieve(bound: int, budget: int | None = None) -> TotientSieve:
+def build_sieve(bound: int) -> TotientSieve:
     """Build the phi table up to `bound` with a single linear sieve."""
     if bound < 1:
         raise ValueError(f"sieve bound must be positive, got {bound}")
-    _check_budget(bound, budget)
+    _check_budget(bound)
     phi = array("q", [0]) * (bound + 1)
     phi[1] = 1
     primes: list[int] = []
@@ -235,11 +235,11 @@ class DensityRow(NamedTuple):
     predicted: Fraction
 
 
-def render_ratio(value: Fraction, places: int = 6) -> str:
-    """Fixed-point decimal rendering of a nonnegative rational, half up."""
-    scale = 10**places
+def render_ratio(value: Fraction) -> str:
+    """Fixed-point decimal rendering of a nonnegative rational, half up, to six places."""
+    scale = 10**6
     q = (2 * value.numerator * scale + value.denominator) // (2 * value.denominator)
-    return f"{q // scale}.{q % scale:0{places}d}"
+    return f"{q // scale}.{q % scale:06d}"
 
 
 # family -> (family count at bound B, limiting share of the pool)
@@ -251,17 +251,13 @@ _FAMILIES = {
 }
 
 
-def density_report(
-    family: Family,
-    grid: Sequence[int],
-    sums: TotientSums | None = None,
-) -> list[DensityRow]:
+def density_report(family: Family, grid: Sequence[int]) -> list[DensityRow]:
     """Exact family and pool counts with the limiting prediction per bound.
 
     The grid must be ascending with entries >= 2 (a pool exists only from
     B = 2 on).  Predictions are the asymptotic ratios 1/3 (parity classes)
     and 0 (the single gap-1 family against a quadratically growing pool).
-    Every row reads one `TotientSums`, by default over a table of
+    Every row reads one `TotientSums` over a table of
     `table_bound(max(grid))` entries, which the budget bounds.
     """
     family = Family(family)
@@ -271,8 +267,7 @@ def density_report(
         raise ValueError("grid entries must be >= 2")
     if list(grid) != sorted(set(grid)):
         raise ValueError("grid must be strictly ascending")
-    if sums is None:
-        sums = TotientSums.up_to(max(grid))
+    sums = TotientSums.up_to(max(grid))
     count, predicted = _FAMILIES[family]
     rows = []
     for B in grid:

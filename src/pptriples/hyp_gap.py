@@ -27,14 +27,13 @@ import math
 from typing import Iterator, NamedTuple
 
 from ._primes import InadmissibleError
-from .triples import ParamPair, Triple, from_params, is_primitive
+from .triples import ParamPair, Triple, from_params, to_params
 
 __all__ = [
     "GKind",
     "GClass",
     "GFamilyItem",
     "classify_g",
-    "leg_from_gap",
     "family_params",
     "family_triple",
     "iter_g_family",
@@ -93,19 +92,6 @@ def classify_g(g: int) -> GClass:
         None,
         reasons=("not an odd square", "not twice a square"),
     )
-
-
-def leg_from_gap(a: int, g: int) -> int | None:
-    """The leg b with (a, b, b+g) Pythagorean, when it is a positive integer.
-
-    Solving a*a + b*b = (b+g)**2 gives b = (a*a - g*g) / (2*g).
-    """
-    if g < 1:
-        raise ValueError(f"gap must be a positive integer, got {g}")
-    num = a * a - g * g
-    if num <= 0 or num % (2 * g):
-        return None
-    return num // (2 * g)
 
 
 # kind -> (leg, step, start): the multiplier k = step*n + start, first leg a = leg*m*k
@@ -200,17 +186,13 @@ def generate_g_family(g: int, count: int) -> list[GFamilyItem]:
 def invert_to_family(t: Triple) -> tuple[GClass, int]:
     """Family coordinates (class, n) of a primitive triple read as (a, b, b+g).
 
-    The gap c - b of a primitive triple is always admissible: it is an odd
-    square when b is the even leg and twice a square otherwise.  The index
-    comes from the first leg a = leg*m*k of the class's table row.
+    The parameter pair (r, s) of t gives both.  When b = 2rs is the even leg
+    the gap is the odd square (r - s)**2 and the multiplier is k = r + s;
+    otherwise the gap is 2*s*s and k = r.  Non-primitive input, which has no
+    parameter pair, raises ValueError.
     """
-    if not is_primitive(t):
-        raise ValueError(f"{t} is not primitive")
+    r, s = to_params(t)
     gc = classify_g(t.c - t.b)
-    assert gc.admissible and gc.m is not None, "primitive triples have admissible gaps"
-    leg, step, start = _ROWS[gc.kind]
-    k, rem = divmod(t.a, leg * gc.m)
-    n = (k - start) // step
-    if rem or family_triple(gc, n) != t:
-        raise ValueError(f"{t} does not invert to a gap family")
-    return gc, n
+    _, step, start = _ROWS[gc.kind]
+    k = r + s if t.b % 2 == 0 else r
+    return gc, (k - start) // step

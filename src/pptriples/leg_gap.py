@@ -36,7 +36,6 @@ __all__ = [
     "CfElement",
     "FTriple",
     "admissible_f",
-    "pell_recast",
     "cf_elements",
     "iter_f_triples",
     "generate_f_triples",
@@ -91,16 +90,6 @@ def admissible_f(f: int) -> FSpec:
     )
     generators = () if reasons else tuple(zsqrt2.ideal_generator(p) for p, _ in factorization)
     return FSpec(f, factorization, not reasons, reasons, generators)
-
-
-def pell_recast(t: Triple, f: int) -> tuple[int, int]:
-    """(X, Y) = (2a + f, c) for a triple with legs a < b = a + f.
-
-    The Pythagorean identity turns into X*X - 2*Y*Y = -f*f exactly.
-    """
-    if t.b - t.a != f:
-        raise ValueError(f"legs of {t} differ by {t.b - t.a}, not {f}")
-    return 2 * t.a + f, t.c
 
 
 def cf_elements(spec: FSpec) -> list[CfElement]:

@@ -19,10 +19,8 @@ __all__ = [
     "TripleClass",
     "from_params",
     "is_primitive",
-    "primitive_from_params",
     "to_params",
     "classify_triple",
-    "normalize",
     "iter_ppt_rows",
     "iter_ppts",
     "enumerate_ppts",
@@ -46,9 +44,6 @@ class Triple(namedtuple("Triple", "a b c")):
         # the base's _make, which _replace calls, would skip the check in __new__
         return cls(*iterable)
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
 
@@ -66,9 +61,6 @@ class ParamPair(namedtuple("ParamPair", "r s")):
     @classmethod
     def _make(cls, iterable: Iterable[int]) -> ParamPair:
         return cls(*iterable)
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.r, self.s)
 
 
 class TripleClass(NamedTuple):
@@ -91,28 +83,20 @@ def is_primitive(t: Triple) -> bool:
     return math.gcd(t.a, t.b) == 1
 
 
-def primitive_from_params(p: ParamPair) -> bool:
-    """True iff the pair generates a primitive triple.
-
-    Requires gcd(r, s) = 1 and opposite parity; a coprime pair of two odds
-    yields a triple with all entries even.
-    """
-    return math.gcd(p.r, p.s) == 1 and (p.r - p.s) % 2 == 1
-
-
 def to_params(t: Triple) -> ParamPair:
     """The unique parameter pair of a primitive triple.
 
-    With o the odd leg, r*r = (c + o) / 2 and s*s = (c - o) / 2.  Rejects
-    non-primitive input (composite triples have no primitive preimage).
+    With o the odd leg, r*r = (c + o) / 2 and s*s = (c - o) / 2.  The pair
+    is also the primitivity test, on numbers of half the size: t is
+    primitive exactly when both are squares of a coprime, opposite-parity
+    pair (a coprime pair of two odds yields a triple with all entries even).
+    Non-primitive input raises ValueError.
     """
-    if not is_primitive(t):
-        raise ValueError(f"{t} is not primitive; no parameter preimage")
     odd = t.a if t.a % 2 else t.b
     r2, s2 = (t.c + odd) // 2, (t.c - odd) // 2
     r, s = math.isqrt(r2), math.isqrt(s2)
-    if r * r != r2 or s * s != s2:
-        raise ValueError(f"{t} has no parameter preimage")
+    if r * r != r2 or s * s != s2 or (r - s) % 2 == 0 or math.gcd(r, s) != 1:
+        raise ValueError(f"{t} is not primitive; no parameter preimage")
     return ParamPair(r, s)
 
 
@@ -131,13 +115,6 @@ def classify_triple(t: Triple) -> TripleClass:
         g=t.c - max(t.a, t.b),
         f=abs(t.b - t.a),
     )
-
-
-def normalize(t: Triple) -> Triple:
-    """Reorder the legs as (odd leg, even leg, hypotenuse)."""
-    if (t.a + t.b) % 2 == 0:
-        raise ValueError(f"{t} has legs of equal parity; no odd/even normal form")
-    return t if t.a % 2 else Triple(t.b, t.a, t.c)
 
 
 # A window of hypotenuses spans _WINDOW_ROOTS * isqrt(c_max) values, at least

@@ -172,13 +172,6 @@ def canonical_associate(u: QuadInt) -> QuadInt:
     return min(candidates, key=_canonical_key)
 
 
-def is_associate(u: QuadInt, v: QuadInt) -> bool:
-    """True iff u and v differ by a unit factor."""
-    if u.is_zero() or v.is_zero():
-        return u.is_zero() and v.is_zero()
-    return (u % v).is_zero() and (v % u).is_zero()
-
-
 def gcd(alpha: QuadInt, beta: QuadInt) -> QuadInt:
     """A greatest common divisor, in canonical associate form."""
     if alpha.is_zero() and beta.is_zero():

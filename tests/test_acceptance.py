@@ -117,13 +117,13 @@ def test_criterion_05_f_family_spot_values():
     with criterion("criterion 5: f-family spot values") as c:
         spec1 = admissible_f(1)
         got1 = generate_f_triples(spec1, 1, 2)
-        assert sorted(ft.triple.as_tuple() for ft in got1) == [(3, 4, 5), (20, 21, 29)]
+        assert sorted(ft.triple for ft in got1) == [(3, 4, 5), (20, 21, 29)]
         assert all(verify_f_triple(ft, spec1) for ft in got1)
 
         spec7 = admissible_f(7)
         got7 = generate_f_triples(spec7, 0, 1)
         assert all(verify_f_triple(ft, spec7) for ft in got7)
-        by_triple = {ft.triple.as_tuple(): ft for ft in got7}
+        by_triple = {ft.triple: ft for ft in got7}
         # hand-derived values from the generator branch u with norm(u) = 7
         assert by_triple[(8, 15, 17)].m == 0
         assert by_triple[(8, 15, 17)].cf_choice.u == QuadInt(3, 1)

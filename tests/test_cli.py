@@ -81,6 +81,8 @@ ORACLES = (
     "phi2_divisor_sum",
     "moebius_inversion_check",
     "verify_f_triple",
+    "leg_from_gap",
+    "is_associate",
 )
 
 

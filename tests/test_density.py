@@ -64,9 +64,10 @@ class TestSieve:
             assert math.gcd(a, b) == 1
             assert sieve.phi[a * b] == sieve.phi[a] * sieve.phi[b]
 
-    def test_budget_refusal(self):
-        with pytest.raises(SieveBudgetError):
-            build_sieve(1000, budget=100)
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setenv("PPT_SIEVE_BUDGET", "100")
+        with pytest.raises(SieveBudgetError, match="sieve bound 1000 exceeds budget 100"):
+            build_sieve(1000)
 
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("PPT_SIEVE_BUDGET", "50")
@@ -248,9 +249,9 @@ class TestTotientSums:
     def test_report_allocates_a_table_of_about_top_to_the_two_thirds(self, monkeypatch):
         bounds = []
 
-        def recording(bound, budget=None):
+        def recording(bound):
             bounds.append(bound)
-            return build_sieve(bound, budget)
+            return build_sieve(bound)
 
         monkeypatch.setattr(density, "build_sieve", recording)
         rows = density_report(Family.GEO, [10, 10**8])
@@ -258,10 +259,10 @@ class TestTotientSums:
         (bound,) = bounds
         assert (bound - 1) ** 3 < 10**16  # bound <= 10**(16/3) + 1
 
-    def test_budget_bounds_the_table_not_the_top(self, monkeypatch):
+    def test_budget_bounds_the_table_not_the_top(self, monkeypatch, sieve):
         monkeypatch.setenv("PPT_SIEVE_BUDGET", "100")
         (row,) = density_report(Family.GO, [1000])  # a table of 100 entries
-        assert row.pool_count == sum_phi(1000, build_sieve(1000, budget=1000)) - 1
+        assert row.pool_count == sum_phi(1000, sieve) - 1
         with pytest.raises(SieveBudgetError):
             density_report(Family.GO, [1001])
 
@@ -295,31 +296,31 @@ class TestMoebiusInversion:
 
 
 class TestReport:
-    def test_go_row(self, sums):
-        (row,) = density_report(Family.GO, [10], sums)
+    def test_go_row(self):
+        (row,) = density_report(Family.GO, [10])
         assert (row.B, row.family_count, row.pool_count) == (10, 9, 31)
         assert row.ratio == Fraction(9, 31)
         assert render_ratio(row.ratio) == "0.290323"
         assert render_ratio(row.predicted) == "0.333333"
 
-    def test_g1_row(self, sums):
-        (row,) = density_report(Family.G1, [10], sums)
+    def test_g1_row(self):
+        (row,) = density_report(Family.G1, [10])
         assert row.family_count == 9 and row.predicted == 0
 
-    def test_geo_row(self, sums):
-        (row,) = density_report(Family.GEO, [10], sums)
+    def test_geo_row(self):
+        (row,) = density_report(Family.GEO, [10])
         assert row.family_count == 13
 
-    def test_grid_validation(self, sums):
+    def test_grid_validation(self):
         with pytest.raises(ValueError):
-            density_report(Family.GO, [], sums)
+            density_report(Family.GO, [])
         with pytest.raises(ValueError):
-            density_report(Family.GO, [1, 10], sums)
+            density_report(Family.GO, [1, 10])
         with pytest.raises(ValueError):
-            density_report(Family.GO, [100, 10], sums)
+            density_report(Family.GO, [100, 10])
 
-    def test_trend_downward(self, sums):
-        rows = density_report(Family.G1, [10, 100, 1000], sums)
+    def test_trend_downward(self):
+        rows = density_report(Family.G1, [10, 100, 1000])
         ratios = [row.ratio for row in rows]
         assert ratios == sorted(ratios, reverse=True)
 

@@ -1,9 +1,11 @@
 import collections
 import itertools
+import math
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pptriples import (
     GKind,
@@ -18,8 +20,9 @@ from pptriples import (
     is_primitive,
     iter_g_family,
     iter_ppts,
-    leg_from_gap,
 )
+from pptriples import cli, hyp_gap, triples
+from pptriples.checks import leg_from_gap
 
 
 class TestClassify:
@@ -68,10 +71,10 @@ class TestLegFromGap:
 class TestFamilyParams:
     def test_examples(self):
         gc9 = classify_g(9)
-        assert family_params(gc9, 2).as_tuple() == (4, 1)
+        assert family_params(gc9, 2) == (4, 1)
         assert family_params(gc9, 1) is None  # gcd(3, 3) > 1
         gc2 = classify_g(2)
-        assert family_params(gc2, 2).as_tuple() == (2, 1)
+        assert family_params(gc2, 2) == (2, 1)
         assert family_params(gc2, 1) is None  # equal parity with the root
 
     def test_rejects_inadmissible(self):
@@ -92,10 +95,9 @@ class TestFamilyParams:
 
 class TestGenerate:
     def test_examples(self):
-        triples = [it.triple.as_tuple() for it in generate_g_family(9, 2)]
-        assert triples == [(15, 8, 17), (21, 20, 29)]
-        assert generate_g_family(2, 1)[0].triple.as_tuple() == (4, 3, 5)
-        assert generate_g_family(8, 1)[0].triple.as_tuple() == (12, 5, 13)
+        assert [it.triple for it in generate_g_family(9, 2)] == [(15, 8, 17), (21, 20, 29)]
+        assert generate_g_family(2, 1)[0].triple == (4, 3, 5)
+        assert generate_g_family(8, 1)[0].triple == (12, 5, 13)
 
     def test_rejects_inadmissible(self):
         message = "g=3 is inadmissible: not an odd square; not twice a square"
@@ -221,6 +223,47 @@ class TestInvert:
                 )
                 assert gc.kind is expected_kind
                 assert family_triple(gc, n) == ordered
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**40 // 2), st.integers(0, 10**40 // 4), st.booleans())
+    def test_round_trip_to_1e40(self, s, j, swap):
+        """A coprime, opposite-parity pair's triple, in either leg order,
+        inverts to coordinates that regenerate it, at the sizes of the
+        `check` goldens and beyond."""
+        r = s + 2 * j + 1
+        assume(math.gcd(r, s) == 1)
+        a, b, c = r * r - s * s, 2 * r * s, r * r + s * s
+        t = Triple(b, a, c) if swap else Triple(a, b, c)
+        assert family_triple(*invert_to_family(t)) == t
+
+    def test_reads_the_pair_alone(self, monkeypatch):
+        """Inversion neither tests primitivity again nor regenerates the triple."""
+
+        def refuse(*args):
+            raise AssertionError("called")
+
+        sample = [Triple(15, 8, 17), Triple(4, 3, 5), Triple(12, 5, 13)]
+        want = [invert_to_family(t) for t in sample]
+        monkeypatch.setattr(triples, "is_primitive", refuse)
+        for name in ("family_params", "family_triple", "_pair", "_triple"):
+            monkeypatch.setattr(hyp_gap, name, refuse)
+        assert [invert_to_family(t) for t in sample] == want
+        assert [n for _, n in want] == [2, 2, 1]
+
+    @pytest.mark.parametrize("abc,code", [((15, 8, 17), 0), ((8, 15, 17), 0), ((6, 8, 10), 4)])
+    def test_check_tests_primitivity_once(self, monkeypatch, abc, code):
+        calls = []
+        original = triples.is_primitive
+
+        def counting(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(triples, "is_primitive", counting)
+        if hasattr(hyp_gap, "is_primitive"):
+            monkeypatch.setattr(hyp_gap, "is_primitive", counting)
+        assert cli._check_record(*abc)[1] == code
+        assert calls == [abc]
 
 
 def test_nonexistence_of_inadmissible_gaps():

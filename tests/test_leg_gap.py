@@ -12,13 +12,11 @@ from pptriples import (
     gamma_delta_power,
     generate_f_triples,
     ideal_generator,
-    is_associate,
     iter_f_triples,
     iter_ppts,
-    pell_recast,
 )
 from pptriples import leg_gap, pell, zsqrt2
-from pptriples.checks import verify_f_triple
+from pptriples.checks import is_associate, verify_f_triple
 from pptriples.cli import main
 from pptriples.leg_gap import FTriple
 
@@ -43,7 +41,16 @@ class TestAdmissible:
             admissible_f(2**64 + 1)
 
 
+def generated(t, f):
+    """The record of triple t in the f sweep over m = -3..3."""
+    (ft,) = [ft for ft in generate_f_triples(admissible_f(f), -3, 3) if ft.triple == t]
+    return ft
+
+
 class TestPellRecast:
+    """(X, Y) = (2a + f, c) turns a triple with legs f apart into a solution
+    of X*X - 2*Y*Y = -f*f; each generated record carries that pair."""
+
     @pytest.mark.parametrize(
         "t,f,expected",
         [
@@ -53,13 +60,13 @@ class TestPellRecast:
         ],
     )
     def test_examples(self, t, f, expected):
-        X, Y = pell_recast(t, f)
-        assert (X, Y) == expected
-        assert X * X - 2 * Y * Y == -f * f
+        ft = generated(t, f)
+        assert (ft.X, ft.Y) == expected
+        assert ft.X * ft.X - 2 * ft.Y * ft.Y == -f * f
+        assert verify_f_triple(ft, admissible_f(f))
 
     def test_rejects_wrong_gap(self):
-        with pytest.raises(ValueError):
-            pell_recast(Triple(3, 4, 5), 7)
+        assert not verify_f_triple(generated(Triple(3, 4, 5), 1), admissible_f(7))
 
 
 class TestCfElements:
@@ -96,12 +103,12 @@ class TestCfElements:
 
 class TestGenerate:
     def test_f1_spot_values(self):
-        got = [ft.triple.as_tuple() for ft in generate_f_triples(admissible_f(1), 1, 2)]
+        got = [ft.triple for ft in generate_f_triples(admissible_f(1), 1, 2)]
         assert sorted(got) == [(3, 4, 5), (20, 21, 29)]
 
     def test_f7_spot_values(self):
         fts = generate_f_triples(admissible_f(7), 0, 1)
-        got = {ft.triple.as_tuple(): ft for ft in fts}
+        got = {ft.triple: ft for ft in fts}
         # the generator branch reproduces the hand-derived values ...
         assert got[(8, 15, 17)].m == 0 and got[(8, 15, 17)].cf_choice.u == QuadInt(3, 1)
         assert got[(65, 72, 97)].m == 1 and got[(65, 72, 97)].cf_choice.u == QuadInt(3, 1)
@@ -126,13 +133,13 @@ class TestGenerate:
 
     def test_no_duplicates(self):
         fts = generate_f_triples(admissible_f(119), -8, 8)
-        keys = [ft.triple.as_tuple() for ft in fts]
+        keys = [ft.triple for ft in fts]
         assert len(keys) == len(set(keys))
 
     def test_completeness_to_1e5(self, oracle_1e5):
         gaps = (1, 7, 17)
         generated = {
-            f: {ft.triple.as_tuple() for ft in generate_f_triples(admissible_f(f), -12, 12)}
+            f: {ft.triple for ft in generate_f_triples(admissible_f(f), -12, 12)}
             for f in gaps
         }
         covered = 0
@@ -187,7 +194,7 @@ def _reference_f_triples(spec, m_lo, m_hi):
 @pytest.mark.parametrize("m_lo,m_hi", [(-9, 7), (0, 0), (5, 12), (-40, -30)])
 def test_walk_matches_the_per_m_reference(f, m_lo, m_hi):
     spec = admissible_f(f)
-    want = sorted(_reference_f_triples(spec, m_lo, m_hi), key=lambda ft: ft.triple.as_tuple())
+    want = sorted(_reference_f_triples(spec, m_lo, m_hi), key=lambda ft: ft.triple)
     assert generate_f_triples(spec, m_lo, m_hi) == want
 
 
@@ -201,7 +208,7 @@ class TestStreaming:
 
         monkeypatch.setattr(pell, "gamma_delta_power", recording)
         triples = iter_f_triples(admissible_f(119), -(10**6), 10**6)
-        got = [ft.triple.as_tuple() for ft in itertools.islice(triples, 3)]
+        got = [ft.triple for ft in itertools.islice(triples, 3)]
         assert got == [(24, 143, 145), (57, 176, 185), (180, 299, 349)]
         # the runs start at each branch's least |x|, near m = 0, not at the ends
         assert max(map(abs, powers)) <= 8

@@ -14,8 +14,6 @@ from pptriples import (
     is_primitive,
     iter_ppt_rows,
     iter_ppts,
-    normalize,
-    primitive_from_params,
     to_params,
 )
 from pptriples.triples import _WINDOW_FLOOR, _WINDOW_ROOTS
@@ -55,7 +53,7 @@ def naive_ppt_count(c_max):
 class TestTriple:
     def test_valid(self):
         t = Triple(3, 4, 5)
-        assert t.as_tuple() == (3, 4, 5)
+        assert tuple(t) == (3, 4, 5)
 
     def test_rejects_non_pythagorean(self):
         with pytest.raises(ValueError):
@@ -121,8 +119,8 @@ class TestRecords:
 
 
 def test_from_params_examples():
-    assert from_params(ParamPair(2, 1)).as_tuple() == (3, 4, 5)
-    assert from_params(ParamPair(4, 1)).as_tuple() == (15, 8, 17)
+    assert from_params(ParamPair(2, 1)) == (3, 4, 5)
+    assert from_params(ParamPair(4, 1)) == (15, 8, 17)
 
 
 def test_is_primitive_examples():
@@ -131,24 +129,30 @@ def test_is_primitive_examples():
     assert is_primitive(Triple(15, 8, 17))
 
 
-def test_primitive_from_params_examples():
-    assert primitive_from_params(ParamPair(2, 1))
-    assert not primitive_from_params(ParamPair(3, 1))  # both odd: (8, 6, 10)
-    assert not primitive_from_params(ParamPair(9, 6))
-
-
-def test_primitive_from_params_matches_is_primitive():
+def test_to_params_accepts_exactly_the_primitive_triples():
+    """The coprime, opposite-parity test on the pair is the primitivity test:
+    every pair with r < 40 (so every triple of those pairs, primitive or
+    not), in both leg orders."""
     for r in range(2, 40):
         for s in range(1, r):
             pair = ParamPair(r, s)
-            assert primitive_from_params(pair) == is_primitive(from_params(pair))
+            t = from_params(pair)
+            for ordered in (t, Triple(t.b, t.a, t.c)):
+                if is_primitive(ordered):
+                    assert to_params(ordered) == pair
+                else:
+                    with pytest.raises(ValueError, match="is not primitive"):
+                        to_params(ordered)
 
 
 def test_to_params_examples():
-    assert to_params(Triple(3, 4, 5)).as_tuple() == (2, 1)
-    assert to_params(Triple(15, 8, 17)).as_tuple() == (4, 1)
-    with pytest.raises(ValueError):
-        to_params(Triple(6, 8, 10))
+    assert to_params(Triple(3, 4, 5)) == (2, 1)
+    assert to_params(Triple(15, 8, 17)) == (4, 1)
+    assert to_params(Triple(8, 15, 17)) == (4, 1)
+    for t in [(6, 8, 10), (8, 6, 10), (45, 108, 117), (9, 12, 15)]:
+        # (3, 1) is two odds, (9, 6) shares 3, and (9, 12, 15) has no pair
+        with pytest.raises(ValueError):
+            to_params(Triple(*t))
 
 
 def test_roundtrip_up_to_200():
@@ -161,8 +165,8 @@ def test_roundtrip_up_to_200():
 
 class TestEnumerate:
     def test_small_bounds(self):
-        assert [t.as_tuple() for t in enumerate_ppts(5)] == [(3, 4, 5)]
-        assert [t.as_tuple() for t in enumerate_ppts(17)] == [
+        assert enumerate_ppts(5) == [(3, 4, 5)]
+        assert enumerate_ppts(17) == [
             (3, 4, 5),
             (5, 12, 13),
             (15, 8, 17),
@@ -182,7 +186,7 @@ class TestEnumerate:
 
     def test_no_duplicates(self):
         ppts = enumerate_ppts(10_000)
-        assert len({t.as_tuple() for t in ppts}) == len(ppts)
+        assert len(set(ppts)) == len(ppts)
 
     def test_canonical_order(self):
         ppts = enumerate_ppts(10_000)
@@ -238,10 +242,3 @@ def test_classify_triple():
     assert cls.g == 17 - 15 and cls.f == 7
     cls = classify_triple(Triple(6, 8, 10))
     assert not cls.primitive and cls.even_leg == "both"
-
-
-def test_normalize():
-    assert normalize(Triple(8, 15, 17)).as_tuple() == (15, 8, 17)
-    assert normalize(Triple(15, 8, 17)).as_tuple() == (15, 8, 17)
-    with pytest.raises(ValueError):
-        normalize(Triple(6, 8, 10))

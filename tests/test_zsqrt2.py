@@ -16,10 +16,10 @@ from pptriples import (
     euclid_div,
     gcd,
     ideal_generator,
-    is_associate,
     is_prime,
     splits,
 )
+from pptriples.checks import is_associate
 
 coords = st.integers(min_value=-(10**6), max_value=10**6)
 elements = st.builds(QuadInt, coords, coords)
