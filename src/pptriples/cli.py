@@ -113,7 +113,15 @@ RECORDS = {
 }
 
 _JSON = json.JSONEncoder(separators=(", ", ": "))
-_JSON_KEYS = {tag: ("record",) + fields for tag, fields in RECORDS.items()}
+# tag -> its (JSON, CSV) line templates, one %s per field
+_LINES = {
+    tag: (
+        "{" + ", ".join([f'"record": "{tag}"', *(f'"{k}": %s' for k in fields)]) + "}\n",
+        ",".join(["%s"] * len(fields)) + "\n",
+    )
+    for tag, fields in RECORDS.items()
+}
+_INT = {int}
 
 
 def _csv_cell(value: object) -> str:
@@ -122,6 +130,11 @@ def _csv_cell(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+def _line(template: str, cell, row: tuple) -> str:
+    # str(n) of an exact int is also its JSON text and its CSV cell
+    return template % (row if set(map(type, row)) == _INT else tuple(map(cell, row)))
 
 
 def write_records(
@@ -136,13 +149,19 @@ def write_records(
 
     JSON Lines output starts with the `meta` records, given as (tag, values)
     pairs; CSV output starts with `comments` as `#` lines, then the header.
+    Each line fills its tag's template: a row whose values are all exact
+    ints (`type(v) is int`, so no bool or int subclass) fills it as it is,
+    any other row with each value rendered first (JSON text, or the CSV
+    cell: "" for None, true/false for a bool, else `str`).
     """
-    if fmt == "json":
-        records = chain(meta, ((tag, values) for values in rows))
-        lines = (_JSON.encode(dict(zip(_JSON_KEYS[t], (t, *v)))) + "\n" for t, v in records)
-    else:
+    csv = fmt == "csv"
+    cell = _csv_cell if csv else _JSON.encode
+    if csv:
         head = [f"# {line}\n" for line in comments] + [",".join(RECORDS[tag]) + "\n"]
-        lines = chain(head, (",".join(map(_csv_cell, values)) + "\n" for values in rows))
+    else:
+        head = [_line(_LINES[t][0], cell, values) for t, values in meta]
+    template = _LINES[tag][csv]
+    lines = chain(head, (_line(template, cell, values) for values in rows))
     # one write per batch of lines: an unbuffered stream makes a system call per write
     while batch := "".join(islice(lines, 256)):
         out.write(batch)
@@ -154,8 +173,7 @@ def cmd_gen_g(args: argparse.Namespace) -> int:
     gc = classify_g(args.g)
     items = iter_g_family(args.g, args.count)
     write_records(
-        args.format, sys.stdout, "g_family_item",
-        ((n, k, r, s, *t, stride, offset) for n, k, r, s, t, stride, offset in items),
+        args.format, sys.stdout, "g_family_item", items,
         meta=[("g_class", (gc.g, gc.kind.value, gc.m))],
         comments=[f"g={gc.g} kind={gc.kind.value} m={gc.m}"],
     )

@@ -63,13 +63,21 @@ class GClass(NamedTuple):
 
 
 class GFamilyItem(NamedTuple):
+    """The n-th family member, with the fields of the `gen-g` row."""
+
     n: int
     k: int  # the multiplier step*n + start of the family's table row
     r: int
     s: int
-    triple: Triple
+    a: int
+    b: int
+    c: int
     stride: int
     offset: int
+
+    @property
+    def triple(self) -> Triple:
+        return Triple(self.a, self.b, self.c)
 
 
 def classify_g(g: int) -> GClass:
@@ -175,7 +183,7 @@ def _members(gc: GClass) -> Iterator[GFamilyItem]:
         k = step * n + start
         pair = _pair(leg, m, k)
         if pair is not None:
-            yield GFamilyItem(n, k, pair.r, pair.s, _triple(leg, pair), stride, offset)
+            yield GFamilyItem(n, k, *pair, *_triple(leg, pair), stride, offset)
 
 
 def generate_g_family(g: int, count: int) -> list[GFamilyItem]:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import doctest
+import enum
 import importlib
 import io
 import json
@@ -18,8 +19,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pptriples
-from pptriples import CfElement, FTriple, QuadInt, Triple, _primes, admissible_f, checks, density
-from pptriples.cli import RECORDS, VERIFY, build_parser, main
+from pptriples import (
+    CfElement,
+    FTriple,
+    GFamilyItem,
+    QuadInt,
+    Triple,
+    _primes,
+    admissible_f,
+    checks,
+    density,
+    generate_g_family,
+)
+from pptriples.cli import RECORDS, VERIFY, build_parser, main, write_records
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -186,6 +198,90 @@ class TestGenG:
         records = validate_jsonl(out)
         assert records[0]["record"] == "g_class"
         assert [r["a"] for r in records[1:]] == [15, 21]
+
+    def test_rows_are_the_family_items(self, capsys):
+        assert RECORDS["g_family_item"] == GFamilyItem._fields
+        for g in (9, 2, 8):
+            items = generate_g_family(g, 3)
+            _, out, _ = run(capsys, "gen-g", "--g", str(g), "--count", "3")
+            assert out.splitlines()[2:] == [",".join(map(str, it)) for it in items]
+            for it in items:
+                assert type(it.triple) is Triple and it.triple == it[4:7]
+
+
+def reference_line(fmt, tag, values):
+    """The reference rendering of a record line: a dict through the JSON
+    encoder, or the CSV cells joined by commas."""
+    if fmt == "json":
+        record = dict(zip(("record",) + RECORDS[tag], (tag, *values)))
+        return json.JSONEncoder(separators=(", ", ": ")).encode(record) + "\n"
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return str(v)
+
+    return ",".join(map(cell, values)) + "\n"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+    def __str__(self):
+        return self.name
+
+
+# small ints, and ints of up to 4000 digits either side of 0
+INTS = st.integers(-(10**6), 10**6) | st.builds(
+    lambda sign, digits, low: sign * (10 ** (digits - 1) + low),
+    st.sampled_from([-1, 1]), st.integers(1, 4000), st.integers(0, 10**6),
+)
+# int subclasses, each rendered unlike its int value: a bool as true or false,
+# a Level by its name as a CSV cell and by its value as JSON text
+INT_LIKE = INTS | st.booleans() | st.sampled_from(list(Level))
+CELLS = st.recursive(
+    INT_LIKE
+    | st.none()
+    | st.text(alphabet=st.sampled_from('%s"\\,é✓ \n'), max_size=6)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def record_rows(tag, cells):
+    width = len(RECORDS[tag])
+    return st.lists(cells, min_size=width, max_size=width).map(tuple)
+
+
+@pytest.mark.parametrize("tag", list(RECORDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_writer_matches_the_reference_renderer(tag, data):
+    """Only rows of exact ints skip the encoder: a bool, None, a string, a
+    list or an IntEnum member anywhere in a row is rendered cell by cell."""
+    row = record_rows(tag, INTS) | record_rows(tag, INT_LIKE) | record_rows(tag, CELLS)
+    rows = data.draw(st.lists(row, max_size=3))
+    meta = data.draw(
+        st.lists(
+            st.sampled_from(list(RECORDS)).flatmap(
+                lambda t: st.tuples(st.just(t), record_rows(t, CELLS))
+            ),
+            max_size=2,
+        )
+    )
+    for fmt in ("csv", "json"):
+        out = io.StringIO()
+        write_records(fmt, out, tag, rows, meta=meta, comments=["a comment"])
+        if fmt == "json":
+            want = [reference_line(fmt, t, v) for t, v in [*meta, *((tag, v) for v in rows)]]
+        else:
+            head = ["# a comment\n", ",".join(RECORDS[tag]) + "\n"]
+            want = head + [reference_line(fmt, tag, v) for v in rows]
+        assert out.getvalue() == "".join(want)
 
 
 class TestGenF:
@@ -635,6 +731,9 @@ def test_interrupt_ends_the_run_quietly_with_130():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=child_env(),
+        # a parent that ignores SIGINT (a shell's background job) passes the
+        # ignore on, and Python then installs no handler
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         time.sleep(0.6)  # past start-up, inside the enumeration
