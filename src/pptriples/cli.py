@@ -121,7 +121,6 @@ _LINES = {
     )
     for tag, fields in RECORDS.items()
 }
-_INT = {int}
 
 
 def _csv_cell(value: object) -> str:
@@ -134,7 +133,7 @@ def _csv_cell(value: object) -> str:
 
 def _line(template: str, cell, row: tuple) -> str:
     # str(n) of an exact int is also its JSON text and its CSV cell
-    return template % (row if set(map(type, row)) == _INT else tuple(map(cell, row)))
+    return template % (row if set(map(type, row)) == {int} else tuple(map(cell, row)))
 
 
 def write_records(
@@ -154,13 +153,12 @@ def write_records(
     any other row with each value rendered first (JSON text, or the CSV
     cell: "" for None, true/false for a bool, else `str`).
     """
-    csv = fmt == "csv"
-    cell = _csv_cell if csv else _JSON.encode
-    if csv:
-        head = [f"# {line}\n" for line in comments] + [",".join(RECORDS[tag]) + "\n"]
-    else:
+    if fmt == "json":
+        cell, template = _JSON.encode, _LINES[tag][0]
         head = [_line(_LINES[t][0], cell, values) for t, values in meta]
-    template = _LINES[tag][csv]
+    else:
+        cell, template = _csv_cell, _LINES[tag][1]
+        head = [f"# {line}\n" for line in comments] + [",".join(RECORDS[tag]) + "\n"]
     lines = chain(head, (_line(template, cell, values) for values in rows))
     # one write per batch of lines: an unbuffered stream makes a system call per write
     while batch := "".join(islice(lines, 256)):
