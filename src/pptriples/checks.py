@@ -2,10 +2,12 @@
 and the identities and rechecks the suites and the tests rely on.
 
 Each suite compares a closed-form or generator path against the exhaustive
-triple enumerator (or inclusion-exclusion pair counts, or the A/B delta
-recurrences) at a caller-chosen bound.  A suite yields one case per check,
-None or a counterexample, and one runner reports the number of checks up to
-the first counterexample.  The identities (divisor sums, totients and Moebius
+triple enumerator (or the leg-gap referee `leg_gap_rows`, which finds the
+triples with given leg gaps by a direct search over the parameter s,
+inclusion-exclusion pair counts, or the A/B delta recurrences) at a
+caller-chosen bound.  A suite yields one case per check, None or a
+counterexample, and one runner reports the number of checks up to the first
+counterexample.  The identities (divisor sums, totients and Moebius
 inversion computed from factorizations, totient sums sliced from a full
 sieve, the recheck of a leg-gap triple, the leg across a hypotenuse gap,
 associates in Z[sqrt(2)]) recompute by a second route what the library
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import starmap
 from typing import Iterable, Iterator, NamedTuple
 
 from ._primes import factorize
@@ -43,6 +44,7 @@ __all__ = [
     "check_nonexistence",
     "check_pell",
     "check_density_cross",
+    "leg_gap_rows",
     "pair_count_rows",
     "RecurrencePair",
     "recurrence_coeffs",
@@ -106,24 +108,62 @@ def check_g_coverage(c_max: int) -> CheckReport:
     ))
 
 
-def check_f_coverage(
-    c_max: int,
-    gaps: tuple[int, ...] = (1, 7, 17),
-    m_lo: int = -12,
-    m_hi: int = 12,
-) -> CheckReport:
-    """Every enumerated triple with legs `f` apart shows up in the
-    exponent sweep, for each sampled admissible f."""
+def leg_gap_rows(c_max: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """Every PPT with hypotenuse <= c_max and |a - b| in gaps as a plain
+    (c, a, b) tuple, odd leg a first, in (c, a) order: the rows of
+    `iter_ppt_rows(c_max)` with those leg gaps.
+
+    For a coprime, opposite-parity pair r > s, a - b = t*t - 2*s*s with
+    t = r - s odd and gcd(t, s) = gcd(r, s) = 1.  So for each s with
+    2*s*s < c_max (c = (s + t)**2 + s*s exceeds 2*s*s) and each gap f, the
+    t*t = 2*s*s +/- f that are squares give every such triple once:
+    O(sqrt(c_max) * len(gaps)) isqrt calls, with no Z[sqrt(2)] arithmetic.
+    """
+    fs = {f for f in gaps if f > 0}
+    gcd, isqrt = math.gcd, math.isqrt
+    rows = []
+    s = 1
+    while 2 * s * s < c_max:
+        twice = 2 * s * s
+        for f in fs:
+            for tt in (twice - f, twice + f):
+                t = isqrt(max(tt, 0))
+                if t * t == tt and t % 2 and gcd(t, s) == 1:
+                    r = s + t
+                    c = r * r + s * s
+                    if c <= c_max:
+                        rows.append((c, c - twice, 2 * r * s))
+        s += 1
+    rows.sort()  # (c, a) is unique to a primitive triple
+    yield from rows
+
+
+def check_f_coverage(c_max: int, gaps: tuple[int, ...] = (1, 7, 17)) -> CheckReport:
+    """Every triple with hypotenuse <= c_max and legs f apart shows up in
+    the exponent sweep, for each sampled admissible f.
+
+    The sweep runs m over [-W, W], W = c_max.bit_length() // 2 + 2 (12 at
+    10**6).  A triple (a, a + f, c) is the element w = (a + b) + c*sqrt(2)
+    of norm -f*f, with f < w <= 2*sqrt(2)*c.  The branch A * DELTA**m,
+    A = GAMMA * u*u, meets it where |A| * DELTA**m is w or its conjugate's
+    size f*f / w, so at |m| <= log(2*sqrt(2)*c_max / mu) / log(DELTA), mu
+    the lesser of |A| and |A'| = f*f / |A|.  Each step in m multiplies by
+    DELTA = 3 + 2*sqrt(2), about 5.83, DELTA**(1/2) = 1 + sqrt(2) > 2 and
+    W >= bit_length / 2 + 1.5, so DELTA**W >= DELTA**1.5 * 2**bit_length
+    > 14 * c_max: the window holds every branch with mu >= 2*sqrt(2) / 14,
+    about 0.2.  f = 1 has the least mu, 1 / (1 + sqrt(2)), of any admissible
+    f below 2 * 10**4.
+    """
+    window = c_max.bit_length() // 2 + 2
     generated = {
-        f: {ft.triple for ft in generate_f_triples(admissible_f(f), m_lo, m_hi)}
+        f: {ft.triple for ft in generate_f_triples(admissible_f(f), -window, window)}
         for f in gaps
     }
-    legs = ((min(a, b), max(a, b), c) for c, a, b in iter_ppt_rows(c_max))
+    legs = ((min(a, b), max(a, b), c) for c, a, b in leg_gap_rows(c_max, gaps))
     return _first_failure("f-coverage", (
         None if (lo, hi, c) in generated[hi - lo]
         else f"({lo}, {hi}, {c}) missing from the f={hi - lo} sweep"
         for lo, hi, c in legs
-        if hi - lo in generated
     ))
 
 
@@ -169,13 +209,17 @@ def check_nonexistence(
     """No enumerated triple carries an inadmissible hypotenuse or leg gap."""
     hyp, leg = set(hyp_gaps), set(leg_gaps)
 
-    def gap_found(c: int, a: int, b: int) -> str | None:
+    def gap_found(c: int, a: int, b: int) -> str:
+        """The counterexample text of a row that carries a listed gap."""
         for gap in (c - a, c - b):
             if gap in hyp:
                 return f"({a}, {b}, {c}) has hypotenuse gap {gap}"
-        return f"({a}, {b}, {c}) has leg gap {abs(a - b)}" if abs(a - b) in leg else None
+        return f"({a}, {b}, {c}) has leg gap {abs(a - b)}"
 
-    return _first_failure("nonexistence", starmap(gap_found, iter_ppt_rows(c_max)))
+    return _first_failure("nonexistence", (
+        gap_found(c, a, b) if c - a in hyp or c - b in hyp or abs(a - b) in leg else None
+        for c, a, b in iter_ppt_rows(c_max)
+    ))
 
 
 class RecurrencePair(NamedTuple):

@@ -137,7 +137,7 @@ def test_criterion_05_f_family_spot_values():
 
 def test_criterion_06_f_family_completeness():
     with criterion("criterion 6: f-family completeness, f in {1,7,17}, c <= 1e6") as c:
-        report = checks.check_f_coverage(1_000_000, gaps=(1, 7, 17), m_lo=-12, m_hi=12)
+        report = checks.check_f_coverage(1_000_000, gaps=(1, 7, 17))
         assert report.ok and report.checks == 34
         c["detail"] = f"{report.checks} oracle triples covered"
 

@@ -472,6 +472,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "f-coverage", "--c-max", "20000")
         assert code == 0
 
+    def test_f_coverage_window_grows_with_the_bound(self, capsys):
+        # a window fixed at m in [-12, 12] misses (5406093003, 5406093004,
+        # 7645370045), an f = 1 triple reached only at m = 13 and m = -14
+        code, out, _ = run(capsys, "verify", "f-coverage", "--c-max", "10000000000")
+        assert code == 0
+        assert out.splitlines() == ["f-coverage: 60 checks, 0 failures", "PASS f-coverage"]
+
     def test_nonexistence(self, capsys):
         code, out, _ = run(capsys, "verify", "nonexistence", "--c-max", "20000")
         assert code == 0

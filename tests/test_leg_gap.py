@@ -1,6 +1,8 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pptriples import (
     InadmissibleError,
@@ -13,10 +15,11 @@ from pptriples import (
     generate_f_triples,
     ideal_generator,
     iter_f_triples,
+    iter_ppt_rows,
     iter_ppts,
 )
-from pptriples import leg_gap, pell, zsqrt2
-from pptriples.checks import is_associate, verify_f_triple
+from pptriples import checks, leg_gap, pell, zsqrt2
+from pptriples.checks import CheckReport, is_associate, leg_gap_rows, verify_f_triple
 from pptriples.cli import main
 from pptriples.leg_gap import FTriple
 
@@ -167,6 +170,58 @@ class TestGenerate:
                 generator_set = pick_set
             else:
                 assert pick_set == generator_set
+
+
+class TestLegGapRows:
+    """The leg-gap referee of `check_f_coverage` against the full sweep,
+    filtered by leg gap."""
+
+    # (2, 14, 34): no PPT has an even leg gap, though 2*s*s +/- f can be square
+    GAP_SETS = [(1, 7, 17), (23, 41, 119), (3, 5), (1, 1, 7), (2, 14, 34)]
+
+    @staticmethod
+    def _filtered(rows, gaps):
+        return [row for row in rows if abs(row[1] - row[2]) in set(gaps)]
+
+    @pytest.mark.parametrize(
+        "c_max", [0, 1, 4, 5, 29, 30, 2**16 - 1, 2**16, 2**16 + 1, 10**5, 10**6]
+    )
+    def test_matches_the_filtered_sweep(self, c_max):
+        rows = list(iter_ppt_rows(c_max))
+        for gaps in self.GAP_SETS:  # (1, 1, 7): a repeated gap counts once
+            assert list(leg_gap_rows(c_max, gaps)) == self._filtered(rows, gaps)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2 * 10**5),
+        st.lists(st.integers(-3, 2000), max_size=5),
+    )
+    def test_matches_the_filtered_sweep_anywhere(self, c_max, gaps):
+        assert list(leg_gap_rows(c_max, gaps)) == self._filtered(iter_ppt_rows(c_max), gaps)
+
+    def test_f_coverage_makes_no_full_sweep(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("full sweep called")
+
+        monkeypatch.setattr(checks, "iter_ppt_rows", refuse)
+        assert checks.check_f_coverage(10**6) == CheckReport("f-coverage", 34, 0)
+
+    def test_f_coverage_window_holds_composite_gaps(self):
+        report = checks.check_f_coverage(10**8, gaps=(1, 7, 17, 23, 49, 119, 2737))
+        assert report.ok and report.checks > 0
+
+    def test_every_branch_clears_the_window_margin(self):
+        # `check_f_coverage` sizes its exponent window for branches
+        # A = GAMMA * u*u with |A| and |A'| both at least 1 / (1 + sqrt(2))
+        least = math.sqrt(2) - 1
+        for f in range(1, 20_000, 2):
+            spec = admissible_f(f)
+            if not spec.admissible:
+                continue
+            for elem in cf_elements(spec):
+                A = zsqrt2.GAMMA * elem.u * elem.u
+                sizes = (abs(A.x + A.y * math.sqrt(2)), abs(A.x - A.y * math.sqrt(2)))
+                assert min(sizes) >= least * (1 - 1e-12), (f, elem.u)
 
 
 def _reference_f_triples(spec, m_lo, m_hi):
