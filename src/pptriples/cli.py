@@ -7,7 +7,8 @@ so a reader that stops early stops the work too.  Each command imports
 only the layers it runs, when it runs: `check` and `gen-g` the triples and
 hypotenuse-gap layers, `gen-f` the Z[sqrt(2)], Pell and leg-gap layers,
 `density` the totient layer, and `verify` every layer through the oracles
-in `checks`; parsing and the refusal types load none.  Exit codes:
+in `checks`; parsing and the refusal types load none, and only JSON output
+loads `json`.  Exit codes:
 
     0  success, or the reader closed stdout early (`| head`): the run ends quietly
     1  malformed flags or input
@@ -23,7 +24,6 @@ in `checks`; parsing and the refusal types load none.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -112,7 +112,6 @@ RECORDS = {
     "density_row": ("B", "family_count", "pool_count", "ratio", "predicted"),
 }
 
-_JSON = json.JSONEncoder(separators=(", ", ": "))
 # tag -> its (JSON, CSV) line templates, one %s per field
 _LINES = {
     tag: (
@@ -136,6 +135,11 @@ def _line(template: str, cell, row: tuple) -> str:
     return template % (row if set(map(type, row)) == {int} else tuple(map(cell, row)))
 
 
+# rows per write: an unbuffered stream makes a system call per write, and a
+# batch of long rows (gen-f's at large exponents) is held only this long
+_BATCH = 64
+
+
 def write_records(
     fmt: str,
     out: TextIO,
@@ -152,17 +156,29 @@ def write_records(
     ints (`type(v) is int`, so no bool or int subclass) fills it as it is,
     any other row with each value rendered first (JSON text, or the CSV
     cell: "" for None, true/false for a bool, else `str`).
+
+    Rows are read and written in batches of `_BATCH`, one write each, the
+    head going out with the first: nothing is written before the first row
+    is computed.  The exact-int test is made once per batch; a batch that
+    fails it is rendered row by row.
     """
     if fmt == "json":
-        cell, template = _JSON.encode, _LINES[tag][0]
-        head = [_line(_LINES[t][0], cell, values) for t, values in meta]
+        import json  # only JSON output needs the encoder
+
+        cell, template = json.JSONEncoder(separators=(", ", ": ")).encode, _LINES[tag][0]
+        head = "".join([_line(_LINES[t][0], cell, values) for t, values in meta])
     else:
         cell, template = _csv_cell, _LINES[tag][1]
-        head = [f"# {line}\n" for line in comments] + [",".join(RECORDS[tag]) + "\n"]
-    lines = chain(head, (_line(template, cell, values) for values in rows))
-    # one write per batch of lines: an unbuffered stream makes a system call per write
-    while batch := "".join(islice(lines, 256)):
-        out.write(batch)
+        head = "".join([f"# {line}\n" for line in comments] + [",".join(RECORDS[tag]) + "\n"])
+    rows = iter(rows)
+    while batch := list(islice(rows, _BATCH)):
+        if set(map(type, chain.from_iterable(batch))) == {int}:
+            out.write(head + "".join([template % row for row in batch]))
+        else:
+            out.write(head + "".join([_line(template, cell, row) for row in batch]))
+        head = ""
+    if head:  # no rows
+        out.write(head)
 
 
 def cmd_gen_g(args: argparse.Namespace) -> int:

@@ -11,8 +11,13 @@ parity of the root m:
 
 `_ROWS` states this table once in code, as the multiplier k = step*n + start
 and the first leg a = leg*m*k.  Indices whose side conditions fail (k <= m
-among them) are skipped, so item positions are stable.  The first legs of a
-family follow the progression a = stride*n + offset.
+among them) are skipped, so item positions are stable.  The first legs of
+a family follow the progression a = stride*n + offset.
+
+The walk starts at the first index with k > m, found in closed form, and in
+the 2*m*m, m odd row it visits only even n: an odd n fails the parity test,
+so it is never tried, and every member keeps the position it has in a walk
+over every index.
 
 Families are infinite: `iter_g_family` yields members lazily, one index at
 a time, so the cost of the first member does not depend on how many follow
@@ -84,22 +89,23 @@ def classify_g(g: int) -> GClass:
     """The unique admissibility class of g; the three kinds are disjoint."""
     if g < 1:
         raise ValueError(f"gap must be a positive integer, got {g}")
-    if g % 2:
-        m = math.isqrt(g)
-        if m * m == g:
-            return GClass(g, GKind.ODD_SQUARE, m)
-    else:
-        half = g // 2
-        m = math.isqrt(half)
-        if m * m == half:
-            kind = GKind.TWICE_SQUARE_ODD if m % 2 else GKind.TWICE_SQUARE_EVEN
-            return GClass(g, kind, m)
+    root = g if g % 2 else g // 2  # g = m*m when odd, 2*m*m when even
+    m = math.isqrt(root)
+    if m * m == root:
+        return _class_of(g, m)
     return GClass(
         g,
         GKind.INADMISSIBLE,
         None,
         reasons=("not an odd square", "not twice a square"),
     )
+
+
+def _class_of(g: int, m: int) -> GClass:
+    """The class of an admissible gap g with root m: g = m*m (odd) or 2*m*m."""
+    if g % 2:
+        return GClass(g, GKind.ODD_SQUARE, m)
+    return GClass(g, GKind.TWICE_SQUARE_ODD if m % 2 else GKind.TWICE_SQUARE_EVEN, m)
 
 
 # kind -> (leg, step, start): the multiplier k = step*n + start, first leg a = leg*m*k
@@ -174,16 +180,23 @@ def iter_g_family(g: int, count: int) -> Iterator[GFamilyItem]:
 
 
 def _members(gc: GClass) -> Iterator[GFamilyItem]:
-    """Every member of the family of an admissible gc, in index order."""
+    """Every member of the family of an admissible gc, in index order.
+
+    In a leg-2 row with an odd step (2*m*m, m odd: k = n), k changes parity
+    with n, so only every other index can pair k with a root of the opposite
+    parity.  The first index, k = m + 1, is one of them, and the walk steps
+    over the others, which `_pair` would refuse."""
     leg, step, start = _ROWS[gc.kind]
     m = gc.m
     assert m is not None
     stride, offset = leg * m * step, leg * m * start
-    for n in itertools.count((m - start) // step + 1):  # the least n with step*n + start > m
+    first = (m - start) // step + 1  # the least n with step*n + start > m
+    make = GFamilyItem._make
+    for n in itertools.count(first, 2 if leg == 2 and step % 2 else 1):
         k = step * n + start
         pair = _pair(leg, m, k)
         if pair is not None:
-            yield GFamilyItem(n, k, *pair, *_triple(leg, pair), stride, offset)
+            yield make((n, k, *pair, *_triple(leg, pair), stride, offset))
 
 
 def generate_g_family(g: int, count: int) -> list[GFamilyItem]:
@@ -196,11 +209,13 @@ def invert_to_family(t: Triple) -> tuple[GClass, int]:
 
     The parameter pair (r, s) of t gives both.  When b = 2rs is the even leg
     the gap is the odd square (r - s)**2 and the multiplier is k = r + s;
-    otherwise the gap is 2*s*s and k = r.  Non-primitive input, which has no
-    parameter pair, raises ValueError.
+    otherwise the gap is 2*s*s and k = r.  The root (r - s, or s) comes off
+    the pair too, so no square root of the gap is taken.  Non-primitive
+    input, which has no parameter pair, raises ValueError.
     """
     r, s = to_params(t)
-    gc = classify_g(t.c - t.b)
+    even_b = t.b % 2 == 0
+    gc = _class_of(t.c - t.b, r - s if even_b else s)
     _, step, start = _ROWS[gc.kind]
-    k = r + s if t.b % 2 == 0 else r
+    k = r + s if even_b else r
     return gc, (k - start) // step

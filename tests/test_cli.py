@@ -4,6 +4,7 @@ import doctest
 import enum
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -130,17 +131,18 @@ FOOTPRINTS = {
 
 def test_each_command_loads_only_its_layers():
     """No command loads `dataclasses` (and the `inspect` and `ast` behind it)
-    either, unless the interpreter's own start-up (`site`) already has."""
-    has_dataclasses = "'dataclasses' in sys.modules"
+    either, and no CSV or `verify` command loads `json`, unless the
+    interpreter's own start-up (`site`) already has."""
+    stdlib = "'dataclasses' in sys.modules, 'json' in sys.modules"
     bare = subprocess.run(
-        [sys.executable, "-c", f"import sys; print({has_dataclasses})"],
+        [sys.executable, "-c", f"import sys; print({stdlib})"],
         capture_output=True, text=True, env=child_env(), check=True,
     )
     probe = (
         "import contextlib, io, sys, pptriples.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = pptriples.cli.main(sys.argv[1:])\n"
-        f"print(code, {has_dataclasses}, "
+        f"print(code, {stdlib}, "
         "*sorted(m for m in sys.modules if m.startswith('pptriples.')))"
     )
     for argv, layers in FOOTPRINTS.items():
@@ -235,7 +237,8 @@ class Level(enum.IntEnum):
 
 
 # small ints, and ints of up to 4000 digits either side of 0
-INTS = st.integers(-(10**6), 10**6) | st.builds(
+SMALL = st.integers(-(10**6), 10**6)
+INTS = SMALL | st.builds(
     lambda sign, digits, low: sign * (10 ** (digits - 1) + low),
     st.sampled_from([-1, 1]), st.integers(1, 4000), st.integers(0, 10**6),
 )
@@ -262,9 +265,17 @@ def record_rows(tag, cells):
 @given(data=st.data())
 def test_writer_matches_the_reference_renderer(tag, data):
     """Only rows of exact ints skip the encoder: a bool, None, a string, a
-    list or an IntEnum member anywhere in a row is rendered cell by cell."""
-    row = record_rows(tag, INTS) | record_rows(tag, INT_LIKE) | record_rows(tag, CELLS)
-    rows = data.draw(st.lists(row, max_size=3))
+    list or an IntEnum member anywhere in a row is rendered cell by cell.
+    A draw of up to 150 rows spans up to three batches of 64, and its
+    other rows fall in the same batch as an exact-int run or next to one."""
+    # exact-int rows, their cells cycled from a few small ints (big ones come
+    # in the other rows)
+    width, pool = len(RECORDS[tag]), data.draw(st.lists(SMALL, min_size=1, max_size=12))
+    cells = itertools.cycle(pool)
+    rows = [tuple(itertools.islice(cells, width)) for _ in range(data.draw(st.integers(0, 150)))]
+    other = record_rows(tag, INT_LIKE) | record_rows(tag, CELLS)
+    for at, row in data.draw(st.lists(st.tuples(st.integers(0, 150), other), max_size=4)):
+        rows.insert(at, row)
     meta = data.draw(
         st.lists(
             st.sampled_from(list(RECORDS)).flatmap(
@@ -282,6 +293,60 @@ def test_writer_matches_the_reference_renderer(tag, data):
             head = ["# a comment\n", ",".join(RECORDS[tag]) + "\n"]
             want = head + [reference_line(fmt, tag, v) for v in rows]
         assert out.getvalue() == "".join(want)
+
+
+class CountingStream(io.StringIO):
+    """A text stream that keeps every string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def batch_writes(fmt, rows, meta):
+    """The strings `write_records` writes for density rows, by the reference
+    renderer: one per batch of 64 rows, the head in the first."""
+    head = io.StringIO()
+    write_records(fmt, head, "density_row", [], meta=meta, comments=["c"])
+    batches = [rows[at : at + 64] for at in range(0, len(rows), 64)] or [[]]
+    writes = ["".join(reference_line(fmt, "density_row", v) for v in batch) for batch in batches]
+    writes[0] = head.getvalue() + writes[0]
+    return writes
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 129, 200])
+def test_writer_writes_once_per_batch_of_64_rows(fmt, count):
+    """ceil(count / 64) writes, the head in the first; with no rows the head
+    goes out alone.  Row 70 holds None, so exact-int batches and a rendered
+    one both occur."""
+    rows = [(i, i, i, i, None if i == 70 else i) for i in range(count)]
+    meta = [("g_class", (9, "odd-square", 3))]
+    out = CountingStream()
+    write_records(fmt, out, "density_row", rows, meta=meta, comments=["c"])
+    assert len(out.writes) == max(1, math.ceil(count / 64))
+    assert out.writes == batch_writes(fmt, rows, meta)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_writes_nothing_before_the_first_row(fmt):
+    """A row that raises ends the run with only the full batches before it
+    written: no write at all when it is the first."""
+
+    def rows(good):
+        yield from ((i,) * 5 for i in range(good))
+        raise ValueError("refused")
+
+    for good, batches in ((0, 0), (63, 0), (64, 1), (150, 2)):
+        out = CountingStream()
+        with pytest.raises(ValueError, match="refused"):
+            write_records(fmt, out, "density_row", rows(good), meta=[], comments=["c"])
+        want = batch_writes(fmt, [(i,) * 5 for i in range(64 * batches)], [])
+        assert out.writes == (want if batches else [])
 
 
 class TestGenF:

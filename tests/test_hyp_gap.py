@@ -194,6 +194,78 @@ class TestFirstIndex:
             assert [it.triple for it in items] == expected
 
 
+def every_index_walk(g, count):
+    """The referee of `iter_g_family`: the first `count` members found by
+    trying every index from the closed-form first one with `family_params`,
+    the wrong-parity ones included."""
+    gc = classify_g(g)
+    leg, step, start = hyp_gap._ROWS[gc.kind]
+    stride, offset = leg * gc.m * step, leg * gc.m * start
+    items = []
+    for n in itertools.count((gc.m - start) // step + 1):
+        if len(items) == count:
+            return items
+        pair = family_params(gc, n)
+        if pair is not None:
+            triple = family_triple(gc, n)
+            items.append((n, step * n + start, *pair, *triple, stride, offset))
+
+
+def gaps_of_root(m):
+    """The admissible gaps with root m: m*m and 2*m*m for odd m, 2*m*m for even m."""
+    return (m * m, 2 * m * m) if m % 2 else (2 * m * m,)
+
+
+class TestWalk:
+    """The walk steps over wrong-parity indices and still yields, in order,
+    the members a walk over every index finds."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 9, 15, 105, 113, 210])
+    def test_matches_every_index_walk(self, m):
+        for g in gaps_of_root(m):
+            want = every_index_walk(g, 200)
+            for count in range(1, 201):
+                assert generate_g_family(g, count) == want[:count], (g, count)
+
+    @pytest.mark.parametrize("g", [1000003**2, 2 * 1000003**2, 2 * (10**6) ** 2])
+    def test_matches_every_index_walk_near_a_million(self, g):
+        assert generate_g_family(g, 200) == every_index_walk(g, 200)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10**6), st.booleans(), st.integers(1, 80))
+    def test_matches_every_index_walk_for_any_admissible_gap(self, m, twice, count):
+        g = 2 * m * m if twice or m % 2 == 0 else m * m
+        assert generate_g_family(g, count) == every_index_walk(g, count)
+
+    @pytest.mark.parametrize("m", [1, 3, 9, 113, 2, 210])
+    def test_tries_only_parity_valid_multipliers(self, monkeypatch, m):
+        """Every multiplier handed to `_pair` has the parity of a member, and
+        every member is built through the validating constructors."""
+        tried, built = [], {triples.Triple: [], triples.ParamPair: []}
+        pair = hyp_gap._pair
+
+        def counting_pair(leg, root, k):
+            tried.append((leg, k - root))
+            return pair(leg, root, k)
+
+        monkeypatch.setattr(hyp_gap, "_pair", counting_pair)
+        for cls, log in built.items():
+
+            def recording(c, *values, new=cls.__new__, log=log):
+                log.append(values)
+                return new(c, *values)
+
+            monkeypatch.setattr(cls, "__new__", recording)
+        for g in gaps_of_root(m):
+            tried.clear()
+            for log in built.values():
+                log.clear()
+            items = generate_g_family(g, 50)
+            assert all(leg == 1 or gap % 2 for leg, gap in tried)
+            assert built[triples.ParamPair] == [it[2:4] for it in items]
+            assert built[triples.Triple] == [it[4:7] for it in items]
+
+
 class TestInvert:
     def test_examples(self):
         gc, n = invert_to_family(Triple(15, 8, 17))
@@ -223,6 +295,18 @@ class TestInvert:
                 )
                 assert gc.kind is expected_kind
                 assert family_triple(gc, n) == ordered
+
+    def test_class_matches_the_square_root_route(self):
+        """The class read off the pair is `classify_g(c - b)`, for both leg
+        orders of every triple with c <= 10^4 and of one whose c has 80,001
+        digits (where both gaps are large)."""
+        r, s = 10**40000, 10**39999 + 1
+        big = Triple(r * r - s * s, 2 * r * s, r * r + s * s)
+        assert 10**80000 <= big.c < 10**80001
+        for t in [*enumerate_ppts(10_000), big]:
+            for ordered in (t, Triple(t.b, t.a, t.c)):
+                gc, _ = invert_to_family(ordered)
+                assert gc == classify_g(ordered.c - ordered.b)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10**40 // 2), st.integers(0, 10**40 // 4), st.booleans())
