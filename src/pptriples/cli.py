@@ -131,8 +131,7 @@ def _csv_cell(value: object) -> str:
 
 
 def _line(template: str, cell, row: tuple) -> str:
-    # str(n) of an exact int is also its JSON text and its CSV cell
-    return template % (row if set(map(type, row)) == {int} else tuple(map(cell, row)))
+    return template % tuple(map(cell, row))
 
 
 # rows per write: an unbuffered stream makes a system call per write, and a
@@ -152,15 +151,13 @@ def write_records(
 
     JSON Lines output starts with the `meta` records, given as (tag, values)
     pairs; CSV output starts with `comments` as `#` lines, then the header.
-    Each line fills its tag's template: a row whose values are all exact
-    ints (`type(v) is int`, so no bool or int subclass) fills it as it is,
-    any other row with each value rendered first (JSON text, or the CSV
-    cell: "" for None, true/false for a bool, else `str`).
-
     Rows are read and written in batches of `_BATCH`, one write each, the
     head going out with the first: nothing is written before the first row
-    is computed.  The exact-int test is made once per batch; a batch that
-    fails it is rendered row by row.
+    is computed.  Each line fills its tag's template.  A batch whose values
+    are all exact ints (`type(v) is int`, so no bool or int subclass) fills
+    it as it is; any other batch, and every metadata record, has each value
+    rendered first (JSON text, or the CSV cell: "" for None, true/false for
+    a bool, else `str`).
     """
     if fmt == "json":
         import json  # only JSON output needs the encoder
@@ -173,6 +170,7 @@ def write_records(
     rows = iter(rows)
     while batch := list(islice(rows, _BATCH)):
         if set(map(type, chain.from_iterable(batch))) == {int}:
+            # str(n) of an exact int is also its JSON text and its CSV cell
             out.write(head + "".join([template % row for row in batch]))
         else:
             out.write(head + "".join([_line(template, cell, row) for row in batch]))

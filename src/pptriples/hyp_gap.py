@@ -123,7 +123,8 @@ def _pair(leg: int, m: int, k: int) -> ParamPair | None:
     A leg-1 row pairs r = (k+m)/2 with s = (k-m)/2; a leg-2 row pairs r = k
     with s = m.
     """
-    # parity first: the cheapest test, and it rejects every other step-1 index
+    # parity first, the cheapest test: `_members` skips wrong-parity indices,
+    # but `family_params` callers may pass any index
     if (leg == 2 and (k - m) % 2 == 0) or k <= m or math.gcd(k, m) != 1:
         return None
     if leg == 1:
