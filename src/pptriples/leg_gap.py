@@ -7,15 +7,14 @@ elements +/- GAMMA * DELTA**m * u**2 of Z[sqrt(2)], where u ranges over the
 norm-f products built by choosing, for each prime factor of f, either its
 prime-element generator or the conjugate.
 
-Along one branch A * DELTA**m, A = GAMMA * u**2, the x component is
-(A L**m + A' L**-m)/2, with A read as the real number, A' its conjugate and
-L = 3 + 2*sqrt(2).  A A' = -f**2 < 0, so x is strictly monotone in m and
-|x| falls, then rises.  Generation splits each
-branch at its least |x| into two runs of rising |x|, one DELTA factor per
-step, and merges the runs by X = |x| = 2a + f, which orders the triples by
-(a, b, c); a triple reached by several branches keeps the first in
-ascending m.  Records stream out as they are merged: live state is one
-element per run, two runs per branch.
+Along one branch GAMMA * DELTA**m * u**2, |x| falls to a least value, the
+branch's valley, and then rises; `zsqrt2._orbit_low` finds the valley.
+Generation splits each branch at its valley, clamped to the range of m,
+into two runs of rising |x|, one DELTA factor per step, and merges the runs
+by X = |x| = 2a + f, which orders the triples by (a, b, c); a triple
+reached by several branches keeps the first in ascending m.  Records
+stream out as they are merged: live state is one element per run, two runs
+per branch.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Iterator, NamedTuple
 from . import _primes, pell, zsqrt2
 from ._primes import InadmissibleError
 from .triples import Triple
-from .zsqrt2 import DELTA, ONE, QuadInt
+from .zsqrt2 import _DELTA_INV, DELTA, GAMMA, ONE, QuadInt, _orbit_low
 
 __all__ = [
     "FSpec",
@@ -118,68 +117,39 @@ def iter_f_triples(spec: FSpec, m_lo: int, m_hi: int) -> Iterator[FTriple]:
     tagged with the first branch, in ascending m, that hit it.  The range
     and the gap are checked when this is called, before the first triple.
 
-    Each record costs O(1) ring steps on numbers of about 0.77 |m| digits,
-    so a span costs about quadratically many digits in all; the live state
-    is 2 * 2**k run heads for k distinct prime factors of f.
+    Each branch's valley v costs |v| + 2 ring steps, and each record O(1)
+    ring steps on numbers of about 0.77 |m| digits, so a span costs about
+    quadratically many digits in all; the live state is 2 * 2**k run heads
+    for k distinct prime factors of f.
     """
     if m_lo > m_hi:
         raise ValueError(f"empty exponent range [{m_lo}, {m_hi}]")
     elements = cf_elements(spec)
-    inverse = DELTA.conjugate()
     runs = []
     for index, elem in enumerate(elements):
         square = elem.u * elem.u
-        s = _valley(square, m_lo, m_hi)
-        w = pell.gamma_delta_power(s) * square
+        valley, w = _orbit_low(GAMMA * square)
+        s = min(max(valley, m_lo), m_hi)
+        if s != valley:
+            w = pell.gamma_delta_power(s) * square
         runs.append(_run(spec.f, index, w, s, m_hi + 1, DELTA))
-        runs.append(_run(spec.f, index, w * inverse, s - 1, m_lo - 1, inverse))
+        runs.append(_run(spec.f, index, w * _DELTA_INV, s - 1, m_lo - 1, _DELTA_INV))
     return _first_of_each(spec.f, elements, heapq.merge(*runs))
-
-
-def _valley(square: QuadInt, m_lo: int, m_hi: int) -> int:
-    """The least m in [m_lo, m_hi] where |x| of GAMMA * DELTA**m * square is
-    least.
-
-    |x| falls strictly before its least value, at some v, and rises from v
-    on, with at most one tie (between v and v + 1), so |x_(m+1)| >= |x_m|
-    holds exactly for m >= v.  v is bracketed by galloping out from 0 and
-    then bisected, so no power much beyond DELTA**(2|v|) is taken whatever
-    the range; v clamped to the range is the answer.
-    """
-
-    def rising(m: int) -> bool:
-        w = pell.gamma_delta_power(m) * square
-        return abs((w * DELTA).x) >= abs(w.x)
-
-    # keep rising(lo) false and rising(hi) true, so v is in (lo, hi]
-    step = 1
-    if rising(0):
-        lo, hi = -1, 0
-        while rising(lo):
-            lo, hi, step = lo - step, lo, 2 * step
-    else:
-        lo, hi = 0, 1
-        while not rising(hi):
-            lo, hi, step = hi, hi + step, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if rising(mid):
-            hi = mid
-        else:
-            lo = mid
-    return min(max(hi, m_lo), m_hi)
 
 
 def _run(
     f: int, index: int, w: QuadInt, m: int, stop: int, unit: QuadInt
 ) -> Iterator[tuple[int, int, int, int]]:
     """(X, m, index, Y) of branch `index` from w at m, one `unit` per step,
-    until m reaches stop.  |x| does not fall along a run and ties at most
-    once, between the valley and the next m up, so the keys ascend."""
+    until m reaches stop.  A run holds one key or leads away from the
+    branch's valley (`zsqrt2._orbit_low`), so |x| does not fall along it
+    and the keys ascend.
+    X = |x| with x*x - 2*y*y = -f*f and f odd, so X is odd and every X > f
+    gives integer legs (X - f)/2 and (X + f)/2."""
     step = 1 if stop > m else -1
     while m != stop:
         X = abs(w.x)
-        if X > f and (X - f) % 2 == 0:
+        if X > f:
             yield X, m, index, abs(w.y)
         w = w * unit
         m += step

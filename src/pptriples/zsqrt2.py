@@ -135,41 +135,42 @@ def _canonical_key(v: QuadInt) -> tuple[int, bool, int, bool]:
     return (abs(v.x), v.x <= 0, abs(v.y), v.y < 0)
 
 
-def _orbit_min_candidates(
+def _orbit_low(
     u: QuadInt, coord: Callable[[QuadInt], int] = attrgetter("x")
-) -> list[QuadInt]:
-    # Along u * DELTA**k each coordinate is A*DELTA**k + B*DELTA**-k for real
-    # A, B, so its absolute value is unimodal in k; greedy descent reaches the
-    # minimum of |coord|, and the candidates are the orbit points attaining it.
-    v = u
-    while True:
-        step = v * DELTA
-        if abs(coord(step)) < abs(coord(v)):
-            v = step
-            continue
-        step = v * _DELTA_INV
-        if abs(coord(step)) < abs(coord(v)):
-            v = step
-            continue
-        break
-    return [w for w in (v, v * DELTA, v * _DELTA_INV) if abs(coord(w)) == abs(coord(v))]
+) -> tuple[int, QuadInt]:
+    """(k, u * DELTA**k) for the least k at which |coord| is least along
+    u's DELTA orbit; ZERO, whose orbit is constant, gives (0, ZERO).
+
+    Either coordinate of u * DELTA**k is A*L**k + B*L**-k, L = 3 + 2*sqrt(2),
+    for reals A, B that are both 0 only for ZERO.  Its absolute value, read
+    over real k, falls strictly to one least point and rises strictly after
+    it, so over the integers it falls strictly to its least value, ties it
+    at most at the next k up, and then rises strictly.  A step walk from
+    k = 0, up while |coord| falls and then down while it does not rise,
+    thus ends at the answer after |k| + 2 ring steps.
+    """
+    k, v = 0, u
+    while abs(coord(up := v * DELTA)) < abs(coord(v)):
+        k, v = k + 1, up
+    if not u.is_zero():
+        while abs(coord(down := v * _DELTA_INV)) <= abs(coord(v)):
+            k, v = k - 1, down
+    return k, v
 
 
 def canonical_associate(u: QuadInt) -> QuadInt:
     """The associate of u with minimal |x|, preferring x > 0, then minimal
     |y| with y >= 0.
 
-    The unit group is {+/- GAMMA**k}; the two GAMMA-parity classes are
-    scanned separately since each is a single DELTA orbit.
+    The units are +/- GAMMA**k, so up to sign the least |x| is at the low
+    point of the DELTA orbit of u or of u * GAMMA.  The next point up ties
+    it only at t*(2 + sqrt(2)) or t*(1 + sqrt(2)), up to sign, and then the
+    other orbit holds t*sqrt(2) or t, which the order puts first.
     """
     if u.is_zero():
         return u
-    candidates: list[QuadInt] = []
-    for start in (u, u * GAMMA):
-        for v in _orbit_min_candidates(start):
-            candidates.append(v)
-            candidates.append(-v)
-    return min(candidates, key=_canonical_key)
+    lows = [_orbit_low(v)[1] for v in (u, u * GAMMA)]
+    return min(lows + [-v for v in lows], key=_canonical_key)
 
 
 def gcd(alpha: QuadInt, beta: QuadInt) -> QuadInt:
@@ -226,8 +227,6 @@ def ideal_generator(p: int) -> QuadInt:
     if not splits(p):
         raise ValueError(f"{p} does not split in Z[sqrt(2)]")
     g = gcd(QuadInt(p, 0), QuadInt(_sqrt_mod(2, p), 1))
-    u = min(
-        (v for start in (g, g * GAMMA) for v in _orbit_min_candidates(start, attrgetter("y"))),
-        key=lambda v: abs(v.y),
-    )
+    lows = [_orbit_low(v, attrgetter("y"))[1] for v in (g, g * GAMMA)]
+    u = min(lows, key=lambda v: abs(v.y))
     return QuadInt(abs(u.x), abs(u.y))

@@ -17,8 +17,9 @@ from pptriples import (
     iter_f_triples,
     iter_ppt_rows,
     iter_ppts,
+    is_prime,
 )
-from pptriples import checks, leg_gap, pell, zsqrt2
+from pptriples import checks, pell, zsqrt2
 from pptriples.checks import CheckReport, is_associate, leg_gap_rows, verify_f_triple
 from pptriples.cli import main
 from pptriples.leg_gap import FTriple
@@ -253,6 +254,26 @@ def test_walk_matches_the_per_m_reference(f, m_lo, m_hi):
     assert generate_f_triples(spec, m_lo, m_hi) == want
 
 
+SPLIT_PRIMES = [p for p in range(3, 152) if p % 8 in (1, 7) and is_prime(p)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(SPLIT_PRIMES), max_size=3), st.data())
+def test_walk_matches_the_per_m_reference_for_any_gap(primes, data):
+    spec = admissible_f(math.prod(primes))
+    # a range within +/-25: anywhere, or wholly below or above the valley
+    # of one branch, found by scanning every m
+    elem = data.draw(st.sampled_from(cf_elements(spec)))
+    xs = {m: abs((gamma_delta_power(m) * elem.u * elem.u).x) for m in range(-25, 26)}
+    valley = min(xs, key=lambda m: (xs[m], m))
+    assert -25 < valley < 25
+    lo, hi = data.draw(st.sampled_from([(-25, 25), (-25, valley - 1), (valley + 1, 25)]))
+    m_lo = data.draw(st.integers(lo, hi))
+    m_hi = data.draw(st.integers(m_lo, hi))
+    want = sorted(_reference_f_triples(spec, m_lo, m_hi), key=lambda ft: ft.triple)
+    assert generate_f_triples(spec, m_lo, m_hi) == want
+
+
 class TestStreaming:
     def test_wide_span_is_lazy(self, monkeypatch):
         powers = []
@@ -261,12 +282,19 @@ class TestStreaming:
             powers.append(m)
             return gamma_delta_power(m)
 
+        def recording_pow(self, n):
+            powers.append(n)
+            return real_pow(self, n)
+
+        real_pow = QuadInt.__pow__
         monkeypatch.setattr(pell, "gamma_delta_power", recording)
+        monkeypatch.setattr(QuadInt, "__pow__", recording_pow)
         triples = iter_f_triples(admissible_f(119), -(10**6), 10**6)
         got = [ft.triple for ft in itertools.islice(triples, 3)]
         assert got == [(24, 143, 145), (57, 176, 185), (180, 299, 349)]
-        # the runs start at each branch's least |x|, near m = 0, not at the ends
-        assert max(map(abs, powers)) <= 8
+        # the runs start at each branch's least |x|, near m = 0, not at the
+        # ends, so no power beyond 8 is taken, by gamma_delta_power or any other
+        assert all(abs(m) <= 8 for m in powers)
 
     def test_refusals_come_at_the_call(self):
         with pytest.raises(InadmissibleError):
@@ -276,12 +304,16 @@ class TestStreaming:
 
     @pytest.mark.parametrize("f", [1, 7, 119, 84847, 100000000943])
     def test_valley_is_the_least_x(self, f):
+        # the branch's valley, clamped to a range as `iter_f_triples` clamps
+        # it, is the least m of least |x| in that range
         for elem in cf_elements(admissible_f(f)):
             square = elem.u * elem.u
+            valley, w = zsqrt2._orbit_low(zsqrt2.GAMMA * square)
+            assert w == gamma_delta_power(valley) * square
             for m_lo, m_hi in ((-30, 30), (-30, -20), (4, 9), (0, 0), (-1, 0), (-2, 1)):
                 xs = {m: abs((gamma_delta_power(m) * square).x) for m in range(m_lo, m_hi + 1)}
                 least = min(xs.values())
-                assert leg_gap._valley(square, m_lo, m_hi) == min(m for m in xs if xs[m] == least)
+                assert min(max(valley, m_lo), m_hi) == min(m for m in xs if xs[m] == least)
 
 
 def test_gen_f_scans_for_each_prime_once(monkeypatch, capsys):

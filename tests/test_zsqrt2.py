@@ -1,5 +1,6 @@
 import math
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from pptriples import (
     splits,
 )
 from pptriples.checks import is_associate
+from pptriples.zsqrt2 import _orbit_low
 
 coords = st.integers(min_value=-(10**6), max_value=10**6)
 elements = st.builds(QuadInt, coords, coords)
@@ -146,6 +148,53 @@ class TestCanonicalAssociate:
         assert canonical_associate(v) == v
         assert canonical_associate(-u) == v
         assert canonical_associate(u * GAMMA) == v
+
+    @given(nonzero, st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1)]))
+    def test_matches_a_scan_of_associates(self, u, form):
+        # t*(1 +/- sqrt(2)) and t*(2 +/- sqrt(2)) tie in |x| with a neighbour
+        # on their DELTA orbit, and t and t*sqrt(2) are what the order prefers
+        t = u.x or 1
+        for v in (u, QuadInt(*form) * t):
+            scan = [s * v * GAMMA**k for k in range(-30, 31) for s in (1, -1)]
+            want = min(scan, key=lambda w: (abs(w.x), w.x <= 0, abs(w.y), w.y < 0))
+            assert canonical_associate(v) == want
+
+
+def _scan_low(u, coord, span=60):
+    """The least k in [-span, span] at which |coord(u * DELTA**k)| is least,
+    by evaluating every k; it must lie inside the window."""
+    sizes = {k: abs(coord(u * DELTA**k)) for k in range(-span, span + 1)}
+    k = min(sizes, key=lambda k: (sizes[k], k))
+    assert -span < k < span
+    return k
+
+
+class TestOrbitLow:
+    # norms +1, -1, -2, +7, -7, -2 (x = 0 at k = -1), +49 (y = 0 at k = -3),
+    # -1 and +2 (each a tie in |x| and in |y|, at k = -10 and -5), and a large
+    # positive one
+    @pytest.mark.parametrize(
+        "u",
+        [
+            ONE, GAMMA, SQRT2, QuadInt(3, 1), QuadInt(1, 2), QuadInt(4, 3),
+            QuadInt(7, 0) * DELTA**3, -GAMMA * DELTA**9, QuadInt(2, -1) * DELTA**5,
+            QuadInt(10**12 + 39, -5),
+        ],
+    )
+    @pytest.mark.parametrize("coord", ["x", "y"])
+    def test_examples(self, u, coord):
+        k, v = _orbit_low(u, attrgetter(coord))
+        assert (k, v) == (_scan_low(u, attrgetter(coord)), u * DELTA**k)
+
+    @given(nonzero, st.sampled_from(["x", "y"]))
+    def test_matches_the_scan(self, u, coord):
+        k, v = _orbit_low(u, attrgetter(coord))
+        assert (k, v) == (_scan_low(u, attrgetter(coord)), u * DELTA**k)
+
+    def test_zero_ends(self):
+        # every k ties on ZERO's orbit, so a walk that steps on ties never ends
+        assert _orbit_low(ZERO) == (0, ZERO)
+        assert _orbit_low(ZERO, attrgetter("y")) == (0, ZERO)
 
 
 class TestGcd:
