@@ -17,6 +17,7 @@ the CLI commands only `verify` loads it.
 
 from __future__ import annotations
 
+import collections
 import math
 import random
 from typing import Iterable, Iterator, NamedTuple
@@ -236,19 +237,26 @@ def recurrence_coeffs(n: int) -> RecurrencePair:
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if n == 0:
-        return RecurrencePair(0, 1, 0)
-    a_prev, a = 1, 3
-    b_prev, b = 0, 2
-    for _ in range(n - 1):
+    return collections.deque(_recurrence_pairs(n), maxlen=1)[0]
+
+
+def _recurrence_pairs(n_max: int) -> Iterator[RecurrencePair]:
+    """The coefficient pairs for n = 0..n_max, each stepped once from the two
+    before it, starting from n = -1 (A = 3, B = -2) and n = 0."""
+    a_prev, a, b_prev, b = 3, 1, -2, 0
+    for n in range(n_max + 1):
+        yield RecurrencePair(n, a, b)
         a_prev, a = a, 6 * a - a_prev
         b_prev, b = b, 6 * b - b_prev
-    return RecurrencePair(n, a, b)
 
 
 def apply_delta_power(t: QuadInt, n: int) -> QuadInt:
     """t * DELTA**n evaluated through the recurrence coefficients."""
-    rc = recurrence_coeffs(n)
+    return _apply_pair(t, recurrence_coeffs(n))
+
+
+def _apply_pair(t: QuadInt, rc: RecurrencePair) -> QuadInt:
+    """t * DELTA**rc.n from the coefficient pair rc."""
     j, k = t.x, t.y
     return QuadInt(rc.A * j + 2 * rc.B * k, rc.A * k + rc.B * j)
 
@@ -272,8 +280,8 @@ def _pell_cases(m_max: int) -> Iterator[str | None]:
     sample = [QuadInt(rng.randint(-999, 999), rng.randint(-999, 999)) for _ in range(20)]
     for t in sample:
         acc = t
-        for n in range(m_max + 1):
-            yield None if apply_delta_power(t, n) == acc else f"recurrence mismatch at t={t}, n={n}"
+        for rc in _recurrence_pairs(m_max):
+            yield None if _apply_pair(t, rc) == acc else f"recurrence mismatch at t={t}, n={rc.n}"
             acc = acc * DELTA
     known = set()
     m = 0

@@ -9,10 +9,11 @@ parity of the root m:
     2*m*m, m odd        r = n,          s = m            gcd(n, m) = 1, n even
     2*m*m, m even       r = 2n+1,       s = m            gcd(2n+1, m) = 1
 
-`_ROWS` states this table once in code, as the multiplier k = step*n + start
-and the first leg a = leg*m*k.  Indices whose side conditions fail (k <= m
-among them) are skipped, so item positions are stable.  The first legs of
-a family follow the progression a = stride*n + offset.
+`_ROWS` keys the table on the multiplier k = step*n + start, and `_row` is
+its one statement of a member's (r, s, a, b, c) from k and m.  Indices
+whose side conditions fail (k <= m among them) are skipped, so item
+positions are stable.  The first legs of a family follow the progression
+a = stride*n + offset.
 
 The walk starts at the first index with k > m, found in closed form, and in
 the 2*m*m, m odd row it visits only even n: an odd n fails the parity test,
@@ -32,7 +33,7 @@ import math
 from typing import Iterator, NamedTuple
 
 from ._primes import InadmissibleError
-from .triples import ParamPair, Triple, from_params, to_params
+from .triples import ParamPair, Triple, to_params
 
 __all__ = [
     "GKind",
@@ -116,28 +117,23 @@ _ROWS = {
 }
 
 
-def _pair(leg: int, m: int, k: int) -> ParamPair | None:
-    """The pair of multiplier k, or None unless k > m, gcd(k, m) = 1 and, in a
-    leg-2 row, k and m have opposite parity (else the triple is all even).
-
-    A leg-1 row pairs r = (k+m)/2 with s = (k-m)/2; a leg-2 row pairs r = k
-    with s = m.
-    """
-    # parity first, the cheapest test: `_members` skips wrong-parity indices,
-    # but `family_params` callers may pass any index
+def _row(leg: int, m: int, k: int) -> tuple[int, int, int, int, int] | None:
+    """The plain (r, s, a, b, c) of multiplier k, or None unless k > m,
+    gcd(k, m) = 1 and, in a leg-2 row, k - m is odd (else all are even).  A
+    leg-1 row has r, s = (k+m)/2, (k-m)/2 and odd leg m*k first; a leg-2 row
+    r, s = k, m and even leg 2*k*m first.  Checks as `ParamPair`, `Triple` do."""
+    # parity first, the cheapest test; `family_params` may pass any index
     if (leg == 2 and (k - m) % 2 == 0) or k <= m or math.gcd(k, m) != 1:
         return None
+    kk, mm = k * k, m * m
     if leg == 1:
-        return ParamPair((k + m) // 2, (k - m) // 2)
-    return ParamPair(k, m)
-
-
-def _triple(leg: int, pair: ParamPair) -> Triple:
-    """A leg-1 row keeps the odd leg first; a leg-2 row puts the even leg 2*k*m first."""
-    if leg == 1:
-        return from_params(pair)
-    r, s = pair.r, pair.s
-    return Triple(2 * r * s, r * r - s * s, r * r + s * s)
+        r, s, a, b, c = (k + m) // 2, (k - m) // 2, m * k, (kk - mm) // 2, (kk + mm) // 2
+    else:
+        r, s, a, b, c = k, m, 2 * k * m, kk - mm, kk + mm
+    if not (0 < s < r and a > 0 and b > 0 and c > 0 and a * a + b * b == c * c):
+        ParamPair(r, s)  # the constructors raise the failed check's ValueError
+        Triple(a, b, c)
+    return r, s, a, b, c
 
 
 def _admissible(gc: GClass) -> GClass:
@@ -147,24 +143,28 @@ def _admissible(gc: GClass) -> GClass:
     return gc
 
 
+def _family_row(gc: GClass, n: int) -> tuple[int, int, int, int, int] | None:
+    """`_row` at index n of an admissible gc."""
+    leg, step, start = _ROWS[_admissible(gc).kind]
+    if n < 1:
+        raise ValueError(f"family index starts at 1, got {n}")
+    return _row(leg, gc.m, step * n + start)
+
+
 def family_params(gc: GClass, n: int) -> ParamPair | None:
     """The parameter pair of the n-th family member, or None when the
     table's gcd or parity side condition fails at this index.  An
     inadmissible gap raises InadmissibleError."""
-    leg, step, start = _ROWS[_admissible(gc).kind]
-    if n < 1:
-        raise ValueError(f"family index starts at 1, got {n}")
-    return _pair(leg, gc.m, step * n + start)
+    row = _family_row(gc, n)
+    return None if row is None else ParamPair(*row[:2])
 
 
 def family_triple(gc: GClass, n: int) -> Triple | None:
-    """The n-th family triple in that family's leg order, if n is valid.
-
-    Odd gaps put the odd leg first; even gaps put the even leg first, so the
-    second leg is always the one at distance g from the hypotenuse.
-    """
-    pair = family_params(gc, n)
-    return None if pair is None else _triple(_ROWS[gc.kind][0], pair)
+    """The n-th family triple in that family's leg order, if n is valid: odd
+    gaps put the odd leg first and even gaps the even leg, so the second leg
+    is always the one at distance g from the hypotenuse."""
+    row = _family_row(gc, n)
+    return None if row is None else Triple(*row[2:])
 
 
 def iter_g_family(g: int, count: int) -> Iterator[GFamilyItem]:
@@ -186,18 +186,18 @@ def _members(gc: GClass) -> Iterator[GFamilyItem]:
     In a leg-2 row with an odd step (2*m*m, m odd: k = n), k changes parity
     with n, so only every other index can pair k with a root of the opposite
     parity.  The first index, k = m + 1, is one of them, and the walk steps
-    over the others, which `_pair` would refuse."""
+    over the others, which `_row` would refuse."""
     leg, step, start = _ROWS[gc.kind]
     m = gc.m
     assert m is not None
     stride, offset = leg * m * step, leg * m * start
     first = (m - start) // step + 1  # the least n with step*n + start > m
-    make = GFamilyItem._make
+    new = tuple.__new__  # `_row` has checked the member
     for n in itertools.count(first, 2 if leg == 2 and step % 2 else 1):
         k = step * n + start
-        pair = _pair(leg, m, k)
-        if pair is not None:
-            yield make((n, k, *pair, *_triple(leg, pair), stride, offset))
+        row = _row(leg, m, k)
+        if row is not None:
+            yield new(GFamilyItem, (n, k, *row, stride, offset))
 
 
 def generate_g_family(g: int, count: int) -> list[GFamilyItem]:

@@ -143,7 +143,7 @@ COUNTEREXAMPLES = [
         ("pell", 7, 1, "m=1: injected"),
     ),
     (
-        _fault("apply_delta_power", lambda orig: lambda t, n: orig(t, n) + (ONE if n == 5 else 0)),
+        _fault("_apply_pair", lambda orig: lambda t, rc: orig(t, rc) + (ONE if rc.n == 5 else 0)),
         lambda: checks.check_pell(5),
         ("pell", 17, 1, "recurrence mismatch at t=-709+752√2, n=5"),
     ),

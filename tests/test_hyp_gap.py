@@ -195,20 +195,31 @@ class TestFirstIndex:
 
 
 def every_index_walk(g, count):
-    """The referee of `iter_g_family`: the first `count` members found by
-    trying every index from the closed-form first one with `family_params`,
-    the wrong-parity ones included."""
-    gc = classify_g(g)
-    leg, step, start = hyp_gap._ROWS[gc.kind]
-    stride, offset = leg * gc.m * step, leg * gc.m * start
+    """The referee of `iter_g_family`, built from the module docstring's table
+    alone, with `math.gcd` and `triples.from_params`: the first `count`
+    members found by trying every index from the first with s > 0, the
+    wrong-parity ones included.  A coprime pair of opposite parity states
+    every row's side conditions."""
+    m = math.isqrt(g if g % 2 else g // 2)
+    if g % 2:  # odd square: r = (2n+1+m)/2, s = (2n+1-m)/2
+        first, stride, offset = (m + 1) // 2, 2 * m, m
+        row = lambda n: (2 * n + 1, (2 * n + 1 + m) // 2, (2 * n + 1 - m) // 2)
+    elif m % 2:  # 2*m*m, m odd: r = n, s = m
+        first, stride, offset = m + 1, 2 * m, 0
+        row = lambda n: (n, n, m)
+    else:  # 2*m*m, m even: r = 2n+1, s = m
+        first, stride, offset = m // 2, 4 * m, 2 * m
+        row = lambda n: (2 * n + 1, 2 * n + 1, m)
     items = []
-    for n in itertools.count((gc.m - start) // step + 1):
+    for n in itertools.count(first):
         if len(items) == count:
             return items
-        pair = family_params(gc, n)
-        if pair is not None:
-            triple = family_triple(gc, n)
-            items.append((n, step * n + start, *pair, *triple, stride, offset))
+        k, r, s = row(n)
+        if math.gcd(r, s) == 1 and (r - s) % 2:
+            t = triples.from_params(triples.ParamPair(r, s))
+            a, b, c = t if g % 2 else (t.b, t.a, t.c)  # even gaps: even leg first
+            assert c - b == g and a == stride * n + offset
+            items.append((n, k, r, s, a, b, c, stride, offset))
 
 
 def gaps_of_root(m):
@@ -239,31 +250,56 @@ class TestWalk:
 
     @pytest.mark.parametrize("m", [1, 3, 9, 113, 2, 210])
     def test_tries_only_parity_valid_multipliers(self, monkeypatch, m):
-        """Every multiplier handed to `_pair` has the parity of a member, and
-        every member is built through the validating constructors."""
-        tried, built = [], {triples.Triple: [], triples.ParamPair: []}
-        pair = hyp_gap._pair
+        """Every multiplier handed to `_row` has the parity of a member, and
+        the members are the rows it built, in order."""
+        tried = []
+        row = hyp_gap._row
 
-        def counting_pair(leg, root, k):
-            tried.append((leg, k - root))
-            return pair(leg, root, k)
+        def counting_row(leg, root, k):
+            built = row(leg, root, k)
+            tried.append((leg, k - root, built))
+            return built
 
-        monkeypatch.setattr(hyp_gap, "_pair", counting_pair)
-        for cls, log in built.items():
-
-            def recording(c, *values, new=cls.__new__, log=log):
-                log.append(values)
-                return new(c, *values)
-
-            monkeypatch.setattr(cls, "__new__", recording)
+        monkeypatch.setattr(hyp_gap, "_row", counting_row)
         for g in gaps_of_root(m):
             tried.clear()
-            for log in built.values():
-                log.clear()
             items = generate_g_family(g, 50)
-            assert all(leg == 1 or gap % 2 for leg, gap in tried)
-            assert built[triples.ParamPair] == [it[2:4] for it in items]
-            assert built[triples.Triple] == [it[4:7] for it in items]
+            assert all(leg == 1 or gap % 2 for leg, gap, _ in tried)
+            assert [it[2:7] for it in items] == [built for *_, built in tried if built]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([GKind.ODD_SQUARE, GKind.TWICE_SQUARE_ODD, GKind.TWICE_SQUARE_EVEN]),
+        st.integers(0, 5 * 10**5),
+        st.integers(1, 300),
+    )
+    def test_every_member_passes_the_constructors(self, kind, j, count):
+        """Members are built unchecked from `_row`'s plain ints, so each must
+        pass the validating constructors it skipped."""
+        m = 2 * j + 2 if kind is GKind.TWICE_SQUARE_EVEN else 2 * j + 1
+        g = m * m if kind is GKind.ODD_SQUARE else 2 * m * m
+        assert classify_g(g).kind is kind
+        items = generate_g_family(g, count)
+        assert len(items) == count
+        for it in items:
+            assert type(it) is hyp_gap.GFamilyItem
+            assert triples.ParamPair(it.r, it.s) == (it.r, it.s)
+            assert Triple(it.a, it.b, it.c) == it.triple and it.c - it.b == g
+
+    @pytest.mark.parametrize("g", [1, 9, 225])
+    def test_a_row_that_fails_a_check_raises(self, monkeypatch, g):
+        """An even multiplier in the odd-square row (start 0) gives rows that
+        fail `_row`'s checks: the walk raises before it yields a member."""
+        with pytest.raises(ValueError, match="need 0 < s < r"):
+            hyp_gap._row(1, 3, 4)
+        with pytest.raises(ValueError, match="not a Pythagorean triple"):
+            hyp_gap._row(1, 3, 8)
+        monkeypatch.setitem(hyp_gap._ROWS, GKind.ODD_SQUARE, (1, 2, 0))
+        got = []
+        with pytest.raises(ValueError):
+            for it in iter_g_family(g, 5):
+                got.append(it)
+        assert got == []
 
 
 class TestInvert:
@@ -329,7 +365,7 @@ class TestInvert:
         sample = [Triple(15, 8, 17), Triple(4, 3, 5), Triple(12, 5, 13)]
         want = [invert_to_family(t) for t in sample]
         monkeypatch.setattr(triples, "is_primitive", refuse)
-        for name in ("family_params", "family_triple", "_pair", "_triple"):
+        for name in ("family_params", "family_triple", "_row"):
             monkeypatch.setattr(hyp_gap, name, refuse)
         assert [invert_to_family(t) for t in sample] == want
         assert [n for _, n in want] == [2, 2, 1]

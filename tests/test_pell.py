@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from pptriples import (
     gamma_delta_power,
     neg_pell_solution,
 )
-from pptriples.checks import apply_delta_power, recurrence_coeffs
+from pptriples.checks import CheckReport, apply_delta_power, check_pell, recurrence_coeffs
 
 
 def test_initial_coefficients():
@@ -45,6 +46,19 @@ def test_apply_delta_power_matches_plain_multiplication():
         for n in range(51):
             assert apply_delta_power(t, n) == acc
             acc = acc * DELTA
+
+
+def test_check_pell_steps_the_recurrence_once_per_n():
+    """The suite's report is the one pinned when it recomputed the
+    coefficients from n = 0 for every n, and its cost grows near-linearly."""
+    assert check_pell(50) == CheckReport("pell", 1128, 0, None)
+    assert check_pell(400) == CheckReport("pell", 8828, 0, None)
+    times = []
+    for _ in range(2):  # the better of two, against the host's drift
+        start = time.perf_counter()
+        assert check_pell(1600) == CheckReport("pell", 35228, 0, None)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1.0
 
 
 def test_neg_pell_solution_examples():
