@@ -42,8 +42,11 @@ class QuadInt(NamedTuple):
         return QuadInt(-self.x, -self.y)
 
     def __mul__(self, other: QuadInt | int) -> QuadInt:
-        x, y = _ring_operand(other)
-        return QuadInt(self.x * x + 2 * self.y * y, self.x * y + self.y * x)
+        # an exact QuadInt, the hot case, skips the operand check and the
+        # constructor's argument parsing
+        x, y = other if type(other) is QuadInt else _ring_operand(other)
+        a, b = self
+        return tuple.__new__(QuadInt, (a * x + 2 * b * y, a * y + b * x))
 
     __rmul__ = __mul__
 

@@ -5,7 +5,9 @@ bytes of any command, format or record tag shows up here.  The three gen-g
 gaps with roots m = 1000003, 500009 and 499998 were pinned while generation
 still walked every index from n = 1, and the gen-f requests for f = 2737,
 31 (m = -40..25) and 1 (m = 3..9) while generation still re-powered DELTA for
-every m and tried both signs.  The three g-coverage, f-coverage and
+every m and tried both signs.  The gen-f requests for f = 1 (m = -9..-3),
+7 (m = 4..9), 119 (m = -12..-5), 17 (m = -2..7) and 343 (m = -3..3) were
+pinned while generation still walked both branches of each conjugate pair.  The three g-coverage, f-coverage and
 nonexistence requests, the refusal lines and the counterexample reports of
 injected faults were pinned while each `verify` suite still built its own
 reports and each command mapped its own refusals to exit codes."""
@@ -37,6 +39,11 @@ GOLDEN = [
     ("gen-f --f 2737 --m -5..5", 0, "fdd236d8a5d4d1496328f3f69f5a99c6edc56f207b43fe5b34456877d41e253e"),
     ("gen-f --f 31 --m -40..25 --format json", 0, "4e3f5928af2ad143241421a2dbd5b16874b6aba17f7e476a8526c7aac96b05ab"),
     ("gen-f --f 1 --m 3..9", 0, "1feea87d71f7d2292cb5573f88d1a3dd853998f2989d09d54168bb969ae80ec6"),
+    ("gen-f --f 1 --m -9..-3", 0, "6ca790c7b34a81ff315b79c9482a8e41bcf4db272ba95116a81e8f6f6c2af116"),
+    ("gen-f --f 7 --m 4..9", 0, "b603aad812d44b3540189d647633dc99fb2d7f037678d9be58bfb18319eefc16"),
+    ("gen-f --f 119 --m -12..-5 --format json", 0, "9731aabf206652c4114f41e40f6fa1bd93b8f64d649eeb5250482f19f74f90b6"),
+    ("gen-f --f 17 --m -2..7", 0, "1662ca2d4b4034e209ba051de13728a786c7939649fd34631c9da5f1e4d07aa6"),
+    ("gen-f --f 343 --m -3..3", 0, "c6aaa45afee481292f103e1388c8269e4312581778536738431cf686ac0977a5"),
     ("gen-f --f 3 --m 0..1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("check 15 8 17", 0, "3f4ec18fb5dce16190275a579f401a74ef63ea3e51ec17d5e8b01bb5021c0260"),
     ("check 20 21 29 --format json", 0, "26874c022b00ebb4cbaed54d65690dd4f79da38f75ab7dc1449958472664f8bd"),

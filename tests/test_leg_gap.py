@@ -19,7 +19,7 @@ from pptriples import (
     iter_ppts,
     is_prime,
 )
-from pptriples import checks, pell, zsqrt2
+from pptriples import checks, leg_gap, pell, zsqrt2
 from pptriples.checks import CheckReport, is_associate, leg_gap_rows, verify_f_triple
 from pptriples.cli import main
 from pptriples.leg_gap import FTriple
@@ -165,7 +165,9 @@ class TestGenerate:
             for m in range(-6, 6):
                 w = gamma_delta_power(m) * pick * pick
                 X, Y = abs(w.x), abs(w.y)
-                if X > 7 and (X - 7) % 2 == 0:
+                # x*x - 2*y*y = -49 forces X odd, so both legs are integers
+                assert X % 2 == 1
+                if X > 7:
                     pick_set.add(((X - 7) // 2, (X + 7) // 2, Y))
             if pick is u:
                 generator_set = pick_set
@@ -245,9 +247,15 @@ def _reference_f_triples(spec, m_lo, m_hi):
     return out
 
 
-# (5, 12) and (-40, -30) lie wholly on one side of every branch's least |x|
-@pytest.mark.parametrize("f", [1, 7, 49, 119, 2737])
-@pytest.mark.parametrize("m_lo,m_hi", [(-9, 7), (0, 0), (5, 12), (-40, -30)])
+# (5, 12) and (-40, -30) lie wholly on one side of every branch's least |x|;
+# the reflection m -> -m-1 of (5, 12), (-40, -30), (4, 9) and (-9, -3) is
+# disjoint from the range, of (0, 0), (0, 5) and (-3, -1) adjacent to it, and
+# of (-9, 7) and (-2, 7) overlaps it
+@pytest.mark.parametrize("f", [1, 7, 49, 119, 343, 2737])
+@pytest.mark.parametrize(
+    "m_lo,m_hi",
+    [(-9, 7), (0, 0), (5, 12), (-40, -30), (4, 9), (-9, -3), (0, 5), (-3, -1), (-2, 7)],
+)
 def test_walk_matches_the_per_m_reference(f, m_lo, m_hi):
     spec = admissible_f(f)
     want = sorted(_reference_f_triples(spec, m_lo, m_hi), key=lambda ft: ft.triple)
@@ -257,21 +265,88 @@ def test_walk_matches_the_per_m_reference(f, m_lo, m_hi):
 SPLIT_PRIMES = [p for p in range(3, 152) if p % 8 in (1, 7) and is_prime(p)]
 
 
-@settings(max_examples=100, deadline=None)
+def _draw_range(data, spec):
+    """A range within +/-25 whose reflection m -> -m-1 is disjoint from it,
+    adjacent or overlapping, or one wholly below or above the valley of a
+    branch, found by scanning every m."""
+    kind = data.draw(st.sampled_from(["disjoint", "adjacent", "overlapping", "valley"]))
+    if kind == "disjoint":  # wholly above 0 or wholly below -1
+        lo, hi = data.draw(st.sampled_from([(1, 25), (-25, -2)]))
+    elif kind == "adjacent":  # starts at 0 or ends at -1
+        end = data.draw(st.integers(0, 25))
+        return data.draw(st.sampled_from([(0, end), (-end - 1, -1)]))
+    elif kind == "overlapping":  # holds both -1 and 0
+        return data.draw(st.integers(-25, -1)), data.draw(st.integers(0, 25))
+    else:
+        elem = data.draw(st.sampled_from(cf_elements(spec)))
+        xs = {m: abs((gamma_delta_power(m) * elem.u * elem.u).x) for m in range(-25, 26)}
+        valley = min(xs, key=lambda m: (xs[m], m))
+        assert -25 < valley < 25
+        lo, hi = data.draw(st.sampled_from([(-25, 25), (-25, valley - 1), (valley + 1, 25)]))
+    m_lo = data.draw(st.integers(lo, hi))
+    return m_lo, data.draw(st.integers(m_lo, hi))
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from(SPLIT_PRIMES), max_size=3), st.data())
 def test_walk_matches_the_per_m_reference_for_any_gap(primes, data):
+    # no primes is f = 1, whose one branch is its own conjugate twin
     spec = admissible_f(math.prod(primes))
-    # a range within +/-25: anywhere, or wholly below or above the valley
-    # of one branch, found by scanning every m
-    elem = data.draw(st.sampled_from(cf_elements(spec)))
-    xs = {m: abs((gamma_delta_power(m) * elem.u * elem.u).x) for m in range(-25, 26)}
-    valley = min(xs, key=lambda m: (xs[m], m))
-    assert -25 < valley < 25
-    lo, hi = data.draw(st.sampled_from([(-25, 25), (-25, valley - 1), (valley + 1, 25)]))
-    m_lo = data.draw(st.integers(lo, hi))
-    m_hi = data.draw(st.integers(m_lo, hi))
+    m_lo, m_hi = _draw_range(data, spec)
     want = sorted(_reference_f_triples(spec, m_lo, m_hi), key=lambda ft: ft.triple)
     assert generate_f_triples(spec, m_lo, m_hi) == want
+
+
+# ring products of the walk alone (the cost of `cf_elements` taken out) when
+# every branch was walked over the range: f = 1 over +/-200 and
+# f = 7*17*23 over +/-60
+@pytest.mark.parametrize("f,span,every_branch", [(1, 200, 407), (2737, 60, 1014)])
+def test_walk_takes_one_branch_per_conjugate_pair(monkeypatch, f, span, every_branch):
+    spec = admissible_f(f)
+    calls, real = [], QuadInt.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(QuadInt, "__mul__", counting)
+    cf_elements(spec)
+    elements_cost = len(calls)
+    records = list(iter_f_triples(spec, -span, span))
+    # `iter_f_triples` builds the elements once more itself
+    assert len(calls) - 2 * elements_cost <= every_branch // 2 + 8
+    assert records == sorted(_reference_f_triples(spec, -span, span), key=lambda ft: ft.triple)
+
+
+class TestRecordCheck:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(SPLIT_PRIMES), max_size=3), st.data())
+    def test_every_record_passes_the_triple_check(self, primes, data):
+        spec = admissible_f(math.prod(primes))
+        m_lo, m_hi = _draw_range(data, spec)
+        for ft in iter_f_triples(spec, m_lo, m_hi):
+            a, b, c = ft.triple
+            assert type(ft) is FTriple and type(ft.triple) is Triple
+            assert Triple(a, b, c) == ft.triple
+            assert (ft.X, ft.Y, ft.sign) == (a + b, c, 1) and b - a == spec.f
+
+    def test_a_non_unit_step_raises_before_its_record(self, monkeypatch):
+        # 3 + sqrt(2) has norm 7: a step up a run from its valley leaves
+        # x*x - 2*y*y = -f*f, and that record must not come out; the valley
+        # record of f = 119 over -3..3 comes first and is sound
+        monkeypatch.setattr(leg_gap, "DELTA", QuadInt(3, 1))
+        out = []
+        with pytest.raises(ValueError, match=r"^not a Pythagorean triple: \(160, 279, 382\)$"):
+            for ft in iter_f_triples(admissible_f(119), -3, 3):
+                out.append(ft)
+        assert [ft.triple for ft in out] == [(24, 143, 145)]
+
+    def test_a_key_of_the_wrong_parity_raises(self):
+        # X = 8, Y = 5 fails X*X + 1 == 2*Y*Y, yet the floored legs (3, 4)
+        # and c = 5 would pass the constructor
+        elements = cf_elements(admissible_f(1))
+        with pytest.raises(ValueError, match="differ in parity"):
+            next(leg_gap._records(1, elements, iter([(8, 0, 0, 5)])))
 
 
 class TestStreaming:

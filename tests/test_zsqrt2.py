@@ -79,6 +79,22 @@ class TestArithmetic:
             with pytest.raises(TypeError):
                 op()
 
+    def test_product_is_exactly_a_quadint(self):
+        class Sub(QuadInt):
+            pass
+
+        q = QuadInt(1, 2)
+        cases = [
+            (q * QuadInt(3, 1), QuadInt(7, 7)), (q * 3, QuadInt(3, 6)),
+            (3 * q, QuadInt(3, 6)), (q * True, q),
+            (q * Sub(3, 1), QuadInt(7, 7)), (Sub(3, 1) * q, QuadInt(7, 7)),
+            (Sub(3, 1) * 2, QuadInt(6, 2)),
+        ]
+        for got, want in cases:
+            assert type(got) is QuadInt and got == want
+        with pytest.raises(TypeError):
+            q * (3, 1)
+
     def test_immutable(self):
         q = QuadInt(1, 2)
         with pytest.raises(AttributeError):
