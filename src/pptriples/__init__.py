@@ -19,7 +19,7 @@ _EXPORTS = {
     "generate_g_family invert_to_family iter_g_family",
     "leg_gap": "CfElement FSpec FTriple admissible_f cf_elements generate_f_triples "
     "iter_f_triples",
-    "pell": "PellSolution gamma_delta_power neg_pell_solution",
+    "pell": "gamma_delta_power",
     "triples": "ParamPair Triple TripleClass classify_triple enumerate_ppts from_params "
     "is_primitive iter_ppt_rows iter_ppts to_params",
     "zsqrt2": "DELTA GAMMA ONE SQRT2 ZERO QuadInt canonical_associate euclid_div gcd "

@@ -22,6 +22,7 @@ import math
 import random
 from typing import Iterable, Iterator, NamedTuple
 
+from . import pell
 from ._primes import factorize
 from .density import (
     TotientSieve,
@@ -34,7 +35,6 @@ from .density import (
 )
 from .hyp_gap import family_triple, invert_to_family
 from .leg_gap import FSpec, FTriple, admissible_f, generate_f_triples
-from .pell import neg_pell_solution
 from .triples import Triple, iter_ppt_rows, iter_ppts
 from .zsqrt2 import DELTA, QuadInt
 
@@ -262,20 +262,25 @@ def _apply_pair(t: QuadInt, rc: RecurrencePair) -> QuadInt:
 
 
 def check_pell(m_max: int) -> CheckReport:
-    """Negative Pell solutions, recurrence vs plain multiplication, and the
-    exhaustive converse over 0 < y <= PELL_Y_MAX."""
+    """GAMMA * DELTA**m solves x^2 - 2y^2 = -1 for |m| <= m_max, the
+    recurrence agrees with plain multiplication, and the exhaustive converse
+    holds over 0 < y <= PELL_Y_MAX."""
     return _first_failure("pell", _pell_cases(m_max))
 
 
 def _pell_cases(m_max: int) -> Iterator[str | None]:
-    """The `check_pell` cases: solutions, then the recurrence, then the converse."""
+    """The `check_pell` cases: solutions, then the recurrence, then the
+    converse.  The powers come through the `pell` module, so a function
+    swapped there (a tracer, a test) is the one checked."""
     for m in range(-m_max, m_max + 1):
         try:
-            neg_pell_solution(m)  # validates its own defining equation
+            w = pell.gamma_delta_power(m)
         except ValueError as exc:
             yield f"m={m}: {exc}"
         else:
-            yield None
+            yield None if w.x * w.x - 2 * w.y * w.y == -1 else (
+                f"m={m}: ({w.x}, {w.y}) does not solve x^2 - 2y^2 = -1"
+            )
     rng = random.Random(0x5EED)
     sample = [QuadInt(rng.randint(-999, 999), rng.randint(-999, 999)) for _ in range(20)]
     for t in sample:
@@ -285,8 +290,8 @@ def _pell_cases(m_max: int) -> Iterator[str | None]:
             acc = acc * DELTA
     known = set()
     m = 0
-    while (sol := neg_pell_solution(m)).y <= PELL_Y_MAX:
-        known.add((sol.x, sol.y))
+    while (w := pell.gamma_delta_power(m)).y <= PELL_Y_MAX:
+        known.add((w.x, w.y))
         m += 1
     for y in range(1, PELL_Y_MAX + 1):
         t = 2 * y * y - 1

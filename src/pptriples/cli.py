@@ -45,7 +45,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # lets exponent ranges with a negative start, e.g. -6..6, pass as values
-        self._negative_number_matcher = re.compile(r"^-\d+(\.\.-?\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-[0-9]+(\.\.-?[0-9]+)?$")
 
     # argparse exits with 2 on usage errors; the contract here is 1.
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -53,11 +53,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def _integer(text: str) -> int:
-    try:
-        return int(text, 10)
-    except ValueError:
+    """The one number grammar: ASCII decimal digits with an optional leading
+    minus.  int() alone would also take underscores, surrounding spaces, a
+    plus sign and non-ASCII digits."""
+    if _DECIMAL.fullmatch(text) is None:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _positive(text: str) -> int:
@@ -73,11 +78,8 @@ def _exponent_range(text: str) -> tuple[int, int]:
     An empty range is refused here, before f is factored, as well as in the
     library: `--f 3 --m 2..1` exits 1 for the range, not 2 for the gap."""
     lo, sep, hi = text.partition("..")
-    try:
-        m_lo = int(lo, 10)
-        m_hi = int(hi, 10) if sep else m_lo
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an exponent range: {text!r}")
+    m_lo = _integer(lo)
+    m_hi = _integer(hi) if sep else m_lo
     if m_lo > m_hi:
         raise argparse.ArgumentTypeError(f"empty exponent range: {text!r}")
     return m_lo, m_hi
@@ -86,10 +88,7 @@ def _exponent_range(text: str) -> tuple[int, int]:
 def _grid(text: str) -> list[int]:
     """Parse the density grid; its rules are checked here, before --out is
     opened and truncated, as well as in the library."""
-    try:
-        values = [int(part, 10) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated grid: {text!r}")
+    values = [_integer(part) for part in text.split(",")]
     if any(v < 2 for v in values):
         raise argparse.ArgumentTypeError("grid entries must be >= 2")
     if values != sorted(set(values)):
@@ -214,8 +213,8 @@ def cmd_gen_f(args: argparse.Namespace) -> int:
 
 def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
     """The `check` record's fields by name, and the exit code."""
-    from .hyp_gap import family_params, invert_to_family
-    from .triples import Triple, classify_triple
+    from .hyp_gap import invert_to_family
+    from .triples import Triple, classify_triple, to_params
 
     record = dict.fromkeys(RECORDS["check"])
     record.update(a=a, b=b, c=c, pythagorean=False)
@@ -228,8 +227,8 @@ def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
     if not cls.primitive:
         return record, EXIT_NOT_PPT
     gc, n = invert_to_family(t)
-    pair = family_params(gc, n)
-    record.update(r=pair.r, s=pair.s, g=t.c - t.b, g_kind=gc.kind.value, g_m=gc.m, g_n=n)
+    r, s = to_params(t)
+    record.update(r=r, s=s, g=t.c - t.b, g_kind=gc.kind.value, g_m=gc.m, g_n=n)
     return record, EXIT_OK
 
 

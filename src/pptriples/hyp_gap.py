@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 from typing import Iterator, NamedTuple
 
 from ._primes import InadmissibleError
@@ -173,11 +174,13 @@ def iter_g_family(g: int, count: int) -> Iterator[GFamilyItem]:
     and the count are checked when this is called, before the first member:
     an inadmissible gap raises InadmissibleError.
 
-    Time is linear in `count`; memory is one member at a time."""
+    Time is linear in `count`; memory is one member at a time.  A count
+    above sys.maxsize, which islice refuses, streams without a stop: no run
+    reads that many members."""
     gc = _admissible(classify_g(g))
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    return itertools.islice(_members(gc), count)
+    return itertools.islice(_members(gc), count if count <= sys.maxsize else None)
 
 
 def _members(gc: GClass) -> Iterator[GFamilyItem]:

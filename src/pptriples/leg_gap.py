@@ -5,13 +5,14 @@ Pell-type equation, which forces every prime factor of f to be +/-1 mod 8
 (and f to be odd).  Conversely, all such triples are read off from the
 elements +/- GAMMA * DELTA**m * u**2 of Z[sqrt(2)], where u ranges over the
 norm-f products built by choosing, for each prime factor of f, either its
-prime-element generator or the conjugate.
+prime-element generator or the conjugate.  `admissible_f` builds these
+elements once, into the `FSpec` that every later step reads.
 
 Conjugation pairs the branches.  As conj(GAMMA) = -1/GAMMA and conj(DELTA)
 = 1/DELTA, the conjugate of GAMMA * DELTA**m * u**2 is
 -GAMMA * DELTA**(-m-1) * conj(u)**2, so (m, u) and (-m-1, conj(u)) give
 the same triple; conj(u) is the element with the complementary choices
-(`cf_elements`).  No other two (m, u) give the same triple, since distinct
+(`admissible_f`).  No other two (m, u) give the same triple, since distinct
 choices give elements that are not associates: each triple comes from
 exactly one such conjugate pair.  f = 1's one branch, u = 1, is its own
 twin.
@@ -28,7 +29,6 @@ merged: live state is one element per run.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Iterator, NamedTuple
 
 # factorize, gamma_delta_power and ideal_generator are called through their
@@ -49,23 +49,23 @@ __all__ = [
 ]
 
 
-class FSpec(NamedTuple):
-    """A leg gap with its factorization, admissibility verdict and, if it is
-    admissible, one prime-element generator per prime factor, in order."""
-
-    f: int
-    factorization: tuple[tuple[int, int], ...]
-    admissible: bool
-    reasons: tuple[str, ...] = ()
-    generators: tuple[QuadInt, ...] = ()
-
-
 class CfElement(NamedTuple):
     """A norm +/-f element; choices[i] = 0 picks the generator of the i-th
     prime factor, 1 its conjugate."""
 
     u: QuadInt
     choices: tuple[int, ...]
+
+
+class FSpec(NamedTuple):
+    """A leg gap with its factorization, admissibility verdict and, if it is
+    admissible, its 2**k norm-f elements (`cf_elements`)."""
+
+    f: int
+    factorization: tuple[tuple[int, int], ...]
+    admissible: bool
+    reasons: tuple[str, ...] = ()
+    elements: tuple[CfElement, ...] = ()
 
 
 class FTriple(NamedTuple):
@@ -83,9 +83,13 @@ class FTriple(NamedTuple):
 def admissible_f(f: int) -> FSpec:
     """Factor f and test the necessary condition: odd, all primes +/-1 mod 8.
 
-    Rejection reasons are listed per offending prime; an admissible f gets
-    each prime's generator, found here once.  Factorization is limited to
-    f < 2**64 (UnsupportedRangeError beyond).
+    Rejection reasons are listed per offending prime.  An admissible f gets
+    its norm-f elements, built here once: all 2**k products over the k
+    distinct prime factors, each factor's generator or its conjugate to the
+    factor's power (the empty product 1 for f = 1).  In this order the
+    conjugate of element i, its complementary choices, is element
+    2**k - 1 - i.  Factorization is limited to f < 2**64
+    (UnsupportedRangeError beyond).
     """
     if f < 1:
         raise ValueError(f"leg gap must be a positive integer, got {f}")
@@ -95,26 +99,26 @@ def admissible_f(f: int) -> FSpec:
         for p, _ in factorization
         if p % 8 not in (1, 7)
     )
-    generators = () if reasons else tuple(zsqrt2.ideal_generator(p) for p, _ in factorization)
-    return FSpec(f, factorization, not reasons, reasons, generators)
+    if reasons:
+        return FSpec(f, factorization, False, reasons)
+    elements = [CfElement(ONE, ())]
+    for p, exp in factorization:
+        q = zsqrt2.ideal_generator(p) ** exp
+        elements = [
+            CfElement(e.u * v, (*e.choices, pick))
+            for e in elements
+            for pick, v in enumerate((q, q.conjugate()))
+        ]
+    return FSpec(f, factorization, True, (), tuple(elements))
 
 
-def cf_elements(spec: FSpec) -> list[CfElement]:
-    """All 2**k products over the k distinct prime factors, each of norm
-    +/-f; the empty product 1 for f = 1.  In this order the conjugate of
-    element i, its complementary choices, is element 2**k - 1 - i.  An
-    inadmissible spec raises InadmissibleError, which lists the offending
-    primes."""
+def cf_elements(spec: FSpec) -> tuple[CfElement, ...]:
+    """The norm +/-f elements of an admissible spec, as `admissible_f` built
+    them.  An inadmissible spec raises InadmissibleError, which lists the
+    offending primes."""
     if not spec.admissible:
         raise InadmissibleError(f"f={spec.f} is inadmissible: " + "; ".join(spec.reasons))
-    out: list[CfElement] = []
-    for choices in itertools.product((0, 1), repeat=len(spec.generators)):
-        u = ONE
-        for (p, exp), gen, pick in zip(spec.factorization, spec.generators, choices):
-            q = gen if pick == 0 else gen.conjugate()
-            u = u * q**exp
-        out.append(CfElement(u, choices))
-    return out
+    return spec.elements
 
 
 def iter_f_triples(spec: FSpec, m_lo: int, m_hi: int) -> Iterator[FTriple]:
@@ -187,7 +191,7 @@ def _run(
 
 
 def _records(
-    f: int, elements: list[CfElement], merged: Iterator[tuple[int, int, int, int]]
+    f: int, elements: tuple[CfElement, ...], merged: Iterator[tuple[int, int, int, int]]
 ) -> Iterator[FTriple]:
     """The record of each key, each checked once before it is yielded.
     X > f and X*X + f*f == 2*Y*Y is `Triple`'s test, positivity and

@@ -22,8 +22,8 @@ from pptriples import (
     count_pool,
     generate_f_triples,
     generate_g_family,
+    gamma_delta_power,
     is_primitive,
-    neg_pell_solution,
 )
 from pptriples import checks
 from pptriples.checks import (
@@ -86,7 +86,7 @@ def test_criterion_03_g_nonexistence():
 def test_criterion_04_pell_layer():
     with criterion("criterion 4: Pell layer") as c:
         for m in range(-50, 51):
-            sol = neg_pell_solution(m)
+            sol = gamma_delta_power(m)
             assert sol.x * sol.x - 2 * sol.y * sol.y == -1
         rng = random.Random(0xACCE)
         for _ in range(20):
@@ -98,7 +98,7 @@ def test_criterion_04_pell_layer():
         known = set()
         m = 0
         while True:
-            sol = neg_pell_solution(m)
+            sol = gamma_delta_power(m)
             if sol.y > 10**5:
                 break
             known.add((sol.x, sol.y))

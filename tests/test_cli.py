@@ -590,6 +590,50 @@ def test_refusal_is_one_stderr_line(argv, env, code, capsys, monkeypatch, tmp_pa
     assert "Traceback" not in err
 
 
+# every argv position that reads a number, {} marking it
+NUMBER_POSITIONS = [
+    "gen-g --g {} --count 2",
+    "gen-g --g 9 --count {}",
+    "gen-f --f {} --m 0..1",
+    "gen-f --f 7 --m {}",
+    "gen-f --f 7 --m {}..9",
+    "gen-f --f 7 --m 0..{}",
+    "check {} 4 5",
+    "check 3 {} 5",
+    "check 3 4 {}",
+    "density --family GO --grid {}",
+    "density --family GO --grid 2,{}",
+    "verify g-coverage --c-max {}",
+    "verify pell --m-max {}",
+    "verify density-cross --b-max {}",
+]
+# forms that int() alone would read (or that look like a flag), and ASCII
+# spellings of the same values that the grammar -?[0-9]+ takes
+MALFORMED_NUMBERS = ["1_0", " 3", "\u0663", "+5", "", "--5"]
+
+
+@pytest.mark.parametrize("text", MALFORMED_NUMBERS, ids=repr)
+@pytest.mark.parametrize("position", NUMBER_POSITIONS)
+def test_one_number_grammar_in_every_position(position, text, capsys):
+    argv = [part.replace("{}", text) for part in position.split(" ")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert "error:" in err and "Traceback" not in err
+    token = next(part for part in position.split(" ") if "{}" in part).replace("{}", text)
+    if not token.startswith("--"):  # else argparse reads it as an unknown flag
+        assert f"not an integer: {text!r}" in err
+
+
+@pytest.mark.parametrize("position", NUMBER_POSITIONS)
+def test_the_grammar_takes_ascii_digits_with_a_minus(position):
+    args = build_parser().parse_args(position.replace("{}", "0007").split(" "))
+    values = [x for v in vars(args).values() for x in (v if isinstance(v, (list, tuple)) else [v])]
+    assert 7 in values
+    assert build_parser().parse_args(["gen-f", "--f", "7", "--m", "-0..-0"]).m == (0, 0)
+
+
 @contextlib.contextmanager
 def digit_limit(n):
     """Python's int/str digit limit set to n (0 lifts it) inside the block;
@@ -748,6 +792,7 @@ def test_reader_closing_stdout_early_ends_the_run_quietly():
     "argv",
     [
         ["gen-g", "--g", "9", "--count", "1000000000"],
+        ["gen-g", "--g", "9", "--count", str(10**30)],
         ["gen-f", "--f", "1", "--m", "-20000..20000"],
     ],
     ids=" ".join,

@@ -10,7 +10,9 @@ every m and tried both signs.  The gen-f requests for f = 1 (m = -9..-3),
 pinned while generation still walked both branches of each conjugate pair.  The three g-coverage, f-coverage and
 nonexistence requests, the refusal lines and the counterexample reports of
 injected faults were pinned while each `verify` suite still built its own
-reports and each command mapped its own refusals to exit codes."""
+reports and each command mapped its own refusals to exit codes; the two
+Pell faults then went through the deleted `neg_pell_solution`, and were
+moved onto `pell.gamma_delta_power` with their reports unchanged."""
 
 import contextlib
 import hashlib
@@ -18,9 +20,9 @@ import io
 
 import pytest
 
-from pptriples import checks
+from pptriples import checks, pell
 from pptriples.cli import main
-from pptriples.zsqrt2 import ONE
+from pptriples.zsqrt2 import DELTA, ONE
 
 GOLDEN = [
     ("gen-g --g 9 --count 5", 0, "efb10c96fa52435570f9ff87afc74a5790fd262a2501804958734e0daf89a1f2"),
@@ -99,9 +101,9 @@ def test_refusal_lines(argv, code, line):
     assert (got, stdout.getvalue(), stderr.getvalue()) == (code, "", line + "\n")
 
 
-def _fault(name, broken):
-    """Replace `checks.<name>` with `broken(original)` for one suite run."""
-    return lambda monkeypatch: monkeypatch.setattr(checks, name, broken(getattr(checks, name)))
+def _fault(name, broken, module=checks):
+    """Replace `module.<name>` with `broken(original)` for one suite run."""
+    return lambda monkeypatch: monkeypatch.setattr(module, name, broken(getattr(module, name)))
 
 
 def _raise_at(when, message):
@@ -145,9 +147,14 @@ COUNTEREXAMPLES = [
         ("nonexistence", 2, 1, "(5, 12, 13) has leg gap 7"),
     ),
     (
-        _fault("neg_pell_solution", _raise_at(lambda m: m == 1, "injected")),
+        _fault("gamma_delta_power", _raise_at(lambda m: m == 1, "injected"), pell),
         lambda: checks.check_pell(5),
         ("pell", 7, 1, "m=1: injected"),
+    ),
+    (
+        _fault("gamma_delta_power", lambda orig: lambda m: DELTA**m if m == 2 else orig(m), pell),
+        lambda: checks.check_pell(5),
+        ("pell", 8, 1, "m=2: (17, 12) does not solve x^2 - 2y^2 = -1"),
     ),
     (
         _fault("_apply_pair", lambda orig: lambda t, rc: orig(t, rc) + (ONE if rc.n == 5 else 0)),
@@ -155,7 +162,7 @@ COUNTEREXAMPLES = [
         ("pell", 17, 1, "recurrence mismatch at t=-709+752√2, n=5"),
     ),
     (
-        _fault("neg_pell_solution", lambda orig: lambda m: orig(4 if m == 3 else m)),
+        _fault("gamma_delta_power", lambda orig: lambda m: orig(4 if m == 3 else m), pell),
         lambda: checks.check_pell(2),
         ("pell", 69, 1, "(239, 169) solves the equation but is not GAMMA*DELTA^m"),
     ),

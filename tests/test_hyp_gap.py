@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 
@@ -141,6 +142,11 @@ class TestStreaming:
     def test_any_count_is_lazy(self):
         items = iter_g_family(9, 10**18)
         assert [it.n for it in itertools.islice(items, 3)] == [2, 3, 5]  # n = 4 has 3 | k
+
+    def test_a_count_above_maxsize_streams(self):
+        # islice refuses a stop above sys.maxsize; no run reads that many
+        assert list(itertools.islice(iter_g_family(9, 10**30), 3)) == generate_g_family(9, 3)
+        assert list(itertools.islice(iter_g_family(8, sys.maxsize + 1), 4)) == generate_g_family(8, 4)
 
     def test_refusals_come_at_the_call(self):
         with pytest.raises(InadmissibleError):
@@ -369,6 +375,22 @@ class TestInvert:
             monkeypatch.setattr(hyp_gap, name, refuse)
         assert [invert_to_family(t) for t in sample] == want
         assert [n for _, n in want] == [2, 2, 1]
+
+    def test_check_reads_r_and_s_off_the_triple(self, monkeypatch):
+        """The parameter pair is unique, so the member at the inverted
+        coordinates has the triple's own pair, and `check` does not
+        regenerate it."""
+        for t in iter_ppts(3000):
+            for ordered in (t, Triple(t.b, t.a, t.c)):
+                assert family_params(*invert_to_family(ordered)) == triples.to_params(ordered)
+        want = cli._check_record(15, 8, 17)
+
+        def refuse(*args):
+            raise AssertionError("called")
+
+        for name in ("family_params", "family_triple", "_row", "_family_row"):
+            monkeypatch.setattr(hyp_gap, name, refuse)
+        assert cli._check_record(15, 8, 17) == want and want[0]["r"] == 4
 
     @pytest.mark.parametrize("abc,code", [((15, 8, 17), 0), ((8, 15, 17), 0), ((6, 8, 10), 4)])
     def test_check_tests_primitivity_once(self, monkeypatch, abc, code):

@@ -97,7 +97,24 @@ class TestCfElements:
         for e in elems:
             assert abs(e.u.norm) == 119
 
+    @pytest.mark.parametrize("f", [1, 7, 49, 119, 833, 2737, 513263])
+    def test_elements_are_built_once_in_choice_order(self, f):
+        # each element as its own product of powers, choices in
+        # `itertools.product` order: the first prime factor's pick leads
+        spec = admissible_f(f)
+        gens = [ideal_generator(p) for p, _ in spec.factorization]
+        want = []
+        for choices in itertools.product((0, 1), repeat=len(gens)):
+            u = QuadInt(1, 0)
+            for (_, exp), gen, pick in zip(spec.factorization, gens, choices):
+                u = u * (gen if pick == 0 else gen.conjugate()) ** exp
+            want.append((u, choices))
+        assert cf_elements(spec) is spec.elements and list(spec.elements) == want
+        for i, elem in enumerate(spec.elements):
+            assert spec.elements[len(want) - 1 - i].u == elem.u.conjugate()
+
     def test_rejects_inadmissible(self):
+        assert admissible_f(21).elements == ()
         message = r"f=21 is inadmissible: prime factor 3 is 3 mod 8, not \+/-1"
         with pytest.raises(InadmissibleError, match=f"^{message}$"):
             cf_elements(admissible_f(21))
@@ -297,12 +314,8 @@ def test_walk_matches_the_per_m_reference_for_any_gap(primes, data):
     assert generate_f_triples(spec, m_lo, m_hi) == want
 
 
-# ring products of the walk alone (the cost of `cf_elements` taken out) when
-# every branch was walked over the range: f = 1 over +/-200 and
-# f = 7*17*23 over +/-60
-@pytest.mark.parametrize("f,span,every_branch", [(1, 200, 407), (2737, 60, 1014)])
-def test_walk_takes_one_branch_per_conjugate_pair(monkeypatch, f, span, every_branch):
-    spec = admissible_f(f)
+def _counting_products(monkeypatch):
+    """A list that grows by one entry per `QuadInt.__mul__` call."""
     calls, real = [], QuadInt.__mul__
 
     def counting(self, other):
@@ -310,12 +323,39 @@ def test_walk_takes_one_branch_per_conjugate_pair(monkeypatch, f, span, every_br
         return real(self, other)
 
     monkeypatch.setattr(QuadInt, "__mul__", counting)
-    cf_elements(spec)
-    elements_cost = len(calls)
+    return calls
+
+
+# ring products of the walk (the elements are built by `admissible_f`, before
+# the count starts) when every branch was walked over the range: f = 1 over
+# +/-200 and f = 7*17*23 over +/-60
+@pytest.mark.parametrize("f,span,every_branch", [(1, 200, 407), (2737, 60, 1014)])
+def test_walk_takes_one_branch_per_conjugate_pair(monkeypatch, f, span, every_branch):
+    spec = admissible_f(f)
+    calls = _counting_products(monkeypatch)
     records = list(iter_f_triples(spec, -span, span))
-    # `iter_f_triples` builds the elements once more itself
-    assert len(calls) - 2 * elements_cost <= every_branch // 2 + 8
+    assert len(calls) <= every_branch // 2 + 8
     assert records == sorted(_reference_f_triples(spec, -span, span), key=lambda ft: ft.triple)
+
+
+# (f, range, most ring products of the whole request): for 513263 that is
+# 72 fewer than a request that builds its 8 elements twice; f = 1 has the
+# one element 1
+@pytest.mark.parametrize(
+    "f,m,most", [(513263, "-400..400", 3348), (1, "-1496..1496", 1504), (2737, "-5..5", None)]
+)
+def test_a_gen_f_request_builds_its_elements_once(monkeypatch, capsys, f, m, most):
+    calls = _counting_products(monkeypatch)
+    spec = admissible_f(f)
+    build = len(calls)
+    assert cf_elements(spec) is spec.elements and len(calls) == build
+    list(iter_f_triples(spec, *map(int, m.split(".."))))
+    walk = len(calls) - build
+    del calls[:]
+    assert main(["gen-f", "--f", str(f), "--m", m]) == 0
+    assert len(calls) == build + walk
+    assert most is None or len(calls) <= most
+    assert capsys.readouterr().out.count("\n") > 2
 
 
 class TestRecordCheck:

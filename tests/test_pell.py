@@ -4,14 +4,7 @@ import time
 
 import pytest
 
-from pptriples import (
-    DELTA,
-    GAMMA,
-    PellSolution,
-    QuadInt,
-    gamma_delta_power,
-    neg_pell_solution,
-)
+from pptriples import DELTA, GAMMA, QuadInt, gamma_delta_power
 from pptriples.checks import CheckReport, apply_delta_power, check_pell, recurrence_coeffs
 
 
@@ -62,30 +55,15 @@ def test_check_pell_steps_the_recurrence_once_per_n():
 
 
 def test_neg_pell_solution_examples():
-    assert (neg_pell_solution(0).x, neg_pell_solution(0).y) == (1, 1)
-    assert (neg_pell_solution(1).x, neg_pell_solution(1).y) == (7, 5)
-    assert (neg_pell_solution(-1).x, neg_pell_solution(-1).y) == (-1, 1)
+    assert gamma_delta_power(0) == QuadInt(1, 1)
+    assert gamma_delta_power(1) == QuadInt(7, 5)
+    assert gamma_delta_power(-1) == QuadInt(-1, 1)
 
 
 def test_neg_pell_solutions_up_to_50():
     for m in range(-50, 51):
-        sol = neg_pell_solution(m)  # the constructor checks x^2 - 2y^2 = -1
+        sol = gamma_delta_power(m)
         assert sol.x * sol.x - 2 * sol.y * sol.y == -1
-
-
-def test_pell_solution_validates():
-    with pytest.raises(ValueError):
-        PellSolution(2, 1, 0)
-    sol = neg_pell_solution(1)  # an immutable named tuple, checked on every path
-    with pytest.raises(ValueError):
-        PellSolution._make((7, 6, 1))
-    with pytest.raises(ValueError):
-        sol._replace(y=6)
-    assert type(sol._replace(m=5)) is PellSolution  # m is not checked
-    with pytest.raises(AttributeError):
-        sol.x = 1
-    with pytest.raises(AttributeError):
-        sol.extra = 1
 
 
 def test_delta_power_negative_exponent():
@@ -100,7 +78,7 @@ def test_exhaustive_converse_to_1e5():
     known = set()
     m = 0
     while True:
-        sol = neg_pell_solution(m)
+        sol = gamma_delta_power(m)
         if sol.y > 10**5:
             break
         known.add((sol.x, sol.y))
