@@ -2,8 +2,8 @@
 and the identities and rechecks the suites and the tests rely on.
 
 Each suite compares a closed-form or generator path against the exhaustive
-triple enumerator (or the leg-gap referee `leg_gap_rows`, which finds the
-triples with given leg gaps by a direct search over the parameter s,
+triple enumerator (or, row for row, the leg-gap referee `leg_gap_rows`, a
+direct search over the parameter s for the triples with given leg gaps,
 inclusion-exclusion pair counts, or the A/B delta recurrences) at a
 caller-chosen bound.  A suite yields one case per check, None or a
 counterexample, and one runner reports the number of checks up to the first
@@ -18,11 +18,13 @@ the CLI commands only `verify` loads it.
 from __future__ import annotations
 
 import collections
+import heapq
 import math
 import random
+from itertools import takewhile, zip_longest
 from typing import Iterable, Iterator, NamedTuple
 
-from . import pell
+from . import leg_gap, pell
 from ._primes import factorize
 from .density import (
     TotientSieve,
@@ -34,9 +36,9 @@ from .density import (
     count_pool,
 )
 from .hyp_gap import family_triple, invert_to_family
-from .leg_gap import FSpec, FTriple, admissible_f, generate_f_triples
+from .leg_gap import FSpec, FTriple, admissible_f, iter_f_triples
 from .triples import Triple, iter_ppt_rows, iter_ppts
-from .zsqrt2 import DELTA, QuadInt
+from .zsqrt2 import DELTA, GAMMA, QuadInt
 
 __all__ = [
     "CheckReport",
@@ -140,32 +142,35 @@ def leg_gap_rows(c_max: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, in
 
 
 def check_f_coverage(c_max: int, gaps: tuple[int, ...] = (1, 7, 17)) -> CheckReport:
-    """Every triple with hypotenuse <= c_max and legs f apart shows up in
-    the exponent sweep, for each sampled admissible f.
+    """Each sampled gap's leg-gap stream, up to c_max, equals the referee's rows.
 
-    The sweep runs m over [-W, W], W = c_max.bit_length() // 2 + 2 (12 at
-    10**6).  A triple (a, a + f, c) is the element w = (a + b) + c*sqrt(2)
-    of norm -f*f, with f < w <= 2*sqrt(2)*c.  The branch A * DELTA**m,
-    A = GAMMA * u*u, meets it where |A| * DELTA**m is w or its conjugate's
-    size f*f / w, so at |m| <= log(2*sqrt(2)*c_max / mu) / log(DELTA), mu
-    the lesser of |A| and |A'| = f*f / |A|.  Each step in m multiplies by
-    DELTA = 3 + 2*sqrt(2), about 5.83, DELTA**(1/2) = 1 + sqrt(2) > 2 and
-    W >= bit_length / 2 + 1.5, so DELTA**W >= DELTA**1.5 * 2**bit_length
-    > 14 * c_max: the window holds every branch with mu >= 2*sqrt(2) / 14,
-    about 0.2.  f = 1 has the least mu, 1 / (1 + sqrt(2)), of any admissible
-    f below 2 * 10**4.
+    `iter_f_triples(admissible_f(f), -R, R)` ascends in X = 2a + f, so in
+    c = Y (X*X + f*f = 2*Y*Y), and is read up to its first Y > c_max.  The
+    gaps' rows, merged in the referee's (c, odd leg) order, must equal
+    `leg_gap_rows` row for row, so a missing, extra or repeated triple fails.
+    R = 2*c_max + h + 3, h the largest |x| of the GAMMA * u*u, reaches every
+    triple up to c_max for any f: each valley lies within h steps of m = 0
+    (`zsqrt2._orbit_low`), so each run has 2*c_max + 3 steps in [-R-1, R];
+    along a run X >= 1 rises, strictly after at most one tie, so X >= j at
+    its j-th step, and Y > X / sqrt(2) >= c_max from step 2*c_max on.
     """
-    window = c_max.bit_length() // 2 + 2
-    generated = {
-        f: {ft.triple for ft in generate_f_triples(admissible_f(f), -window, window)}
-        for f in gaps
-    }
-    legs = ((min(a, b), max(a, b), c) for c, a, b in leg_gap_rows(c_max, gaps))
+    streams = []
+    for f in dict.fromkeys(gaps):
+        spec = admissible_f(f)
+        R = 2 * c_max + 3 + max(abs((GAMMA * e.u * e.u).x) for e in leg_gap.cf_elements(spec))
+        fts = takewhile(lambda ft: ft.Y <= c_max, iter_f_triples(spec, -R, R))
+        streams.append((c, a, b) if a % 2 else (c, b, a) for (a, b, c), *_ in fts)
     return _first_failure("f-coverage", (
-        None if (lo, hi, c) in generated[hi - lo]
-        else f"({lo}, {hi}, {c}) missing from the f={hi - lo} sweep"
-        for lo, hi, c in legs
+        None if want == got else _mismatch(want, got)
+        for want, got in zip_longest(leg_gap_rows(c_max, gaps), heapq.merge(*streams))
     ))
+
+
+def _mismatch(want: tuple[int, int, int] | None, got: tuple[int, int, int] | None) -> str:
+    """The first in row order of a referee and a generated row that differ."""
+    c, a, b = row = min(filter(None, (want, got)))
+    how = f"missing from the f={abs(a - b)} sweep" if row == want else "is extra in the sweep"
+    return f"({min(a, b)}, {max(a, b)}, {c}) {how}"
 
 
 def verify_f_triple(ft: FTriple, spec: FSpec) -> bool:

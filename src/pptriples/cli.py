@@ -16,7 +16,7 @@ loads `json`.  Exit codes:
     3  input beyond the supported factorization range (>= 2**64)
     4  `check` input is not a primitive Pythagorean triple
     5  memory budget refused: the totient table of `density` (about B^(2/3)
-       entries) or the `verify density-cross` bound
+       entries) or the `verify density-cross` bound; or memory ran out
     6  `verify` found a property violation
   130  interrupted (Ctrl-C): the run ends quietly, without a traceback
 """
@@ -214,7 +214,7 @@ def cmd_gen_f(args: argparse.Namespace) -> int:
 def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
     """The `check` record's fields by name, and the exit code."""
     from .hyp_gap import invert_to_family
-    from .triples import Triple, classify_triple, to_params
+    from .triples import Triple, classify_triple
 
     record = dict.fromkeys(RECORDS["check"])
     record.update(a=a, b=b, c=c, pythagorean=False)
@@ -227,8 +227,9 @@ def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
     if not cls.primitive:
         return record, EXIT_NOT_PPT
     gc, n = invert_to_family(t)
-    r, s = to_params(t)
-    record.update(r=r, s=s, g=t.c - t.b, g_kind=gc.kind.value, g_m=gc.m, g_n=n)
+    m = gc.m  # r - s, as a = (r - s)(r + s), when b is even; else s, as a = 2rs
+    r, s = ((t.a // m + m) // 2, (t.a // m - m) // 2) if t.b % 2 == 0 else (t.a // (2 * m), m)
+    record.update(r=r, s=s, g=t.c - t.b, g_kind=gc.kind.value, g_m=m, g_n=n)
     return record, EXIT_OK
 
 
@@ -350,6 +351,7 @@ _EXIT_CODES = (
     (InadmissibleError, EXIT_INADMISSIBLE),
     (UnsupportedRangeError, EXIT_RANGE),
     (SieveBudgetError, EXIT_BUDGET),
+    (MemoryError, EXIT_BUDGET),
     (ValueError, EXIT_USAGE),
 )
 
@@ -364,8 +366,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(exc if isinstance(exc, ValueError) else "out of memory", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     finally:
         if saved is not None:

@@ -67,7 +67,7 @@ class TripleClass(NamedTuple):
     """Derived facts about a triple: primitivity, even leg, and its two gaps."""
 
     primitive: bool
-    even_leg: str  # "a", "b", "both" or "none"
+    even_leg: str  # "a", "b" or "both"
     g: int  # hypotenuse minus the larger leg
     f: int  # absolute difference of the legs
 
@@ -101,17 +101,10 @@ def to_params(t: Triple) -> ParamPair:
 
 
 def classify_triple(t: Triple) -> TripleClass:
-    if t.a % 2 == 0 and t.b % 2 == 0:
-        even_leg = "both"
-    elif t.a % 2 == 0:
-        even_leg = "a"
-    elif t.b % 2 == 0:
-        even_leg = "b"
-    else:
-        even_leg = "none"
     return TripleClass(
         primitive=is_primitive(t),
-        even_leg=even_leg,
+        # two odd legs would make c*c = 2 mod 4, which no square is
+        even_leg="b" if t.a % 2 else "a" if t.b % 2 else "both",
         g=t.c - max(t.a, t.b),
         f=abs(t.b - t.a),
     )

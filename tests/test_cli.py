@@ -29,8 +29,11 @@ from pptriples import (
     _primes,
     admissible_f,
     checks,
+    cli,
     density,
     generate_g_family,
+    hyp_gap,
+    triples,
 )
 from pptriples.cli import RECORDS, VERIFY, build_parser, main, write_records
 
@@ -443,6 +446,24 @@ class TestCheck:
             main(["check", "0", "4", "5"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "t", [(15, 8, 17), (8, 15, 17), (20, 21, 29), (21, 20, 29), (119, 120, 169)]
+    )
+    def test_one_parameter_pair_per_record(self, t, capsys, monkeypatch):
+        calls = []
+
+        def counted(triple):
+            calls.append(triple)
+            return to_params(triple)
+
+        to_params = triples.to_params
+        monkeypatch.setattr(triples, "to_params", counted)
+        monkeypatch.setattr(hyp_gap, "to_params", counted)
+        code, out, _ = run(capsys, "check", *map(str, t), "--format", "json")
+        (record,) = validate_jsonl(out)
+        assert code == 0 and len(calls) == 1
+        assert (record["r"], record["s"]) == to_params(Triple(*t))
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "check", "15", "8", "17", "--format", "json")
         assert code == 0
@@ -538,8 +559,9 @@ class TestVerify:
         assert code == 0
 
     def test_f_coverage_window_grows_with_the_bound(self, capsys):
-        # a window fixed at m in [-12, 12] misses (5406093003, 5406093004,
-        # 7645370045), an f = 1 triple reached only at m = 13 and m = -14
+        # (5406093003, 5406093004, 7645370045), an f = 1 triple reached
+        # only at m = 13 and m = -14, is missed by any exponent range fixed
+        # at m in [-12, 12]; the stream read up to the bound reaches it
         code, out, _ = run(capsys, "verify", "f-coverage", "--c-max", "10000000000")
         assert code == 0
         assert out.splitlines() == ["f-coverage: 60 checks, 0 failures", "PASS f-coverage"]
@@ -588,6 +610,14 @@ def test_refusal_is_one_stderr_line(argv, env, code, capsys, monkeypatch, tmp_pa
     assert (got, out) == (code, "")
     assert len(err.splitlines()) == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+def test_memory_error_exits_5_with_one_stderr_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_check", exhausted)
+    assert run(capsys, "check", "3", "4", "5") == (5, "", "out of memory\n")
 
 
 # every argv position that reads a number, {} marking it

@@ -12,7 +12,9 @@ nonexistence requests, the refusal lines and the counterexample reports of
 injected faults were pinned while each `verify` suite still built its own
 reports and each command mapped its own refusals to exit codes; the two
 Pell faults then went through the deleted `neg_pell_solution`, and were
-moved onto `pell.gamma_delta_power` with their reports unchanged."""
+moved onto `pell.gamma_delta_power` with their reports unchanged, and the
+f-coverage fault went through the list wrapper `generate_f_triples`, and
+was moved onto the stream `iter_f_triples` with its report unchanged."""
 
 import contextlib
 import hashlib
@@ -130,8 +132,8 @@ COUNTEREXAMPLES = [
     ),
     (
         _fault(
-            "generate_f_triples",
-            lambda orig: lambda *a: [ft for ft in orig(*a) if ft.triple.c != 29],
+            "iter_f_triples",
+            lambda orig: lambda *a: (ft for ft in orig(*a) if ft.triple.c != 29),
         ),
         lambda: checks.check_f_coverage(20000),
         ("f-coverage", 5, 1, "(20, 21, 29) missing from the f=1 sweep"),

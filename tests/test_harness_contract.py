@@ -50,12 +50,12 @@ def test_a_traced_pass_leaves_no_wrapper_behind():
     """The harness imports only `pptriples.cli`, and `installed()` imports
     each traced layer as it swaps; a layer that bound a traced function by
     name at its import would keep the wrapper after the pass.  Only `checks`
-    does, for exactly three names: it is first imported inside the pass,
-    after `_primes`, `hyp_gap` and `leg_gap` have been swapped, so its
-    imports of `factorize`, `invert_to_family` and `generate_f_triples` bind
-    the wrappers, and the restore does not see them.  It calls
-    `pell.gamma_delta_power` through its module, so it binds no Pell
-    wrapper."""
+    does, for exactly two names: it is first imported inside the pass,
+    after `_primes` and `hyp_gap` have been swapped, so its imports of
+    `factorize` and `invert_to_family` bind the wrappers, and the restore
+    does not see them.  It calls `pell.gamma_delta_power` and
+    `leg_gap.cf_elements` through their modules, and binds no other traced
+    name, so it keeps no other wrapper."""
     probe = (
         f"import sys; sys.path.insert(0, {str(TRACING.parent)!r})\n"
         "import pptriples.cli, tracing\n"
@@ -74,7 +74,6 @@ def test_a_traced_pass_leaves_no_wrapper_behind():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     left = [
         "pptriples.checks.factorize",
-        "pptriples.checks.generate_f_triples",
         "pptriples.checks.invert_to_family",
     ]
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{left}\n", "")

@@ -227,21 +227,36 @@ class TestLegGapRows:
         assert checks.check_f_coverage(10**6) == CheckReport("f-coverage", 34, 0)
 
     def test_f_coverage_window_holds_composite_gaps(self):
-        report = checks.check_f_coverage(10**8, gaps=(1, 7, 17, 23, 49, 119, 2737))
+        # (33, 56, 65) and (16, 63, 65), gaps 23 and 47, share a hypotenuse,
+        # so the merge must follow the referee's odd-leg order; 84847 and
+        # 513263 are above 2 * 10**4
+        gaps = (1, 7, 17, 23, 47, 49, 119, 2737, 84847, 513263)
+        report = checks.check_f_coverage(10**8, gaps=gaps)
         assert report.ok and report.checks > 0
 
-    def test_every_branch_clears_the_window_margin(self):
-        # `check_f_coverage` sizes its exponent window for branches
-        # A = GAMMA * u*u with |A| and |A'| both at least 1 / (1 + sqrt(2))
-        least = math.sqrt(2) - 1
-        for f in range(1, 20_000, 2):
-            spec = admissible_f(f)
-            if not spec.admissible:
-                continue
-            for elem in cf_elements(spec):
-                A = zsqrt2.GAMMA * elem.u * elem.u
-                sizes = (abs(A.x + A.y * math.sqrt(2)), abs(A.x - A.y * math.sqrt(2)))
-                assert min(sizes) >= least * (1 - 1e-12), (f, elem.u)
+    @pytest.mark.parametrize(
+        "extra,counterexample",
+        [
+            (lambda ft: ft, "(20, 21, 29) is extra in the sweep"),
+            (
+                lambda ft: ft._replace(triple=Triple(12, 35, 37), X=47, Y=37),
+                "(12, 35, 37) is extra in the sweep",
+            ),
+        ],
+    )
+    def test_f_coverage_fails_a_repeated_or_extra_row(self, monkeypatch, extra, counterexample):
+        """A stream that yields `extra(ft)` after the f = 1 triple
+        (20, 21, 29) fails at the next referee row, (28, 45, 53)."""
+
+        def broken(spec, *span):
+            for ft in stream(spec, *span):
+                yield ft
+                if ft.triple.c == 29:
+                    yield extra(ft)
+
+        stream = checks.iter_f_triples
+        monkeypatch.setattr(checks, "iter_f_triples", broken)
+        assert checks.check_f_coverage(20000) == CheckReport("f-coverage", 6, 1, counterexample)
 
 
 def _reference_f_triples(spec, m_lo, m_hi):
