@@ -7,7 +7,9 @@ direct search over the parameter s for the triples with given leg gaps,
 inclusion-exclusion pair counts, or the A/B delta recurrences) at a
 caller-chosen bound.  A suite yields one case per check, None or a
 counterexample, and one runner reports the number of checks up to the first
-counterexample.  The identities (divisor sums, totients and Moebius
+counterexample; `check_g_coverage` compares a window of rows at once and
+yields cases only in a window that fails.  Each suite imports the layers it
+runs when it runs.  The identities (divisor sums, totients and Moebius
 inversion computed from factorizations, totient sums sliced from a full
 sieve, the recheck of a leg-gap triple, the leg across a hypotenuse gap,
 associates in Z[sqrt(2)]) recompute by a second route what the library
@@ -21,24 +23,17 @@ import collections
 import heapq
 import math
 import random
+import sys
 from itertools import takewhile, zip_longest
-from typing import Iterable, Iterator, NamedTuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from . import leg_gap, pell
 from ._primes import factorize
-from .density import (
-    TotientSieve,
-    TotientSums,
-    _check_budget,
-    count_GEE,
-    count_GEO,
-    count_GO,
-    count_pool,
-)
-from .hyp_gap import family_triple, invert_to_family
-from .leg_gap import FSpec, FTriple, admissible_f, iter_f_triples
-from .triples import Triple, iter_ppt_rows, iter_ppts
-from .zsqrt2 import DELTA, GAMMA, QuadInt
+
+if TYPE_CHECKING:
+    from .density import TotientSieve
+    from .leg_gap import FSpec, FTriple
+    from .zsqrt2 import QuadInt
 
 __all__ = [
     "CheckReport",
@@ -92,23 +87,90 @@ def _first_failure(scope: str, cases: Iterable[str | None]) -> CheckReport:
     return CheckReport(scope, checks, 0)
 
 
-def _regenerated(t: Triple) -> str | None:
-    """Why t does not invert to family coordinates that regenerate it, if so."""
-    try:
-        gc, n = invert_to_family(t)
-    except ValueError as exc:
-        return f"{t}: {exc}"
-    return None if family_triple(gc, n) == t else f"{t} not regenerated at g={gc.g}, n={n}"
+_END = (math.inf,)  # the head of a stream that has ended: past every window
 
 
 def check_g_coverage(c_max: int) -> CheckReport:
-    """Every enumerated triple, in both leg orders, inverts to family
-    coordinates that regenerate it."""
-    return _first_failure("g-coverage", (
-        _regenerated(ordered)
-        for t in iter_ppts(c_max)
-        for ordered in (t, Triple(t.b, t.a, t.c))
-    ))
+    """Each gap's family stream, read up to c_max, equals the referee's rows.
+
+    Each row (c, odd, even) of `iter_ppt_rows(c_max)` counts as two checks:
+    (odd, even, c) must be a member of the odd-square family of g = c - even,
+    then (even, odd, c) one of the twice-square family of g = c - odd.
+    Every member has c = b + g > g, so only the gaps m*m (m odd) and 2*m*m
+    up to c_max can have one below the bound, and along each family c rises
+    strictly with the multiplier k, so with the index n.  Each of those
+    streams (`hyp_gap.iter_g_family`, unbounded) is read one hypotenuse
+    window at a time, up to its first member past the window, which waits
+    for the next.  Per window, the odd-square members as (c, a, b) and the
+    twice-square ones as (c, b, a), each sorted, must equal the referee's
+    rows, so a missing, repeated or extra member fails at its row.  Time is
+    linear in c_max; memory is about 1.2 * sqrt(c_max) live streams plus
+    one window's rows.
+    """
+    from . import hyp_gap
+    from .triples import iter_ppt_rows
+
+    def streams(gaps: Iterable[int], row: attrgetter) -> list[list]:
+        return _heads(map(row, hyp_gap.iter_g_family(g, sys.maxsize + 1)) for g in gaps)
+
+    bound = max(c_max, 0)
+    root = math.isqrt(bound)
+    odd = streams((m * m for m in range(1, root + 1, 2)), attrgetter("c", "a", "b"))
+    twice = streams(
+        (2 * m * m for m in range(1, math.isqrt(bound // 2) + 1)), attrgetter("c", "b", "a")
+    )
+    referee = _heads([iter_ppt_rows(c_max)])
+    # A window holds about 2.5 * sqrt(c_max) rows, less memory than the
+    # streams take, and the streams are visited 0.08 * c_max times in all.
+    width = max(4096, 16 * root)
+    checks = lo = 0
+    while lo <= c_max:
+        hi = min(lo + width, c_max + 1)
+        want, odd_rows, twice_rows = (_take_below(heads, hi) for heads in (referee, odd, twice))
+        odd_rows.sort()
+        twice_rows.sort()
+        if odd_rows != want or twice_rows != want:
+            report = _first_failure("g-coverage", _g_cases(want, odd_rows, twice_rows))
+            return report._replace(checks=checks + report.checks)
+        checks += 2 * len(want)
+        lo = hi
+        del want, odd_rows, twice_rows  # before the next window's rows are gathered
+    return CheckReport("g-coverage", checks, 0)
+
+
+def _heads(streams: Iterable[Iterator[tuple]]) -> list[list]:
+    """[first row, the rest] of each stream of rows ascending in c."""
+    return [[next(rows, _END), rows] for rows in streams]
+
+
+def _take_below(heads: list[list], hi: int) -> list[tuple]:
+    """The rows with c < hi of every stream in `heads`; each stream's first
+    row at or past hi becomes its head."""
+    out = []
+    for head in heads:
+        row, rows = head
+        while row[0] < hi:
+            out.append(row)
+            row = next(rows, _END)
+        head[0] = row
+    return out
+
+
+def _g_cases(want: list, odd: list, twice: list) -> Iterator[str | None]:
+    """The `check_g_coverage` cases of one window: each referee row against
+    the odd-square row, then the twice-square row, at its position."""
+    for row, odd_row, twice_row in zip_longest(want, odd, twice):
+        yield None if odd_row == row else _g_mismatch(row, odd_row, "odd-square")
+        yield None if twice_row == row else _g_mismatch(row, twice_row, "twice-square")
+
+
+def _g_mismatch(want: tuple | None, got: tuple | None, kind: str) -> str:
+    """The first in row order of a referee and a family row that differ, as
+    a triple in the family's leg order: the odd leg first for odd squares."""
+    c, odd, even = row = min(filter(None, (want, got)))
+    a, b = (odd, even) if kind == "odd-square" else (even, odd)
+    how = f"missing from the g={c - b} family" if row == want else f"is extra in the {kind} streams"
+    return f"({a}, {b}, {c}) {how}"
 
 
 def leg_gap_rows(c_max: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, int]]:
@@ -154,11 +216,14 @@ def check_f_coverage(c_max: int, gaps: tuple[int, ...] = (1, 7, 17)) -> CheckRep
     along a run X >= 1 rises, strictly after at most one tie, so X >= j at
     its j-th step, and Y > X / sqrt(2) >= c_max from step 2*c_max on.
     """
+    from . import leg_gap
+    from .zsqrt2 import GAMMA
+
     streams = []
     for f in dict.fromkeys(gaps):
-        spec = admissible_f(f)
+        spec = leg_gap.admissible_f(f)
         R = 2 * c_max + 3 + max(abs((GAMMA * e.u * e.u).x) for e in leg_gap.cf_elements(spec))
-        fts = takewhile(lambda ft: ft.Y <= c_max, iter_f_triples(spec, -R, R))
+        fts = takewhile(lambda ft: ft.Y <= c_max, leg_gap.iter_f_triples(spec, -R, R))
         streams.append((c, a, b) if a % 2 else (c, b, a) for (a, b, c), *_ in fts)
     return _first_failure("f-coverage", (
         None if want == got else _mismatch(want, got)
@@ -213,6 +278,8 @@ def check_nonexistence(
     leg_gaps: tuple[int, ...] = LEG_GAP_SAMPLE,
 ) -> CheckReport:
     """No enumerated triple carries an inadmissible hypotenuse or leg gap."""
+    from .triples import iter_ppt_rows
+
     hyp, leg = set(hyp_gaps), set(leg_gaps)
 
     def gap_found(c: int, a: int, b: int) -> str:
@@ -263,7 +330,7 @@ def apply_delta_power(t: QuadInt, n: int) -> QuadInt:
 def _apply_pair(t: QuadInt, rc: RecurrencePair) -> QuadInt:
     """t * DELTA**rc.n from the coefficient pair rc."""
     j, k = t.x, t.y
-    return QuadInt(rc.A * j + 2 * rc.B * k, rc.A * k + rc.B * j)
+    return type(t)(rc.A * j + 2 * rc.B * k, rc.A * k + rc.B * j)
 
 
 def check_pell(m_max: int) -> CheckReport:
@@ -277,6 +344,9 @@ def _pell_cases(m_max: int) -> Iterator[str | None]:
     """The `check_pell` cases: solutions, then the recurrence, then the
     converse.  The powers come through the `pell` module, so a function
     swapped there (a tracer, a test) is the one checked."""
+    from . import pell
+    from .zsqrt2 import DELTA, QuadInt
+
     for m in range(-m_max, m_max + 1):
         try:
             w = pell.gamma_delta_power(m)
@@ -351,6 +421,8 @@ def check_density_cross(b_max: int) -> CheckReport:
     The formulas memoize one totient sum per bound, so b_max itself, not
     the totient table behind them, must fit the budget.
     """
+    from .density import TotientSums, _check_budget, count_GEE, count_GEO, count_GO, count_pool
+
     _check_budget(b_max)
     sums = TotientSums.up_to(b_max)
     formulas = {

@@ -112,9 +112,11 @@ def classify_triple(t: Triple) -> TripleClass:
 
 # A window of hypotenuses spans _WINDOW_ROOTS * isqrt(c_max) values, at least
 # _WINDOW_FLOOR: it holds O(sqrt(c_max)) triples, and the per-window row
-# scan, about 0.3 * sqrt(c_max) rows, stays a small share of its pairs.
+# scan, about 0.3 * sqrt(c_max) rows, stays a small share of its pairs.  Below
+# 513**2 a window is the floor's, about 5,200 rows (0.8 MB traced), which a
+# suite holds beside its own state, such as the g-coverage family streams.
 _WINDOW_ROOTS = 64
-_WINDOW_FLOOR = 1 << 16
+_WINDOW_FLOOR = 1 << 15
 
 
 def iter_ppt_rows(c_max: int) -> Iterator[tuple[int, int, int]]:

@@ -71,7 +71,7 @@ def test_criterion_02_g_family_completeness():
     with criterion("criterion 2: g-family completeness, c <= 1e5") as c:
         report = checks.check_g_coverage(100_000)
         assert report.ok and report.checks == 31838
-        c["detail"] = f"{report.checks} inversions round-tripped"
+        c["detail"] = f"{report.checks} ordered triples found in the family streams"
 
 
 def test_criterion_03_g_nonexistence():

@@ -126,9 +126,13 @@ FOOTPRINTS = {
     ("gen-g", "--g", "9", "--count", "2"): {"_primes", "triples", "hyp_gap"},
     ("gen-f", "--f", "7", "--m", "-1..1"): {"_primes", "triples", "zsqrt2", "pell", "leg_gap"},
     ("density", "--family", "GO", "--grid", "10"): {"_primes", "density"},
-    ("verify", "pell", "--m-max", "3"): {
-        "_primes", "triples", "zsqrt2", "pell", "hyp_gap", "leg_gap", "density", "checks"
+    ("verify", "g-coverage", "--c-max", "30"): {"_primes", "triples", "hyp_gap", "checks"},
+    ("verify", "f-coverage", "--c-max", "30"): {
+        "_primes", "triples", "zsqrt2", "pell", "leg_gap", "checks"
     },
+    ("verify", "nonexistence", "--c-max", "30"): {"_primes", "triples", "checks"},
+    ("verify", "pell", "--m-max", "3"): {"_primes", "zsqrt2", "pell", "checks"},
+    ("verify", "density-cross", "--b-max", "10"): {"_primes", "density", "checks"},
 }
 
 

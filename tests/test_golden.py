@@ -14,7 +14,15 @@ reports and each command mapped its own refusals to exit codes; the two
 Pell faults then went through the deleted `neg_pell_solution`, and were
 moved onto `pell.gamma_delta_power` with their reports unchanged, and the
 f-coverage fault went through the list wrapper `generate_f_triples`, and
-was moved onto the stream `iter_f_triples` with its report unchanged."""
+was moved onto the stream `iter_f_triples` with its report unchanged.  The
+two g-coverage faults went through `checks.family_triple` and
+`checks.invert_to_family`, with the reports "(15, 8, 17) not regenerated at
+g=9, n=2" and "(33, 56, 65): injected", while the suite still inverted each
+enumerated triple; they now drop the same triples from the g = 9 stream
+`hyp_gap.iter_g_family`, with their counts unchanged and their
+counterexamples re-pinned.  The f-coverage and density-cross faults, once
+`checks` bound no layer's names at import, moved onto `leg_gap` and
+`density` with their reports unchanged."""
 
 import contextlib
 import hashlib
@@ -22,7 +30,7 @@ import io
 
 import pytest
 
-from pptriples import checks, pell
+from pptriples import checks, density, hyp_gap, leg_gap, pell
 from pptriples.cli import main
 from pptriples.zsqrt2 import DELTA, ONE
 
@@ -108,6 +116,16 @@ def _fault(name, broken, module=checks):
     return lambda monkeypatch: monkeypatch.setattr(module, name, broken(getattr(module, name)))
 
 
+def _drop_from_g9(c):
+    """Drop the member with hypotenuse c from the g = 9 family stream."""
+    def broken(original):
+        def stream(g, count):
+            members = original(g, count)
+            return (x for x in members if x.c != c) if g == 9 else members
+        return stream
+    return broken
+
+
 def _raise_at(when, message):
     def broken(original):
         def call(arg, *rest):
@@ -121,19 +139,20 @@ def _raise_at(when, message):
 # (injected fault, suite call) -> (scope, checks, failures, counterexample)
 COUNTEREXAMPLES = [
     (
-        _fault("family_triple", lambda orig: lambda gc, n: None if gc.g == 9 else orig(gc, n)),
+        _fault("iter_g_family", _drop_from_g9(17), hyp_gap),
         lambda: checks.check_g_coverage(2000),
-        ("g-coverage", 5, 1, "(15, 8, 17) not regenerated at g=9, n=2"),
+        ("g-coverage", 5, 1, "(15, 8, 17) missing from the g=9 family"),
     ),
     (
-        _fault("invert_to_family", _raise_at(lambda t: t.c == 65, "injected")),
+        _fault("iter_g_family", _drop_from_g9(65), hyp_gap),
         lambda: checks.check_g_coverage(2000),
-        ("g-coverage", 19, 1, "(33, 56, 65): injected"),
+        ("g-coverage", 19, 1, "(33, 56, 65) missing from the g=9 family"),
     ),
     (
         _fault(
             "iter_f_triples",
             lambda orig: lambda *a: (ft for ft in orig(*a) if ft.triple.c != 29),
+            leg_gap,
         ),
         lambda: checks.check_f_coverage(20000),
         ("f-coverage", 5, 1, "(20, 21, 29) missing from the f=1 sweep"),
@@ -169,7 +188,7 @@ COUNTEREXAMPLES = [
         ("pell", 69, 1, "(239, 169) solves the equation but is not GAMMA*DELTA^m"),
     ),
     (
-        _fault("count_GEO", lambda orig: lambda B, sums: orig(B, sums) + (B == 7)),
+        _fault("count_GEO", lambda orig: lambda B, sums: orig(B, sums) + (B == 7), density),
         lambda: checks.check_density_cross(60),
         ("density-cross", 28, 1, "GEO(7) formula gives 6, enumeration gives 5"),
     ),

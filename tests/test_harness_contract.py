@@ -50,12 +50,12 @@ def test_a_traced_pass_leaves_no_wrapper_behind():
     """The harness imports only `pptriples.cli`, and `installed()` imports
     each traced layer as it swaps; a layer that bound a traced function by
     name at its import would keep the wrapper after the pass.  Only `checks`
-    does, for exactly two names: it is first imported inside the pass,
-    after `_primes` and `hyp_gap` have been swapped, so its imports of
-    `factorize` and `invert_to_family` bind the wrappers, and the restore
-    does not see them.  It calls `pell.gamma_delta_power` and
-    `leg_gap.cf_elements` through their modules, and binds no other traced
-    name, so it keeps no other wrapper."""
+    does, for exactly one name: it is first imported inside the pass, after
+    `_primes` has been swapped, so its import of `factorize` binds the
+    wrapper, and the restore does not see it.  Each of its suites imports
+    its layers when it runs, and calls `pell.gamma_delta_power` and
+    `leg_gap.cf_elements` through their modules, so it keeps no other
+    wrapper."""
     probe = (
         f"import sys; sys.path.insert(0, {str(TRACING.parent)!r})\n"
         "import pptriples.cli, tracing\n"
@@ -72,8 +72,5 @@ def test_a_traced_pass_leaves_no_wrapper_behind():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    left = [
-        "pptriples.checks.factorize",
-        "pptriples.checks.invert_to_family",
-    ]
+    left = ["pptriples.checks.factorize"]
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{left}\n", "")

@@ -1,4 +1,5 @@
 import collections
+import heapq
 import itertools
 import math
 import sys
@@ -23,7 +24,7 @@ from pptriples import (
     iter_ppts,
 )
 from pptriples import cli, hyp_gap, triples
-from pptriples.checks import leg_from_gap
+from pptriples.checks import check_g_coverage, leg_from_gap
 
 
 class TestClassify:
@@ -406,6 +407,67 @@ class TestInvert:
             monkeypatch.setattr(hyp_gap, "is_primitive", counting)
         assert cli._check_record(*abc)[1] == code
         assert calls == [abc]
+
+
+def edited_stream(monkeypatch, g, edit):
+    """Pass the g family's stream, as `check_g_coverage` reads it, through edit."""
+    original = hyp_gap.iter_g_family
+
+    def stream(gap, count):
+        members = original(gap, count)
+        return edit(members) if gap == g else members
+
+    monkeypatch.setattr(hyp_gap, "iter_g_family", stream)
+
+
+def repeat_at(c):
+    return lambda members: (x for item in members for x in [item] * (1 + (item.c == c)))
+
+
+class TestGCoverage:
+    @pytest.mark.parametrize(
+        "c_max,checks",
+        [(-1, 0), (4, 0), (5, 2), (4095, 1304), (4096, 1304), (4097, 1308),
+         (65536, 20856), (65537, 20858), (131072, 41736)],
+    )
+    def test_two_checks_per_row_across_window_edges(self, c_max, checks):
+        """Both the suite's windows (4096 wide below 257**2) and the
+        referee's (2**15 wide below 513**2) have edges among these bounds."""
+        assert checks == 2 * len(list(triples.iter_ppt_rows(c_max)))
+        assert check_g_coverage(c_max) == ("g-coverage", checks, 0, None)
+
+    @pytest.mark.parametrize(
+        "g,edit,want",
+        [
+            # (15, 8, 17) twice, found at the next row, c = 25
+            (9, repeat_at(17), (7, "(15, 8, 17) is extra in the odd-square streams")),
+            (8, repeat_at(13), (6, "(12, 5, 13) is extra in the twice-square streams")),
+            # k = 9 shares the root 3: a walk that tried it would yield (27, 36, 45)
+            (
+                9,
+                lambda members: heapq.merge(
+                    members, [hyp_gap.GFamilyItem(4, 9, 6, 3, 27, 36, 45, 6, 3)], key=lambda x: x.c
+                ),
+                (15, "(27, 36, 45) is extra in the odd-square streams"),
+            ),
+            # the walk of 2*m*m, m odd, starting one step late
+            (2, lambda members: itertools.islice(members, 1, None),
+             (2, "(4, 3, 5) missing from the g=2 family")),
+        ],
+        ids=["repeated-odd-square", "repeated-twice-square", "extra", "late-start"],
+    )
+    def test_a_stream_fault_fails_at_its_row(self, monkeypatch, g, edit, want):
+        edited_stream(monkeypatch, g, edit)
+        report = check_g_coverage(2000)
+        assert (report.checks, report.counterexample) == want and report.failures == 1
+
+    def test_a_fault_past_the_first_window_counts_every_row_before_it(self, monkeypatch):
+        # the first row of the second window, 4096 <= c < 8192, is (2175, 3472, 4097)
+        edited_stream(monkeypatch, 625, lambda ms: (m for m in ms if m.c != 4097))
+        report = check_g_coverage(10_000)
+        assert report == (
+            "g-coverage", 1304 + 1, 1, "(2175, 3472, 4097) missing from the g=625 family"
+        )
 
 
 def test_nonexistence_of_inadmissible_gaps():

@@ -19,7 +19,7 @@ from pptriples import (
     iter_ppts,
     is_prime,
 )
-from pptriples import checks, leg_gap, pell, zsqrt2
+from pptriples import checks, leg_gap, pell, triples, zsqrt2
 from pptriples.checks import CheckReport, is_associate, leg_gap_rows, verify_f_triple
 from pptriples.cli import main
 from pptriples.leg_gap import FTriple
@@ -223,7 +223,7 @@ class TestLegGapRows:
         def refuse(*args):
             raise AssertionError("full sweep called")
 
-        monkeypatch.setattr(checks, "iter_ppt_rows", refuse)
+        monkeypatch.setattr(triples, "iter_ppt_rows", refuse)
         assert checks.check_f_coverage(10**6) == CheckReport("f-coverage", 34, 0)
 
     def test_f_coverage_window_holds_composite_gaps(self):
@@ -254,8 +254,8 @@ class TestLegGapRows:
                 if ft.triple.c == 29:
                     yield extra(ft)
 
-        stream = checks.iter_f_triples
-        monkeypatch.setattr(checks, "iter_f_triples", broken)
+        stream = leg_gap.iter_f_triples
+        monkeypatch.setattr(leg_gap, "iter_f_triples", broken)
         assert checks.check_f_coverage(20000) == CheckReport("f-coverage", 6, 1, counterexample)
 
 

@@ -194,9 +194,9 @@ class TestEnumerate:
         assert keys == sorted(keys)
 
 
-# One below, at and one above the first two window edges: below 2**20 every
-# window is _WINDOW_FLOOR wide.
-EDGES = [k * _WINDOW_FLOOR + d for k in (1, 2) for d in (-1, 0, 1)]
+# One below, at and one above the second and fourth window edges: below
+# 513**2 every window is _WINDOW_FLOOR wide.
+EDGES = [k * _WINDOW_FLOOR + d for k in (2, 4) for d in (-1, 0, 1)]
 
 
 class TestIterPpts:
@@ -207,10 +207,10 @@ class TestIterPpts:
         assert all(t == ref for t, ref in pairs)
 
     @pytest.mark.parametrize(
-        "c_max", [0, 4, 5, _WINDOW_FLOOR - 1, _WINDOW_FLOOR, _WINDOW_FLOOR + 1, 1_100_000]
+        "c_max", [0, 4, 5, *EDGES[:3], 1_100_000]
     )
     def test_rows_are_the_triples_as_tuples(self, c_max):
-        # the last bound is above 1025**2, where windows are wider than the floor
+        # the last bound is above 513**2, where windows are wider than the floor
         assert _WINDOW_ROOTS * math.isqrt(1_100_000) > _WINDOW_FLOOR
         pairs = zip_longest(iter_ppt_rows(c_max), iter_ppts(c_max))
         assert all(t is not None and row == (t.c, t.a, t.b) for row, t in pairs)
@@ -225,7 +225,7 @@ class TestIterPpts:
 
     def test_memory_stays_one_window(self):
         """At 250,000 the list of all 39,788 triples peaks near 10.6 MB traced;
-        the stream holds one window of about 10,000 (c, a, b) tuples."""
+        the stream holds one window of about 5,000 (c, a, b) tuples."""
         tracemalloc.start()
         try:
             count = sum(1 for _ in iter_ppts(250_000))
