@@ -7,11 +7,11 @@ direct search over the parameter s for the triples with given leg gaps,
 inclusion-exclusion pair counts, or the A/B delta recurrences) at a
 caller-chosen bound.  A suite yields one case per check, None or a
 counterexample, and one runner reports the number of checks up to the first
-counterexample; `check_g_coverage` compares a window of rows at once and
-yields cases only in a window that fails.  Each suite imports the layers it
-runs when it runs.  The identities (divisor sums, totients and Moebius
-inversion computed from factorizations, totient sums sliced from a full
-sieve, the recheck of a leg-gap triple, the leg across a hypotenuse gap,
+counterexample.  Both coverage suites read each referee row against the next
+member of its own gap's stream.  Each suite imports the layers it runs when
+it runs.  The identities (divisor sums, totients and Moebius inversion
+computed from factorizations, totient sums sliced from a full sieve, the
+recheck of a leg-gap triple, the leg across a hypotenuse gap,
 associates in Z[sqrt(2)]) recompute by a second route what the library
 computes once.  Nothing on the library's fast paths imports this module; of
 the CLI commands only `verify` loads it.
@@ -20,11 +20,10 @@ the CLI commands only `verify` loads it.
 from __future__ import annotations
 
 import collections
-import heapq
 import math
 import random
 import sys
-from itertools import takewhile, zip_longest
+from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -87,81 +86,55 @@ def _first_failure(scope: str, cases: Iterable[str | None]) -> CheckReport:
     return CheckReport(scope, checks, 0)
 
 
-_END = (math.inf,)  # the head of a stream that has ended: past every window
-
-
 def check_g_coverage(c_max: int) -> CheckReport:
     """Each gap's family stream, read up to c_max, equals the referee's rows.
 
     Each row (c, odd, even) of `iter_ppt_rows(c_max)` counts as two checks:
-    (odd, even, c) must be a member of the odd-square family of g = c - even,
-    then (even, odd, c) one of the twice-square family of g = c - odd.
-    Every member has c = b + g > g, so only the gaps m*m (m odd) and 2*m*m
-    up to c_max can have one below the bound, and along each family c rises
-    strictly with the multiplier k, so with the index n.  Each of those
-    streams (`hyp_gap.iter_g_family`, unbounded) is read one hypotenuse
-    window at a time, up to its first member past the window, which waits
-    for the next.  Per window, the odd-square members as (c, a, b) and the
-    twice-square ones as (c, b, a), each sorted, must equal the referee's
-    rows, so a missing, repeated or extra member fails at its row.  Time is
-    linear in c_max; memory is about 1.2 * sqrt(c_max) live streams plus
-    one window's rows.
+    (odd, even, c) must be the next member of the odd-square family of
+    g = c - even, then (even, odd, c) the next of the twice-square family of
+    g = c - odd.  Every member has c = b + g > g, so only the gaps m*m
+    (m odd) and 2*m*m up to c_max can have one below the bound, and along
+    each family c rises strictly with the multiplier k, so with the index n:
+    each of those streams (`hyp_gap.iter_g_family`, unbounded) in index
+    order is exactly its gap's rows in the referee's order.  A missing,
+    repeated, extra or misplaced member fails at the next row of its gap.
+    Time is linear in c_max; memory is about 1.2 * sqrt(c_max) live streams.
     """
     from . import hyp_gap
     from .triples import iter_ppt_rows
 
-    def streams(gaps: Iterable[int], row: attrgetter) -> list[list]:
-        return _heads(map(row, hyp_gap.iter_g_family(g, sys.maxsize + 1)) for g in gaps)
+    def streams(gaps: Iterable[int], row: attrgetter) -> dict[int, Iterator[tuple]]:
+        return {g: map(row, hyp_gap.iter_g_family(g, sys.maxsize + 1)) for g in gaps}
 
     bound = max(c_max, 0)
-    root = math.isqrt(bound)
-    odd = streams((m * m for m in range(1, root + 1, 2)), attrgetter("c", "a", "b"))
+    odd = streams((m * m for m in range(1, math.isqrt(bound) + 1, 2)), attrgetter("c", "a", "b"))
     twice = streams(
         (2 * m * m for m in range(1, math.isqrt(bound // 2) + 1)), attrgetter("c", "b", "a")
     )
-    referee = _heads([iter_ppt_rows(c_max)])
-    # A window holds about 2.5 * sqrt(c_max) rows, less memory than the
-    # streams take, and the streams are visited 0.08 * c_max times in all.
-    width = max(4096, 16 * root)
-    checks = lo = 0
-    while lo <= c_max:
-        hi = min(lo + width, c_max + 1)
-        want, odd_rows, twice_rows = (_take_below(heads, hi) for heads in (referee, odd, twice))
-        odd_rows.sort()
-        twice_rows.sort()
-        if odd_rows != want or twice_rows != want:
-            report = _first_failure("g-coverage", _g_cases(want, odd_rows, twice_rows))
-            return report._replace(checks=checks + report.checks)
-        checks += 2 * len(want)
-        lo = hi
-        del want, odd_rows, twice_rows  # before the next window's rows are gathered
-    return CheckReport("g-coverage", checks, 0)
+    return _first_failure("g-coverage", _coverage_cases(iter_ppt_rows(c_max), c_max, (
+        (odd, lambda row: row[0] - row[2], partial(_g_mismatch, kind="odd-square")),
+        (twice, lambda row: row[0] - row[1], partial(_g_mismatch, kind="twice-square")),
+    )))
 
 
-def _heads(streams: Iterable[Iterator[tuple]]) -> list[list]:
-    """[first row, the rest] of each stream of rows ascending in c."""
-    return [[next(rows, _END), rows] for rows in streams]
+def _coverage_cases(rows: Iterable[tuple], c_max: int, sets: tuple) -> Iterator[str | None]:
+    """The coverage cases of referee rows (c, ...) against streams of rows.
 
-
-def _take_below(heads: list[list], hi: int) -> list[tuple]:
-    """The rows with c < hi of every stream in `heads`; each stream's first
-    row at or past hi becomes its head."""
-    out = []
-    for head in heads:
-        row, rows = head
-        while row[0] < hi:
-            out.append(row)
-            row = next(rows, _END)
-        head[0] = row
-    return out
-
-
-def _g_cases(want: list, odd: list, twice: list) -> Iterator[str | None]:
-    """The `check_g_coverage` cases of one window: each referee row against
-    the odd-square row, then the twice-square row, at its position."""
-    for row, odd_row, twice_row in zip_longest(want, odd, twice):
-        yield None if odd_row == row else _g_mismatch(row, odd_row, "odd-square")
-        yield None if twice_row == row else _g_mismatch(row, twice_row, "twice-square")
+    A set is (streams by gap, a row's gap, the counterexample of a referee
+    row and a stream row that differ).  For each row and each set, the next
+    row of the stream of the row's gap must equal it; a stream that has
+    ended reads None.  After the last row, each stream's next row must lie
+    past c_max: a case only when it does not.
+    """
+    for row in rows:
+        for streams, gap_of, mismatch in sets:
+            got = next(streams[gap_of(row)], None)
+            yield None if got == row else mismatch(row, got)
+    for streams, _, mismatch in sets:
+        for rest in streams.values():
+            got = next(rest, None)
+            if got is not None and got[0] <= c_max:
+                yield mismatch(None, got)
 
 
 def _g_mismatch(want: tuple | None, got: tuple | None, kind: str) -> str:
@@ -207,9 +180,9 @@ def check_f_coverage(c_max: int, gaps: tuple[int, ...] = (1, 7, 17)) -> CheckRep
     """Each sampled gap's leg-gap stream, up to c_max, equals the referee's rows.
 
     `iter_f_triples(admissible_f(f), -R, R)` ascends in X = 2a + f, so in
-    c = Y (X*X + f*f = 2*Y*Y), and is read up to its first Y > c_max.  The
-    gaps' rows, merged in the referee's (c, odd leg) order, must equal
-    `leg_gap_rows` row for row, so a missing, extra or repeated triple fails.
+    c = Y (X*X + f*f = 2*Y*Y).  Each row of `leg_gap_rows` must be the next
+    triple, odd leg first, of its gap's stream, and no stream may have more
+    up to c_max, so a missing, extra or repeated triple fails.
     R = 2*c_max + h + 3, h the largest |x| of the GAMMA * u*u, reaches every
     triple up to c_max for any f: each valley lies within h steps of m = 0
     (`zsqrt2._orbit_low`), so each run has 2*c_max + 3 steps in [-R-1, R];
@@ -219,15 +192,16 @@ def check_f_coverage(c_max: int, gaps: tuple[int, ...] = (1, 7, 17)) -> CheckRep
     from . import leg_gap
     from .zsqrt2 import GAMMA
 
-    streams = []
+    streams = {}
     for f in dict.fromkeys(gaps):
         spec = leg_gap.admissible_f(f)
         R = 2 * c_max + 3 + max(abs((GAMMA * e.u * e.u).x) for e in leg_gap.cf_elements(spec))
-        fts = takewhile(lambda ft: ft.Y <= c_max, leg_gap.iter_f_triples(spec, -R, R))
-        streams.append((c, a, b) if a % 2 else (c, b, a) for (a, b, c), *_ in fts)
-    return _first_failure("f-coverage", (
-        None if want == got else _mismatch(want, got)
-        for want, got in zip_longest(leg_gap_rows(c_max, gaps), heapq.merge(*streams))
+        streams[f] = (
+            (c, a, b) if a % 2 else (c, b, a)
+            for (a, b, c), *_ in leg_gap.iter_f_triples(spec, -R, R)
+        )
+    return _first_failure("f-coverage", _coverage_cases(
+        leg_gap_rows(c_max, gaps), c_max, ((streams, lambda row: abs(row[1] - row[2]), _mismatch),)
     ))
 
 

@@ -431,30 +431,49 @@ class TestGCoverage:
          (65536, 20856), (65537, 20858), (131072, 41736)],
     )
     def test_two_checks_per_row_across_window_edges(self, c_max, checks):
-        """Both the suite's windows (4096 wide below 257**2) and the
-        referee's (2**15 wide below 513**2) have edges among these bounds."""
+        """Rows at c = 4097 and 65537 lie one past a bound, and the
+        referee's windows (2**15 wide below 513**2) have edges among these
+        bounds."""
         assert checks == 2 * len(list(triples.iter_ppt_rows(c_max)))
         assert check_g_coverage(c_max) == ("g-coverage", checks, 0, None)
 
     @pytest.mark.parametrize(
         "g,edit,want",
         [
-            # (15, 8, 17) twice, found at the next row, c = 25
-            (9, repeat_at(17), (7, "(15, 8, 17) is extra in the odd-square streams")),
-            (8, repeat_at(13), (6, "(12, 5, 13) is extra in the twice-square streams")),
-            # k = 9 shares the root 3: a walk that tried it would yield (27, 36, 45)
+            # (15, 8, 17) twice, found at g = 9's next row, (21, 20, 29)
+            (9, repeat_at(17), (9, "(15, 8, 17) is extra in the odd-square streams")),
+            # (12, 5, 13) twice, found at g = 8's next row, (20, 21, 29)
+            (8, repeat_at(13), (10, "(12, 5, 13) is extra in the twice-square streams")),
+            # k = 9 shares the root 3: a walk that tried it would yield (27, 36, 45),
+            # found at g = 9's next row, (33, 56, 65)
             (
                 9,
                 lambda members: heapq.merge(
                     members, [hyp_gap.GFamilyItem(4, 9, 6, 3, 27, 36, 45, 6, 3)], key=lambda x: x.c
                 ),
-                (15, "(27, 36, 45) is extra in the odd-square streams"),
+                (19, "(27, 36, 45) is extra in the odd-square streams"),
             ),
             # the walk of 2*m*m, m odd, starting one step late
             (2, lambda members: itertools.islice(members, 1, None),
              (2, "(4, 3, 5) missing from the g=2 family")),
+            # the first two members swapped: a sort of the members would hide it
+            (
+                9,
+                lambda members: itertools.chain(
+                    reversed(list(itertools.islice(members, 2))), members
+                ),
+                (5, "(15, 8, 17) missing from the g=9 family"),
+            ),
+            # a stream that ends after two members fails at g = 9's third row
+            (9, lambda members: itertools.islice(members, 2),
+             (19, "(33, 56, 65) missing from the g=9 family")),
+            # g = 9's last member below the bound twice, found after the last row
+            (9, repeat_at(1865), (639, "(183, 1856, 1865) is extra in the odd-square streams")),
         ],
-        ids=["repeated-odd-square", "repeated-twice-square", "extra", "late-start"],
+        ids=[
+            "repeated-odd-square", "repeated-twice-square", "extra", "late-start",
+            "misordered", "ended", "repeated-last",
+        ],
     )
     def test_a_stream_fault_fails_at_its_row(self, monkeypatch, g, edit, want):
         edited_stream(monkeypatch, g, edit)
@@ -462,7 +481,7 @@ class TestGCoverage:
         assert (report.checks, report.counterexample) == want and report.failures == 1
 
     def test_a_fault_past_the_first_window_counts_every_row_before_it(self, monkeypatch):
-        # the first row of the second window, 4096 <= c < 8192, is (2175, 3472, 4097)
+        # (2175, 3472, 4097) is the first row past c = 4096, where 1304 checks pass
         edited_stream(monkeypatch, 625, lambda ms: (m for m in ms if m.c != 4097))
         report = check_g_coverage(10_000)
         assert report == (

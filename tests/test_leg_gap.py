@@ -228,7 +228,7 @@ class TestLegGapRows:
 
     def test_f_coverage_window_holds_composite_gaps(self):
         # (33, 56, 65) and (16, 63, 65), gaps 23 and 47, share a hypotenuse,
-        # so the merge must follow the referee's odd-leg order; 84847 and
+        # so each row must be read from its own gap's stream; 84847 and
         # 513263 are above 2 * 10**4
         gaps = (1, 7, 17, 23, 47, 49, 119, 2737, 84847, 513263)
         report = checks.check_f_coverage(10**8, gaps=gaps)
@@ -246,7 +246,7 @@ class TestLegGapRows:
     )
     def test_f_coverage_fails_a_repeated_or_extra_row(self, monkeypatch, extra, counterexample):
         """A stream that yields `extra(ft)` after the f = 1 triple
-        (20, 21, 29) fails at the next referee row, (28, 45, 53)."""
+        (20, 21, 29) fails at f = 1's next referee row, (119, 120, 169)."""
 
         def broken(spec, *span):
             for ft in stream(spec, *span):
@@ -256,7 +256,7 @@ class TestLegGapRows:
 
         stream = leg_gap.iter_f_triples
         monkeypatch.setattr(leg_gap, "iter_f_triples", broken)
-        assert checks.check_f_coverage(20000) == CheckReport("f-coverage", 6, 1, counterexample)
+        assert checks.check_f_coverage(20000) == CheckReport("f-coverage", 10, 1, counterexample)
 
 
 def _reference_f_triples(spec, m_lo, m_hi):
