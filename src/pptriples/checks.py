@@ -7,7 +7,8 @@ direct search over the parameter s for the triples with given leg gaps,
 inclusion-exclusion pair counts, or the A/B delta recurrences) at a
 caller-chosen bound.  A suite yields one case per check, None or a
 counterexample, and one runner reports the number of checks up to the first
-counterexample.  Both coverage suites read each referee row against the next
+counterexample; nonexistence alone counts its rows itself and yields no
+case per row.  Both coverage suites read each referee row against the next
 member of its own gap's stream.  Each suite imports the layers it runs when
 it runs.  The identities (divisor sums, totients and Moebius inversion
 computed from factorizations, totient sums sliced from a full sieve, the
@@ -251,22 +252,41 @@ def check_nonexistence(
     hyp_gaps: tuple[int, ...] = HYP_GAP_SAMPLE,
     leg_gaps: tuple[int, ...] = LEG_GAP_SAMPLE,
 ) -> CheckReport:
-    """No enumerated triple carries an inadmissible hypotenuse or leg gap."""
+    """No enumerated triple carries an inadmissible hypotenuse or leg gap.
+
+    The rows are those of `triples.iter_ppt_rows(c_max)`, visited in r-major
+    order: the coprime, opposite-parity pairs 0 < s < r with r*r + s*s <=
+    c_max, each the triple a = r*r - s*s, b = 2*r*s, c = r*r + s*s.  Each row
+    is one check of its three gaps, c - a = 2*s*s and c - b = (r - s)**2
+    against `hyp_gaps` and |a - b| = |(r - s)**2 - 2*s*s| against `leg_gaps`.
+    A pass counts the rows and holds no row, so memory is O(1).  A failure
+    reports the least failing row in (c, a) order, counted at its place in
+    `iter_ppt_rows`.  Along one c, a rises with r, so the first failure at a
+    c is its least, and only smaller c are scanned after it.
+    """
+    hyp, leg = set(hyp_gaps), set(leg_gaps)
+    gcd, isqrt = math.gcd, math.isqrt
+    rows, failed, bound, r = 0, None, c_max, 2
+    while r * r < bound:
+        rr = r * r
+        for s in range(r % 2 + 1, min(r, isqrt(bound - rr) + 1), 2):
+            if gcd(r, s) == 1:
+                rows += 1
+                twice, square = 2 * s * s, (r - s) ** 2
+                if twice in hyp or square in hyp or abs(square - twice) in leg:
+                    failed = rr + s * s, rr - s * s, 2 * r * s
+                    bound = failed[0] - 1
+                    break
+        r += 1
+    if failed is None:
+        return CheckReport("nonexistence", rows, 0)
     from .triples import iter_ppt_rows
 
-    hyp, leg = set(hyp_gaps), set(leg_gaps)
-
-    def gap_found(c: int, a: int, b: int) -> str:
-        """The counterexample text of a row that carries a listed gap."""
-        for gap in (c - a, c - b):
-            if gap in hyp:
-                return f"({a}, {b}, {c}) has hypotenuse gap {gap}"
-        return f"({a}, {b}, {c}) has leg gap {abs(a - b)}"
-
-    return _first_failure("nonexistence", (
-        gap_found(c, a, b) if c - a in hyp or c - b in hyp or abs(a - b) in leg else None
-        for c, a, b in iter_ppt_rows(c_max)
-    ))
+    c, a, b = failed
+    gap = next((g for g in (c - a, c - b) if g in hyp), None)
+    text = f"hypotenuse gap {gap}" if gap is not None else f"leg gap {abs(a - b)}"
+    place = next(n for n, row in enumerate(iter_ppt_rows(c), 1) if row == failed)
+    return CheckReport("nonexistence", place, 1, f"({a}, {b}, {c}) has {text}")
 
 
 class RecurrencePair(NamedTuple):

@@ -7,9 +7,9 @@ so a reader that stops early stops the work too.  Each command imports
 only the layers it runs, when it runs: `check` and `gen-g` the triples and
 hypotenuse-gap layers, `gen-f` the Z[sqrt(2)], Pell and leg-gap layers,
 `density` the totient layer, and `verify` the oracles in `checks` with the
-layers of its one scope (`nonexistence` the triples layer alone); parsing
-and the refusal types load none, and only JSON output loads `json`.  Exit
-codes:
+layers of its one scope (`nonexistence` none, unless it must place a
+counterexample); parsing and the refusal types load none, and only JSON
+output loads `json`.  Exit codes:
 
     0  success, or the reader closed stdout early (`| head`): the run ends quietly
     1  malformed flags or input

@@ -130,7 +130,7 @@ FOOTPRINTS = {
     ("verify", "f-coverage", "--c-max", "30"): {
         "_primes", "triples", "zsqrt2", "pell", "leg_gap", "checks"
     },
-    ("verify", "nonexistence", "--c-max", "30"): {"_primes", "triples", "checks"},
+    ("verify", "nonexistence", "--c-max", "30"): {"_primes", "checks"},
     ("verify", "pell", "--m-max", "3"): {"_primes", "zsqrt2", "pell", "checks"},
     ("verify", "density-cross", "--b-max", "10"): {"_primes", "density", "checks"},
 }

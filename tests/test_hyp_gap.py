@@ -2,6 +2,7 @@ import collections
 import heapq
 import itertools
 import math
+import random
 import sys
 import time
 import tracemalloc
@@ -24,7 +25,14 @@ from pptriples import (
     iter_ppts,
 )
 from pptriples import cli, hyp_gap, triples
-from pptriples.checks import check_g_coverage, leg_from_gap
+from pptriples.checks import (
+    HYP_GAP_SAMPLE,
+    LEG_GAP_SAMPLE,
+    CheckReport,
+    check_g_coverage,
+    check_nonexistence,
+    leg_from_gap,
+)
 
 
 class TestClassify:
@@ -496,3 +504,63 @@ def test_nonexistence_of_inadmissible_gaps():
         seen_gaps.add(t.c - t.a)
         seen_gaps.add(t.c - t.b)
     assert not seen_gaps & inadmissible
+
+
+def nonexistence_by_rows(c_max, hyp_gaps, leg_gaps):
+    """`check_nonexistence` as one case per row of `iter_ppt_rows`."""
+    hyp, leg = set(hyp_gaps), set(leg_gaps)
+    n = 0
+    for n, (c, a, b) in enumerate(triples.iter_ppt_rows(c_max), 1):
+        for gap in (c - a, c - b):
+            if gap in hyp:
+                return CheckReport("nonexistence", n, 1, f"({a}, {b}, {c}) has hypotenuse gap {gap}")
+        if abs(a - b) in leg:
+            return CheckReport("nonexistence", n, 1, f"({a}, {b}, {c}) has leg gap {abs(a - b)}")
+    return CheckReport("nonexistence", n, 0)
+
+
+class TestNonexistence:
+    BOUNDS = (-1, 0, 4, 5, 12, 13, 16, 17, 25, 26, 65, 66, 85, 4097, 20000)
+
+    @pytest.mark.parametrize("c_max", BOUNDS)
+    def test_equals_the_row_by_row_check(self, c_max):
+        rng = random.Random(c_max)
+        gap_sets = [(HYP_GAP_SAMPLE, LEG_GAP_SAMPLE), ((), ())] + [
+            (tuple(rng.sample(range(1, 61), rng.randrange(4))),
+             tuple(rng.sample(range(1, 61), rng.randrange(4))))
+            for _ in range(12)
+        ]
+        for hyp_gaps, leg_gaps in gap_sets:
+            assert check_nonexistence(c_max, hyp_gaps, leg_gaps) == nonexistence_by_rows(
+                c_max, hyp_gaps, leg_gaps
+            ), (hyp_gaps, leg_gaps)
+
+    @pytest.mark.parametrize("hyp_gaps, leg_gaps, want", [
+        # (3, 4, 5) has c - a = 2, c - b = 1 and leg gap 1: c - a is tried first,
+        ((1, 2), (1,), (1, "(3, 4, 5) has hypotenuse gap 2")),
+        # then c - b,
+        ((1,), (1,), (1, "(3, 4, 5) has hypotenuse gap 1")),
+        # then the leg gap
+        ((), (1,), (1, "(3, 4, 5) has leg gap 1")),
+        # (5, 12, 13) has leg gap 7 and comes before (15, 8, 17) with c - b = 9
+        ((9,), (7,), (2, "(5, 12, 13) has leg gap 7")),
+        # c = 85 has two rows, (13, 84, 85) (r = 7) and (77, 36, 85) (r = 9)
+        ((), (71, 41), (13, "(13, 84, 85) has leg gap 71")),
+        ((), (41,), (14, "(77, 36, 85) has leg gap 41")),
+        # r = 7 visits (13, 84, 85) before r = 8 visits (63, 16, 65)
+        ((72, 49), (), (11, "(63, 16, 65) has hypotenuse gap 49")),
+    ])
+    def test_reports_the_least_failing_row(self, hyp_gaps, leg_gaps, want):
+        report = check_nonexistence(100, hyp_gaps, leg_gaps)
+        assert (report.checks, report.counterexample) == want and report.failures == 1
+        assert report == nonexistence_by_rows(100, hyp_gaps, leg_gaps)
+
+    def test_memory_is_constant(self):
+        tracemalloc.start()
+        try:
+            report = check_nonexistence(10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == CheckReport("nonexistence", 15919, 0)
+        assert peak < 64 * 1024
