@@ -2,25 +2,30 @@
 and the identities and rechecks the suites and the tests rely on.
 
 Each suite compares a closed-form or generator path against the exhaustive
-triple enumerator (or, row for row, the leg-gap referee `leg_gap_rows`, a
+triple enumerator (or the leg-gap referee `leg_gap_rows`, a
 direct search over the parameter s for the triples with given leg gaps,
 inclusion-exclusion pair counts, or the A/B delta recurrences) at a
-caller-chosen bound.  A suite yields one case per check, None or a
-counterexample, and one runner reports the number of checks up to the first
-counterexample; nonexistence alone counts its rows itself and yields no
-case per row.  Both coverage suites read each referee row against the next
-member of its own gap's stream.  Each suite imports the layers it runs when
-it runs.  The identities (divisor sums, totients and Moebius inversion
-computed from factorizations, totient sums sliced from a full sieve, the
-recheck of a leg-gap triple, the leg across a hypotenuse gap,
-associates in Z[sqrt(2)]) recompute by a second route what the library
-computes once.  Nothing on the library's fast paths imports this module; of
-the CLI commands only `verify` loads it.
+caller-chosen bound.  The pell and density-cross suites yield one case per
+check, None or a counterexample, and one runner reports the number of
+checks up to the first counterexample.  Nonexistence and the two coverage
+suites count their checks themselves and yield no case on a pass:
+nonexistence counts its rows, and each coverage suite checks every member
+of each gap's stream on its own and then compares one count with the
+referee's.  Only a failing coverage suite reads each referee row against
+the next member of its own gap's stream, one case per check through the
+runner, to count and word the first counterexample.  Each suite imports
+the layers it runs when it runs.  The identities (divisor sums, totients
+and Moebius inversion computed from factorizations, totient sums sliced
+from a full sieve, the recheck of a leg-gap triple, the leg across a
+hypotenuse gap, associates in Z[sqrt(2)]) recompute by a second route what
+the library computes once.  Nothing on the library's fast paths imports
+this module; of the CLI commands only `verify` loads it.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import random
 import sys
@@ -90,16 +95,61 @@ def _first_failure(scope: str, cases: Iterable[str | None]) -> CheckReport:
 def check_g_coverage(c_max: int) -> CheckReport:
     """Each gap's family stream, read up to c_max, equals the referee's rows.
 
+    Every PPT with c <= c_max has two gaps: c minus its even leg, an odd
+    square m*m, and c minus its odd leg, twice a square 2*m*m, both at most
+    c_max.  So there are 2*N pairs (PPT with c <= c_max, one of its gaps),
+    N the number of PPTs up to the bound, and a pass counts 2*N checks.
+    Each gap's stream (`hyp_gap.iter_g_family`, unbounded) is read alone, up
+    to its first member with c > c_max, and each member (a, b, c) must have
+    c above the member before it, c - b = g, a > 0, b > 0, a*a + b*b = c*c
+    and gcd(a, b) = 1.  Such a member names the pair (its triple, g), and
+    the rising c keeps the members of one stream apart, so the members of
+    all the streams are distinct pairs: 2*N of them exactly when every pair
+    is a member, that is when each stream in index order is its gap's rows
+    of `iter_ppt_rows(c_max)` in the referee's order.  N comes from the scan
+    of the parameter pairs that `check_nonexistence` walks (`_pair_scan`).
+    Only when a member fails, or the count differs, are fresh streams read
+    row for row against the referee (`_g_coverage_by_rows`), which counts
+    the checks up to the first counterexample and words it.  Time is linear
+    in c_max; memory is one stream at a time.
+    """
+    from . import hyp_gap
+
+    gcd, legs = math.gcd, attrgetter("a", "b", "c")
+    members = 0
+    for g in itertools.chain(*_hyp_gaps(c_max)):
+        last = 0
+        for a, b, c in map(legs, hyp_gap.iter_g_family(g, sys.maxsize + 1)):
+            if c > c_max:
+                break
+            if not (last < c == b + g and a > 0 < b and a * a + b * b == c * c and gcd(a, b) == 1):
+                return _g_coverage_by_rows(c_max)
+            last = c
+            members += 1
+    if members != 2 * _pair_scan(c_max, set(), set())[0]:
+        return _g_coverage_by_rows(c_max)
+    return CheckReport("g-coverage", members, 0)
+
+
+def _hyp_gaps(c_max: int) -> tuple[Iterator[int], Iterator[int]]:
+    """The odd squares m*m and the twice squares 2*m*m up to c_max, lazily:
+    every gap c - b of a PPT (a, b, c) with c <= c_max is one of them."""
+    bound = max(c_max, 0)
+    return (
+        (m * m for m in range(1, math.isqrt(bound) + 1, 2)),
+        (2 * m * m for m in range(1, math.isqrt(bound // 2) + 1)),
+    )
+
+
+def _g_coverage_by_rows(c_max: int) -> CheckReport:
+    """`check_g_coverage` row for row, on fresh streams.
+
     Each row (c, odd, even) of `iter_ppt_rows(c_max)` counts as two checks:
     (odd, even, c) must be the next member of the odd-square family of
     g = c - even, then (even, odd, c) the next of the twice-square family of
-    g = c - odd.  Every member has c = b + g > g, so only the gaps m*m
-    (m odd) and 2*m*m up to c_max can have one below the bound, and along
-    each family c rises strictly with the multiplier k, so with the index n:
-    each of those streams (`hyp_gap.iter_g_family`, unbounded) in index
-    order is exactly its gap's rows in the referee's order.  A missing,
-    repeated, extra or misplaced member fails at the next row of its gap.
-    Time is linear in c_max; memory is about 1.2 * sqrt(c_max) live streams.
+    g = c - odd.  A missing, repeated, extra or misplaced member fails at
+    the next row of its gap.  Memory is about 1.2 * sqrt(c_max) live streams
+    beside the referee's window.
     """
     from . import hyp_gap
     from .triples import iter_ppt_rows
@@ -107,11 +157,9 @@ def check_g_coverage(c_max: int) -> CheckReport:
     def streams(gaps: Iterable[int], row: attrgetter) -> dict[int, Iterator[tuple]]:
         return {g: map(row, hyp_gap.iter_g_family(g, sys.maxsize + 1)) for g in gaps}
 
-    bound = max(c_max, 0)
-    odd = streams((m * m for m in range(1, math.isqrt(bound) + 1, 2)), attrgetter("c", "a", "b"))
-    twice = streams(
-        (2 * m * m for m in range(1, math.isqrt(bound // 2) + 1)), attrgetter("c", "b", "a")
-    )
+    odd_gaps, twice_gaps = _hyp_gaps(c_max)
+    odd = streams(odd_gaps, attrgetter("c", "a", "b"))
+    twice = streams(twice_gaps, attrgetter("c", "b", "a"))
     return _first_failure("g-coverage", _coverage_cases(iter_ppt_rows(c_max), c_max, (
         (odd, lambda row: row[0] - row[2], partial(_g_mismatch, kind="odd-square")),
         (twice, lambda row: row[0] - row[1], partial(_g_mismatch, kind="twice-square")),
@@ -149,8 +197,13 @@ def _g_mismatch(want: tuple | None, got: tuple | None, kind: str) -> str:
 
 def leg_gap_rows(c_max: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, int]]:
     """Every PPT with hypotenuse <= c_max and |a - b| in gaps as a plain
-    (c, a, b) tuple, odd leg a first, in (c, a) order: the rows of
-    `iter_ppt_rows(c_max)` with those leg gaps.
+    (c, a, b) tuple, odd leg first, in (c, a) order: the rows of
+    `iter_ppt_rows(c_max)` with those leg gaps, sorted from `_leg_gap_scan`."""
+    yield from sorted(_leg_gap_scan(c_max, gaps))  # (c, a) is unique to a primitive triple
+
+
+def _leg_gap_scan(c_max: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """The rows of `leg_gap_rows`, unsorted.
 
     For a coprime, opposite-parity pair r > s, a - b = t*t - 2*s*s with
     t = r - s odd and gcd(t, s) = gcd(r, s) = 1.  So for each s with
@@ -160,7 +213,6 @@ def leg_gap_rows(c_max: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, in
     """
     fs = {f for f in gaps if f > 0}
     gcd, isqrt = math.gcd, math.isqrt
-    rows = []
     s = 1
     while 2 * s * s < c_max:
         twice = 2 * s * s
@@ -171,36 +223,72 @@ def leg_gap_rows(c_max: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, in
                     r = s + t
                     c = r * r + s * s
                     if c <= c_max:
-                        rows.append((c, c - twice, 2 * r * s))
+                        yield c, c - twice, 2 * r * s
         s += 1
-    rows.sort()  # (c, a) is unique to a primitive triple
-    yield from rows
 
 
 def check_f_coverage(c_max: int, gaps: tuple[int, ...] = (1, 7, 17)) -> CheckReport:
     """Each sampled gap's leg-gap stream, up to c_max, equals the referee's rows.
 
-    `iter_f_triples(admissible_f(f), -R, R)` ascends in X = 2a + f, so in
-    c = Y (X*X + f*f = 2*Y*Y).  Each row of `leg_gap_rows` must be the next
-    triple, odd leg first, of its gap's stream, and no stream may have more
-    up to c_max, so a missing, extra or repeated triple fails.
-    R = 2*c_max + h + 3, h the largest |x| of the GAMMA * u*u, reaches every
-    triple up to c_max for any f: each valley lies within h steps of m = 0
-    (`zsqrt2._orbit_low`), so each run has 2*c_max + 3 steps in [-R-1, R];
-    along a run X >= 1 rises, strictly after at most one tie, so X >= j at
-    its j-th step, and Y > X / sqrt(2) >= c_max from step 2*c_max on.
+    For each sampled f, `_leg_gap_scan` counts N_f, the PPTs with
+    c <= c_max and |a - b| = f, and a pass counts their sum of checks.  Each
+    gap's stream (`_f_triples`) is read alone, up to its first triple with
+    c > c_max, and each triple (a, b, c) must have c above the triple
+    before it, |a - b| = f, a > 0, b > 0, a*a + b*b = c*c and
+    gcd(a, b) = 1.  Such a triple is one of the N_f, and the rising c keeps
+    the triples of a stream apart, so a stream holds N_f of them exactly
+    when it is its gap's rows of `leg_gap_rows` in the referee's order.
+    Only when a triple fails, or a count differs, are fresh streams read
+    row for row against the referee (`_f_coverage_by_rows`), which counts
+    the checks up to the first counterexample and words it.  Memory is one
+    stream at a time, and the referee's scan neither lists nor sorts.
+    """
+    counts = collections.Counter(abs(a - b) for _, a, b in _leg_gap_scan(c_max, gaps))
+    gcd = math.gcd
+    for f in dict.fromkeys(gaps):
+        last = members = 0
+        for (a, b, c), *_ in _f_triples(f, c_max):
+            if c > c_max:
+                break
+            if not (last < c and abs(a - b) == f and a > 0 < b and a * a + b * b == c * c
+                    and gcd(a, b) == 1):
+                return _f_coverage_by_rows(c_max, gaps)
+            last = c
+            members += 1
+        if members != counts[f]:
+            return _f_coverage_by_rows(c_max, gaps)
+    return CheckReport("f-coverage", sum(counts.values()), 0)
+
+
+def _f_triples(f: int, c_max: int) -> Iterator[FTriple]:
+    """The leg-gap stream of f that reaches every triple with c <= c_max.
+
+    `leg_gap.iter_f_triples(admissible_f(f), -R, R)` ascends in X = 2a + f,
+    so in c = Y (X*X + f*f = 2*Y*Y).  R = 2*c_max + h + 3, h the largest |x|
+    of the GAMMA * u*u, reaches every triple up to c_max for any f: each
+    valley lies within h steps of m = 0 (`zsqrt2._orbit_low`), so each run
+    has 2*c_max + 3 steps in [-R-1, R]; along a run X >= 1 rises, strictly
+    after at most one tie, so X >= j at its j-th step, and Y > X / sqrt(2)
+    >= c_max from step 2*c_max on.  The gap and the range are checked when
+    this is called.
     """
     from . import leg_gap
     from .zsqrt2 import GAMMA
 
-    streams = {}
-    for f in dict.fromkeys(gaps):
-        spec = leg_gap.admissible_f(f)
-        R = 2 * c_max + 3 + max(abs((GAMMA * e.u * e.u).x) for e in leg_gap.cf_elements(spec))
-        streams[f] = (
-            (c, a, b) if a % 2 else (c, b, a)
-            for (a, b, c), *_ in leg_gap.iter_f_triples(spec, -R, R)
-        )
+    spec = leg_gap.admissible_f(f)
+    R = 2 * c_max + 3 + max(abs((GAMMA * e.u * e.u).x) for e in leg_gap.cf_elements(spec))
+    return leg_gap.iter_f_triples(spec, -R, R)
+
+
+def _f_coverage_by_rows(c_max: int, gaps: tuple[int, ...]) -> CheckReport:
+    """`check_f_coverage` row for row, on fresh streams: each row of
+    `leg_gap_rows` must be the next triple, odd leg first, of its gap's
+    stream, and no stream may have more up to c_max, so a missing, extra or
+    repeated triple fails."""
+    streams = {
+        f: ((c, a, b) if a % 2 else (c, b, a) for (a, b, c), *_ in _f_triples(f, c_max))
+        for f in dict.fromkeys(gaps)
+    }
     return _first_failure("f-coverage", _coverage_cases(
         leg_gap_rows(c_max, gaps), c_max, ((streams, lambda row: abs(row[1] - row[2]), _mismatch),)
     ))
@@ -254,17 +342,38 @@ def check_nonexistence(
 ) -> CheckReport:
     """No enumerated triple carries an inadmissible hypotenuse or leg gap.
 
-    The rows are those of `triples.iter_ppt_rows(c_max)`, visited in r-major
-    order: the coprime, opposite-parity pairs 0 < s < r with r*r + s*s <=
-    c_max, each the triple a = r*r - s*s, b = 2*r*s, c = r*r + s*s.  Each row
-    is one check of its three gaps, c - a = 2*s*s and c - b = (r - s)**2
-    against `hyp_gaps` and |a - b| = |(r - s)**2 - 2*s*s| against `leg_gaps`.
-    A pass counts the rows and holds no row, so memory is O(1).  A failure
-    reports the least failing row in (c, a) order, counted at its place in
-    `iter_ppt_rows`.  Along one c, a rises with r, so the first failure at a
-    c is its least, and only smaller c are scanned after it.
+    Each row of `_pair_scan` is one check of its three gaps, c - a and c - b
+    against `hyp_gaps` and |a - b| against `leg_gaps`.  A pass counts the
+    rows and holds no row, so memory is O(1).  A failure reports the least
+    failing row in (c, a) order, counted at its place in `iter_ppt_rows`.
     """
-    hyp, leg = set(hyp_gaps), set(leg_gaps)
+    hyp = set(hyp_gaps)
+    rows, failed = _pair_scan(c_max, hyp, set(leg_gaps))
+    if failed is None:
+        return CheckReport("nonexistence", rows, 0)
+    from .triples import iter_ppt_rows
+
+    c, a, b = failed
+    gap = next((g for g in (c - a, c - b) if g in hyp), None)
+    text = f"hypotenuse gap {gap}" if gap is not None else f"leg gap {abs(a - b)}"
+    place = next(n for n, row in enumerate(iter_ppt_rows(c), 1) if row == failed)
+    return CheckReport("nonexistence", place, 1, f"({a}, {b}, {c}) has {text}")
+
+
+def _pair_scan(
+    c_max: int, hyp: set[int], leg: set[int]
+) -> tuple[int, tuple[int, int, int] | None]:
+    """The number of PPTs with c <= c_max, and the least (c, a, b) among
+    them in (c, a) order with c - a or c - b in hyp or |a - b| in leg.
+
+    The PPTs are the rows of `triples.iter_ppt_rows(c_max)`, visited in
+    r-major order: the coprime, opposite-parity pairs 0 < s < r with
+    r*r + s*s <= c_max, each the triple a = r*r - s*s, b = 2*r*s,
+    c = r*r + s*s, with c - a = 2*s*s, c - b = (r - s)**2 and
+    |a - b| = |(r - s)**2 - 2*s*s|.  Along one c, a rises with r, so the
+    first failing row at a c is its least, and only smaller c are scanned
+    after it: the count is exact only when no row fails.
+    """
     gcd, isqrt = math.gcd, math.isqrt
     rows, failed, bound, r = 0, None, c_max, 2
     while r * r < bound:
@@ -278,15 +387,7 @@ def check_nonexistence(
                     bound = failed[0] - 1
                     break
         r += 1
-    if failed is None:
-        return CheckReport("nonexistence", rows, 0)
-    from .triples import iter_ppt_rows
-
-    c, a, b = failed
-    gap = next((g for g in (c - a, c - b) if g in hyp), None)
-    text = f"hypotenuse gap {gap}" if gap is not None else f"leg gap {abs(a - b)}"
-    place = next(n for n, row in enumerate(iter_ppt_rows(c), 1) if row == failed)
-    return CheckReport("nonexistence", place, 1, f"({a}, {b}, {c}) has {text}")
+    return rows, failed
 
 
 class RecurrencePair(NamedTuple):

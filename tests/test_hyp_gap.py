@@ -2,13 +2,14 @@ import collections
 import heapq
 import itertools
 import math
+import operator
 import random
 import sys
 import time
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pptriples import (
     GKind,
@@ -432,6 +433,48 @@ def repeat_at(c):
     return lambda members: (x for item in members for x in [item] * (1 + (item.c == c)))
 
 
+def with_fault(members, i, edit):
+    """members with member i replaced by what edit(member, the rest) yields."""
+    members = iter(members)
+    yield from itertools.islice(members, i)
+    for x in members:
+        yield from edit(x, members)
+        break
+    yield from members
+
+
+def g_coverage_by_rows(c_max):
+    """`check_g_coverage` as one case per referee row and gap kind: each row
+    (c, odd, even) against the next member of its odd-square gap's stream,
+    then of its twice-square gap's, then each stream's next member."""
+    bound, n = max(c_max, 0), 0
+    kinds = (("odd-square", range(1, math.isqrt(bound) + 1, 2), 1, ("c", "a", "b")),
+             ("twice-square", range(1, math.isqrt(bound // 2) + 1), 2, ("c", "b", "a")))
+    streams = [{lead * m * m: map(operator.attrgetter(*order),
+                                  hyp_gap.iter_g_family(lead * m * m, sys.maxsize + 1))
+                for m in ms} for _, ms, lead, order in kinds]
+
+    def failure(kind, want, got):
+        c, odd, even = row = min(x for x in (want, got) if x)
+        a, b = (odd, even) if kind == "odd-square" else (even, odd)
+        how = f"is extra in the {kind} streams"
+        if row == want:
+            how = f"missing from the g={c - b} family"
+        return CheckReport("g-coverage", n, 1, f"({a}, {b}, {c}) {how}")
+
+    for row in triples.iter_ppt_rows(c_max):
+        for (kind, *_), gap, by_gap in zip(kinds, (row[0] - row[2], row[0] - row[1]), streams):
+            n += 1
+            if (got := next(by_gap[gap], None)) != row:
+                return failure(kind, row, got)
+    for (kind, *_), by_gap in zip(kinds, streams):
+        for stream in by_gap.values():
+            if (got := next(stream, None)) is not None and got[0] <= c_max:
+                n += 1
+                return failure(kind, None, got)
+    return CheckReport("g-coverage", n, 0)
+
+
 class TestGCoverage:
     @pytest.mark.parametrize(
         "c_max,checks",
@@ -441,7 +484,8 @@ class TestGCoverage:
     def test_two_checks_per_row_across_window_edges(self, c_max, checks):
         """Rows at c = 4097 and 65537 lie one past a bound, and the
         referee's windows (2**15 wide below 513**2) have edges among these
-        bounds."""
+        bounds.  A pass reads no window: the edges matter only to the
+        referee's count of rows here and to the suite's failure path."""
         assert checks == 2 * len(list(triples.iter_ppt_rows(c_max)))
         assert check_g_coverage(c_max) == ("g-coverage", checks, 0, None)
 
@@ -487,6 +531,57 @@ class TestGCoverage:
         edited_stream(monkeypatch, g, edit)
         report = check_g_coverage(2000)
         assert (report.checks, report.counterexample) == want and report.failures == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        c_max=st.integers(-1, 5000),
+        g=st.sampled_from([1, 2, 8, 9, 18, 25, 49, 50]),
+        other=st.sampled_from([1, 2, 9, 18]),
+        i=st.integers(0, 12),
+        fault=st.sampled_from(
+            ["drop", "repeat", "swap", "insert", "replace", "a+2", "-a", "b+2", "below", "b<0"]
+        ),
+    )
+    @example(c_max=100, g=9, other=1, i=2, fault="below")  # (27, 36, 45) for (33, 56, 65)
+    @example(c_max=100, g=9, other=1, i=0, fault="b<0")
+    @example(c_max=100, g=9, other=2, i=2, fault="replace")  # (12, 35, 37) for (33, 56, 65)
+    def test_equals_the_row_by_row_dispatch(self, c_max, g, other, i, fault):
+        """Faults in one gap's stream: a member dropped, repeated, swapped with
+        the next, preceded or replaced by a member of another gap, or with a
+        leg changed, or replaced by the nearest Pythagorean triple below it
+        with c - b = g (the member before it, or a multiple such as
+        (27, 36, 45) at g = 9), or by a primitive one with b < 0 (below the
+        first member, whose c exceeds g)."""
+        below = {8: (4, -3, 5), 9: (3, -4, 5), 18: (12, -5, 13), 25: (15, -8, 17),
+                 49: (35, -12, 37), 50: (20, -21, 29)}
+        assume(other != g and (fault != "b<0" or g in below))
+        extra = next(itertools.islice(iter_g_family(other, i + 1), i, None))
+        legs = {"a+2": lambda x: x._replace(a=x.a + 2), "-a": lambda x: x._replace(a=-x.a),
+                "b+2": lambda x: x._replace(b=x.b + 2),
+                "b<0": lambda x: x._replace(**dict(zip("abc", below[g]))),
+                "below": lambda x: next(
+                    (x._replace(a=a, b=b, c=b + g)
+                     for a in range(x.a - 1, 0, -1) if (b := leg_from_gap(a, g))), x)}
+        edit = {
+            "drop": lambda x, rest: [],
+            "repeat": lambda x, rest: [x, x],
+            "swap": lambda x, rest: [*itertools.islice(rest, 1), x],
+            "insert": lambda x, rest: [extra, x],
+            "replace": lambda x, rest: [extra],
+        }.get(fault, lambda x, rest: [legs[fault](x)])
+        with pytest.MonkeyPatch.context() as mp:
+            edited_stream(mp, g, lambda members: with_fault(members, i, edit))
+            assert check_g_coverage(c_max) == g_coverage_by_rows(c_max)
+
+    def test_memory_is_constant(self):
+        tracemalloc.start()
+        try:
+            report = check_g_coverage(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == CheckReport("g-coverage", 318278, 0)
+        assert peak < 64 * 1024
 
     def test_a_fault_past_the_first_window_counts_every_row_before_it(self, monkeypatch):
         # (2175, 3472, 4097) is the first row past c = 4096, where 1304 checks pass
