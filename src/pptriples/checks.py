@@ -2,24 +2,24 @@
 and the identities and rechecks the suites and the tests rely on.
 
 Each suite compares a closed-form or generator path against the exhaustive
-triple enumerator (or the leg-gap referee `leg_gap_rows`, a
+triple enumerator (or, row for row, the leg-gap referee `leg_gap_rows`, a
 direct search over the parameter s for the triples with given leg gaps,
 inclusion-exclusion pair counts, or the A/B delta recurrences) at a
-caller-chosen bound.  The pell and density-cross suites yield one case per
-check, None or a counterexample, and one runner reports the number of
-checks up to the first counterexample.  Nonexistence and the two coverage
-suites count their checks themselves and yield no case on a pass:
-nonexistence counts its rows, and each coverage suite checks every member
-of each gap's stream on its own and then compares one count with the
-referee's.  Only a failing coverage suite reads each referee row against
-the next member of its own gap's stream, one case per check through the
-runner, to count and word the first counterexample.  Each suite imports
-the layers it runs when it runs.  The identities (divisor sums, totients
-and Moebius inversion computed from factorizations, totient sums sliced
-from a full sieve, the recheck of a leg-gap triple, the leg across a
-hypotenuse gap, associates in Z[sqrt(2)]) recompute by a second route what
-the library computes once.  Nothing on the library's fast paths imports
-this module; of the CLI commands only `verify` loads it.
+caller-chosen bound.  The f-coverage, pell and density-cross suites yield
+one case per check, None or a counterexample, and one runner reports the
+number of checks up to the first counterexample.  Nonexistence and
+g-coverage count their checks themselves and yield no case on a pass:
+nonexistence counts its rows, and g-coverage checks every member of each
+gap's stream on its own and then compares one count with the referee's.
+Both coverage suites read each referee row against the next member of its
+own gap's stream, f-coverage always and g-coverage only on a failure, to
+count and word the first counterexample.  Each suite imports the layers
+it runs when it runs.  The identities (divisor sums, totients and Moebius
+inversion computed from factorizations, totient sums sliced from a full
+sieve, the recheck of a leg-gap triple, the leg across a hypotenuse gap,
+associates in Z[sqrt(2)]) recompute by a second route what the library
+computes once.  Nothing on the library's fast paths imports this module;
+of the CLI commands only `verify` loads it.
 """
 
 from __future__ import annotations
@@ -197,13 +197,8 @@ def _g_mismatch(want: tuple | None, got: tuple | None, kind: str) -> str:
 
 def leg_gap_rows(c_max: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, int]]:
     """Every PPT with hypotenuse <= c_max and |a - b| in gaps as a plain
-    (c, a, b) tuple, odd leg first, in (c, a) order: the rows of
-    `iter_ppt_rows(c_max)` with those leg gaps, sorted from `_leg_gap_scan`."""
-    yield from sorted(_leg_gap_scan(c_max, gaps))  # (c, a) is unique to a primitive triple
-
-
-def _leg_gap_scan(c_max: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """The rows of `leg_gap_rows`, unsorted.
+    (c, a, b) tuple, odd leg a first, in (c, a) order: the rows of
+    `iter_ppt_rows(c_max)` with those leg gaps.
 
     For a coprime, opposite-parity pair r > s, a - b = t*t - 2*s*s with
     t = r - s odd and gcd(t, s) = gcd(r, s) = 1.  So for each s with
@@ -213,6 +208,7 @@ def _leg_gap_scan(c_max: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, i
     """
     fs = {f for f in gaps if f > 0}
     gcd, isqrt = math.gcd, math.isqrt
+    rows = []
     s = 1
     while 2 * s * s < c_max:
         twice = 2 * s * s
@@ -223,72 +219,36 @@ def _leg_gap_scan(c_max: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, i
                     r = s + t
                     c = r * r + s * s
                     if c <= c_max:
-                        yield c, c - twice, 2 * r * s
+                        rows.append((c, c - twice, 2 * r * s))
         s += 1
+    rows.sort()  # (c, a) is unique to a primitive triple
+    yield from rows
 
 
 def check_f_coverage(c_max: int, gaps: tuple[int, ...] = (1, 7, 17)) -> CheckReport:
     """Each sampled gap's leg-gap stream, up to c_max, equals the referee's rows.
 
-    For each sampled f, `_leg_gap_scan` counts N_f, the PPTs with
-    c <= c_max and |a - b| = f, and a pass counts their sum of checks.  Each
-    gap's stream (`_f_triples`) is read alone, up to its first triple with
-    c > c_max, and each triple (a, b, c) must have c above the triple
-    before it, |a - b| = f, a > 0, b > 0, a*a + b*b = c*c and
-    gcd(a, b) = 1.  Such a triple is one of the N_f, and the rising c keeps
-    the triples of a stream apart, so a stream holds N_f of them exactly
-    when it is its gap's rows of `leg_gap_rows` in the referee's order.
-    Only when a triple fails, or a count differs, are fresh streams read
-    row for row against the referee (`_f_coverage_by_rows`), which counts
-    the checks up to the first counterexample and words it.  Memory is one
-    stream at a time, and the referee's scan neither lists nor sorts.
-    """
-    counts = collections.Counter(abs(a - b) for _, a, b in _leg_gap_scan(c_max, gaps))
-    gcd = math.gcd
-    for f in dict.fromkeys(gaps):
-        last = members = 0
-        for (a, b, c), *_ in _f_triples(f, c_max):
-            if c > c_max:
-                break
-            if not (last < c and abs(a - b) == f and a > 0 < b and a * a + b * b == c * c
-                    and gcd(a, b) == 1):
-                return _f_coverage_by_rows(c_max, gaps)
-            last = c
-            members += 1
-        if members != counts[f]:
-            return _f_coverage_by_rows(c_max, gaps)
-    return CheckReport("f-coverage", sum(counts.values()), 0)
-
-
-def _f_triples(f: int, c_max: int) -> Iterator[FTriple]:
-    """The leg-gap stream of f that reaches every triple with c <= c_max.
-
-    `leg_gap.iter_f_triples(admissible_f(f), -R, R)` ascends in X = 2a + f,
-    so in c = Y (X*X + f*f = 2*Y*Y).  R = 2*c_max + h + 3, h the largest |x|
-    of the GAMMA * u*u, reaches every triple up to c_max for any f: each
-    valley lies within h steps of m = 0 (`zsqrt2._orbit_low`), so each run
-    has 2*c_max + 3 steps in [-R-1, R]; along a run X >= 1 rises, strictly
-    after at most one tie, so X >= j at its j-th step, and Y > X / sqrt(2)
-    >= c_max from step 2*c_max on.  The gap and the range are checked when
-    this is called.
+    `iter_f_triples(admissible_f(f), -R, R)` ascends in X = 2a + f, so in
+    c = Y (X*X + f*f = 2*Y*Y).  Each row of `leg_gap_rows` must be the next
+    triple, odd leg first, of its gap's stream, and no stream may have more
+    up to c_max, so a missing, extra or repeated triple fails.
+    R = 2*c_max + h + 3, h the largest |x| of the GAMMA * u*u, reaches every
+    triple up to c_max for any f: each valley lies within h steps of m = 0
+    (`zsqrt2._orbit_low`), so each run has 2*c_max + 3 steps in [-R-1, R];
+    along a run X >= 1 rises, strictly after at most one tie, so X >= j at
+    its j-th step, and Y > X / sqrt(2) >= c_max from step 2*c_max on.
     """
     from . import leg_gap
     from .zsqrt2 import GAMMA
 
-    spec = leg_gap.admissible_f(f)
-    R = 2 * c_max + 3 + max(abs((GAMMA * e.u * e.u).x) for e in leg_gap.cf_elements(spec))
-    return leg_gap.iter_f_triples(spec, -R, R)
-
-
-def _f_coverage_by_rows(c_max: int, gaps: tuple[int, ...]) -> CheckReport:
-    """`check_f_coverage` row for row, on fresh streams: each row of
-    `leg_gap_rows` must be the next triple, odd leg first, of its gap's
-    stream, and no stream may have more up to c_max, so a missing, extra or
-    repeated triple fails."""
-    streams = {
-        f: ((c, a, b) if a % 2 else (c, b, a) for (a, b, c), *_ in _f_triples(f, c_max))
-        for f in dict.fromkeys(gaps)
-    }
+    streams = {}
+    for f in dict.fromkeys(gaps):
+        spec = leg_gap.admissible_f(f)
+        R = 2 * c_max + 3 + max(abs((GAMMA * e.u * e.u).x) for e in leg_gap.cf_elements(spec))
+        streams[f] = (
+            (c, a, b) if a % 2 else (c, b, a)
+            for (a, b, c), *_ in leg_gap.iter_f_triples(spec, -R, R)
+        )
     return _first_failure("f-coverage", _coverage_cases(
         leg_gap_rows(c_max, gaps), c_max, ((streams, lambda row: abs(row[1] - row[2]), _mismatch),)
     ))

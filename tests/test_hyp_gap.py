@@ -576,11 +576,11 @@ class TestGCoverage:
     def test_memory_is_constant(self):
         tracemalloc.start()
         try:
-            report = check_g_coverage(10**6)
+            report = check_g_coverage(10**5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report == CheckReport("g-coverage", 318278, 0)
+        assert report == CheckReport("g-coverage", 31838, 0)
         assert peak < 64 * 1024
 
     def test_a_fault_past_the_first_window_counts_every_row_before_it(self, monkeypatch):

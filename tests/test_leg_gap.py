@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pptriples import (
     InadmissibleError,
@@ -192,44 +192,6 @@ class TestGenerate:
                 assert pick_set == generator_set
 
 
-def f_coverage_by_rows(c_max, gaps):
-    """`check_f_coverage` as one case per referee row: each PPT with
-    c <= c_max and a sampled leg gap against the next triple, odd leg first,
-    of its gap's stream, then each stream's next triple."""
-    n, streams = 0, {}
-    for f in dict.fromkeys(gaps):
-        spec = admissible_f(f)
-        R = 2 * c_max + 3 + max(abs((zsqrt2.GAMMA * e.u * e.u).x) for e in cf_elements(spec))
-        streams[f] = ((c, a, b) if a % 2 else (c, b, a)
-                      for (a, b, c), *_ in leg_gap.iter_f_triples(spec, -R, R))
-
-    def failure(want, got):
-        c, a, b = row = min(x for x in (want, got) if x)
-        how = f"missing from the f={abs(a - b)} sweep" if row == want else "is extra in the sweep"
-        return CheckReport("f-coverage", n, 1, f"({min(a, b)}, {max(a, b)}, {c}) {how}")
-
-    for row in iter_ppt_rows(c_max):
-        if (f := abs(row[1] - row[2])) in streams:
-            n += 1
-            if (got := next(streams[f], None)) != row:
-                return failure(row, got)
-    for stream in streams.values():
-        if (got := next(stream, None)) is not None and got[0] <= c_max:
-            n += 1
-            return failure(None, got)
-    return CheckReport("f-coverage", n, 0)
-
-
-def with_fault(members, i, edit):
-    """members with member i replaced by what edit(member, the rest) yields."""
-    members = iter(members)
-    yield from itertools.islice(members, i)
-    for x in members:
-        yield from edit(x, members)
-        break
-    yield from members
-
-
 class TestLegGapRows:
     """The leg-gap referee of `check_f_coverage` against the full sweep,
     filtered by leg gap."""
@@ -295,55 +257,6 @@ class TestLegGapRows:
         stream = leg_gap.iter_f_triples
         monkeypatch.setattr(leg_gap, "iter_f_triples", broken)
         assert checks.check_f_coverage(20000) == CheckReport("f-coverage", 10, 1, counterexample)
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        c_max=st.integers(-1, 5000),
-        f=st.sampled_from([1, 7, 17]),
-        other=st.sampled_from([1, 7, 23]),
-        i=st.integers(0, 3),
-        fault=st.sampled_from(
-            ["drop", "repeat", "swap", "insert", "replace", "a+2", "-a", "b+2", "c+1", "below",
-             "a<=0"]
-        ),
-    )
-    @example(c_max=100, f=7, other=1, i=2, fault="below")  # (21, 28, 35) for (48, 55, 73)
-    @example(c_max=100, f=7, other=1, i=0, fault="a<=0")
-    @example(c_max=200, f=1, other=7, i=0, fault="swap")
-    @example(c_max=200, f=1, other=7, i=1, fault="c+1")
-    @example(c_max=200, f=17, other=1, i=1, fault="replace")  # (20, 21, 29) for (28, 45, 53)
-    def test_f_coverage_equals_the_row_by_row_dispatch(self, c_max, f, other, i, fault):
-        """Faults in one gap's stream: a triple dropped, repeated, swapped with
-        the next, preceded or replaced by a triple of another gap, or with a
-        leg changed, or replaced by the nearest Pythagorean (a, a + f, c)
-        below it (the triple before it, or a multiple such as 7 * (3, 4, 5)),
-        or by a primitive one with |a - b| = f and a <= 0 (below f's first
-        triple)."""
-        below = {1: (0, 1, 1), 7: (-3, 4, 5), 17: (-5, 12, 13)}
-        assume(other != f)
-        extra = next(itertools.islice(iter_f_triples(admissible_f(other), 0, 9), i, None))
-        legs = {"a+2": lambda a, b, c: (a + 2, b, c), "-a": lambda a, b, c: (-a, b, c),
-                "b+2": lambda a, b, c: (a, b + 2, c), "c+1": lambda a, b, c: (a, b, c + 1),
-                "a<=0": lambda *_: below[f],
-                "below": lambda a, b, c: next(
-                    ((x, x + f, math.isqrt(cc)) for x in range(a - 1, 0, -1)
-                     if math.isqrt(cc := x * x + (x + f) ** 2) ** 2 == cc), (a, b, c))}
-        edit = {
-            "drop": lambda x, rest: [],
-            "repeat": lambda x, rest: [x, x],
-            "swap": lambda x, rest: [*itertools.islice(rest, 1), x],
-            "insert": lambda x, rest: [extra, x],
-            "replace": lambda x, rest: [extra],
-        }.get(fault, lambda x, rest: [x._replace(triple=legs[fault](*x.triple))])
-        stream = leg_gap.iter_f_triples
-
-        def broken(spec, *span):
-            triples = stream(spec, *span)
-            return with_fault(triples, i, edit) if spec.f == f else triples
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(leg_gap, "iter_f_triples", broken)
-            assert checks.check_f_coverage(c_max) == f_coverage_by_rows(c_max, (1, 7, 17))
 
 
 def _reference_f_triples(spec, m_lo, m_hi):
