@@ -1,5 +1,5 @@
 """Oracles: the bulk equivalence suites behind the CLI `verify` command,
-and the identities and rechecks the suites and the tests rely on.
+and the referees and recurrences they run.
 
 Each suite compares a closed-form or generator path against the exhaustive
 triple enumerator (or, row for row, the leg-gap referee `leg_gap_rows`, a
@@ -14,17 +14,13 @@ gap's stream on its own and then compares one count with the referee's.
 Both coverage suites read each referee row against the next member of its
 own gap's stream, f-coverage always and g-coverage only on a failure, to
 count and word the first counterexample.  Each suite imports the layers
-it runs when it runs.  The identities (divisor sums, totients and Moebius
-inversion computed from factorizations, totient sums sliced from a full
-sieve, the recheck of a leg-gap triple, the leg across a hypotenuse gap,
-associates in Z[sqrt(2)]) recompute by a second route what the library
-computes once.  Nothing on the library's fast paths imports this module;
-of the CLI commands only `verify` loads it.
+it runs when it runs.  Nothing on the library's fast paths imports this
+module; of the CLI commands only `verify` loads it.  The identities and
+rechecks that only the tests use live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import random
@@ -33,11 +29,7 @@ from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from ._primes import factorize
-
 if TYPE_CHECKING:
-    from .density import TotientSieve
-    from .leg_gap import FSpec, FTriple
     from .zsqrt2 import QuadInt
 
 __all__ = [
@@ -50,20 +42,7 @@ __all__ = [
     "leg_gap_rows",
     "pair_count_rows",
     "RecurrencePair",
-    "recurrence_coeffs",
-    "apply_delta_power",
-    "verify_f_triple",
-    "leg_from_gap",
-    "is_associate",
-    "divisors",
-    "totient",
-    "moebius",
     "odd_part",
-    "sum_phi",
-    "sum_phi2",
-    "phi2",
-    "phi2_divisor_sum",
-    "moebius_inversion_check",
 ]
 
 HYP_GAP_SAMPLE = (3, 5, 6, 7, 10, 11, 12)
@@ -261,40 +240,6 @@ def _mismatch(want: tuple[int, int, int] | None, got: tuple[int, int, int] | Non
     return f"({min(a, b)}, {max(a, b)}, {c}) {how}"
 
 
-def verify_f_triple(ft: FTriple, spec: FSpec) -> bool:
-    """Independent recheck: Pythagorean, leg gap f, primitive, and the Pell
-    identity on (X, Y).  False is the diagnostic, never an exception."""
-    t, f = ft.triple, spec.f
-    return (
-        t.a * t.a + t.b * t.b == t.c * t.c
-        and t.b - t.a == f
-        and math.gcd(t.a, t.b) == 1
-        and ft.X == 2 * t.a + f
-        and ft.Y == t.c
-        and ft.X * ft.X - 2 * ft.Y * ft.Y == -f * f
-    )
-
-
-def leg_from_gap(a: int, g: int) -> int | None:
-    """The leg b with (a, b, b+g) Pythagorean, when it is a positive integer.
-
-    Solving a*a + b*b = (b+g)**2 gives b = (a*a - g*g) / (2*g).
-    """
-    if g < 1:
-        raise ValueError(f"gap must be a positive integer, got {g}")
-    num = a * a - g * g
-    if num <= 0 or num % (2 * g):
-        return None
-    return num // (2 * g)
-
-
-def is_associate(u: QuadInt, v: QuadInt) -> bool:
-    """True iff u and v differ by a unit factor."""
-    if u.is_zero() or v.is_zero():
-        return u.is_zero() and v.is_zero()
-    return (u % v).is_zero() and (v % u).is_zero()
-
-
 def check_nonexistence(
     c_max: int,
     hyp_gaps: tuple[int, ...] = HYP_GAP_SAMPLE,
@@ -356,17 +301,6 @@ class RecurrencePair(NamedTuple):
     B: int
 
 
-def recurrence_coeffs(n: int) -> RecurrencePair:
-    """The n-th coefficient pair: A = 1, 3, 17, ... and B = 0, 2, 12, ...
-
-    They follow A(n) = 6*A(n-1) - A(n-2) and B(n) = 6*B(n-1) - B(n-2), and
-    satisfy t * DELTA**n = A*t + B*(2k + j*sqrt(2)) for t = j + k*sqrt(2).
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    return collections.deque(_recurrence_pairs(n), maxlen=1)[0]
-
-
 def _recurrence_pairs(n_max: int) -> Iterator[RecurrencePair]:
     """The coefficient pairs for n = 0..n_max, each stepped once from the two
     before it, starting from n = -1 (A = 3, B = -2) and n = 0."""
@@ -375,11 +309,6 @@ def _recurrence_pairs(n_max: int) -> Iterator[RecurrencePair]:
         yield RecurrencePair(n, a, b)
         a_prev, a = a, 6 * a - a_prev
         b_prev, b = b, 6 * b - b_prev
-
-
-def apply_delta_power(t: QuadInt, n: int) -> QuadInt:
-    """t * DELTA**n evaluated through the recurrence coefficients."""
-    return _apply_pair(t, recurrence_coeffs(n))
 
 
 def _apply_pair(t: QuadInt, rc: RecurrencePair) -> QuadInt:
@@ -497,73 +426,8 @@ def check_density_cross(b_max: int) -> CheckReport:
     ))
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def totient(n: int) -> int:
-    """Euler's totient, computed directly from the factorization of n."""
-    out = 1
-    for p, e in factorize(n):
-        out *= p ** (e - 1) * (p - 1)
-    return out
-
-
-def moebius(n: int) -> int:
-    """The Moebius function, computed directly from the factorization of n."""
-    factors = factorize(n)
-    if any(e > 1 for _, e in factors):
-        return 0
-    return -1 if len(factors) % 2 else 1
-
-
 def odd_part(n: int) -> int:
     """The largest odd divisor of n (n > 0)."""
     if n < 1:
         raise ValueError(f"odd part of {n} undefined; need a positive integer")
     return n >> ((n & -n).bit_length() - 1)
-
-
-def _check_bound(n: int, sieve: TotientSieve) -> None:
-    if not 1 <= n <= sieve.bound:
-        raise ValueError(f"{n} outside sieve range 1..{sieve.bound}")
-
-
-def sum_phi(B: int, sieve: TotientSieve) -> int:
-    """Exact partial sum of phi(1..B); grows like (3/pi^2) B^2."""
-    _check_bound(B, sieve)
-    return sum(memoryview(sieve.phi)[1 : B + 1])  # a view: the table is not copied
-
-
-def sum_phi2(B: int, sieve: TotientSieve) -> int:
-    """Exact partial sum of phi2(1..B); grows like (2/pi^2) B^2."""
-    _check_bound(B, sieve)
-    return sum(memoryview(sieve.phi)[1 : B + 1 : 2])
-
-
-def phi2(n: int, sieve: TotientSieve) -> int:
-    """The 2-Euler totient: phi(n) for odd n, 0 for even n."""
-    _check_bound(n, sieve)
-    return sieve.phi[n] if n % 2 else 0
-
-
-def phi2_divisor_sum(n: int) -> int:
-    """sum of phi2 over the divisors of n, which equals the odd part of n.
-
-    Computed literally from the divisor list (totients via factorization),
-    independent of any sieve, so it can cross-check both.
-    """
-    if n < 1:
-        raise ValueError(f"need a positive integer, got {n}")
-    return sum(totient(d) for d in divisors(n) if d % 2)
-
-
-def moebius_inversion_check(n: int, sieve: TotientSieve) -> bool:
-    """Whether sum(mu(d) * odd_part(n/d), d | n) equals phi2(n)."""
-    _check_bound(n, sieve)
-    lhs = sum(moebius(d) * odd_part(n // d) for d in divisors(n))
-    return lhs == phi2(n, sieve)

@@ -9,9 +9,9 @@ k even), so each class occupies a limiting third of its pool.
 
 S and E come from `TotientSums`: a memoized Dirichlet-hyperbola recursion
 over a linear-sieve table of about B^(2/3) entries, so a count at B costs
-about B^(2/3) time and table memory instead of B.  The direct sums over a
-full sieve, and the identities that cross-check them (the 2-Euler totient
-phi2, its divisor sum, Moebius inversion), live in `checks`.
+about B^(2/3) time and table memory instead of B.  The full-sieve sums and
+the identities that cross-check them (the 2-Euler totient phi2, its
+divisor sum, Moebius inversion) are in `tests/oracles.py`.
 """
 
 from __future__ import annotations

@@ -26,10 +26,11 @@ from pptriples import (
     is_primitive,
 )
 from pptriples import checks
-from pptriples.checks import (
+from pptriples.checks import odd_part
+
+from oracles import (
     apply_delta_power,
     moebius_inversion_check,
-    odd_part,
     phi2_divisor_sum,
     sum_phi,
     sum_phi2,

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import doctest
 import enum
@@ -36,6 +37,8 @@ from pptriples import (
     triples,
 )
 from pptriples.cli import RECORDS, VERIFY, build_parser, main, write_records
+
+import oracles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -87,22 +90,29 @@ def test_readme_library_block_runs():
     assert results.attempted > 0 and results.failed == 0
 
 
-# oracles that left the top-level package for `pptriples.checks`
-ORACLES = (
-    "RecurrencePair",
-    "apply_delta_power",
-    "recurrence_coeffs",
-    "odd_part",
-    "phi2",
-    "phi2_divisor_sum",
-    "moebius_inversion_check",
+# helpers that left the top-level package for `pptriples.checks`, where
+# `check_pell` and `check_density_cross` run them
+VERIFY_HELPERS = ("RecurrencePair", "odd_part")
+# oracles that no verify scope runs: they left the library for `tests/oracles.py`
+TEST_ORACLES = (
     "verify_f_triple",
     "leg_from_gap",
     "is_associate",
+    "recurrence_coeffs",
+    "apply_delta_power",
+    "divisors",
+    "totient",
+    "moebius",
+    "_check_bound",
+    "sum_phi",
+    "sum_phi2",
+    "phi2",
+    "phi2_divisor_sum",
+    "moebius_inversion_check",
 )
 
 
-def test_every_export_resolves_and_the_oracles_live_in_checks():
+def test_every_export_resolves_and_the_test_oracles_left_the_library():
     for name in pptriples.__all__:
         home = importlib.import_module(f"pptriples.{pptriples._HOME[name]}")
         assert getattr(pptriples, name) is getattr(home, name), name
@@ -110,14 +120,40 @@ def test_every_export_resolves_and_the_oracles_live_in_checks():
     with pytest.raises(AttributeError):
         pptriples.no_such_name
     assert pptriples.SieveBudgetError is _primes.SieveBudgetError is density.SieveBudgetError
-    for name in ORACLES:
+    for name in VERIFY_HELPERS:
         assert name not in pptriples.__all__
         assert name in checks.__all__ and hasattr(checks, name)
+    for name in TEST_ORACLES:
+        assert name not in pptriples.__all__ and not hasattr(checks, name), name
+        assert callable(getattr(oracles, name, None)), name
     # the parser spells out density.Family's values, so that parsing loads no layer
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     family = next(a for a in commands.choices["density"]._actions if a.dest == "family")
     assert list(family.choices) == [f.value for f in pptriples.Family]
+
+
+def test_checks_holds_only_what_a_verify_scope_runs():
+    """Every top-level function and class of `checks` is named, directly or
+    through others of them, by a `check_*` suite or by `CheckReport`; an
+    oracle only the tests use belongs in `tests/oracles.py`."""
+    tree = ast.parse(Path(checks.__file__).read_text(encoding="utf-8"))
+    defs = {
+        node.name: node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    names = {
+        name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & defs.keys()
+        for name, node in defs.items()
+    }
+    todo = [name for name in defs if name.startswith("check_") or name == "CheckReport"]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += names[name]
+    assert sorted(defs.keys() - reached) == []
 
 
 # argv -> the pptriples modules `cli.main(argv)` loads besides `cli`
@@ -412,7 +448,7 @@ class TestGenF:
                 Triple(r["a"], r["b"], r["c"]), r["m"], r["sign"],
                 CfElement(u, (0,)), 2 * r["a"] + f, r["c"],
             )
-            assert checks.verify_f_triple(ft, spec)
+            assert oracles.verify_f_triple(ft, spec)
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "gen-f", "--f", "7", "--m", "0..1", "--format", "json")

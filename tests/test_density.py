@@ -23,11 +23,11 @@ from pptriples import (
     render_ratio,
 )
 from pptriples import checks, density
-from pptriples.checks import (
+from pptriples.checks import odd_part, pair_count_rows
+
+from oracles import (
     moebius,
     moebius_inversion_check,
-    odd_part,
-    pair_count_rows,
     phi2,
     phi2_divisor_sum,
     sum_phi,
@@ -205,7 +205,7 @@ def fast_counts(B, sums):
 
 
 class TestTotientSums:
-    """The sublinear sums against the full-sieve oracle in `checks`."""
+    """The sublinear sums against the full-sieve oracle in `tests/oracles.py`."""
 
     def test_every_bound_to_3000(self, sieve):
         sums = TotientSums.up_to(3000)
@@ -272,10 +272,10 @@ class TestTotientSums:
         with pytest.raises(SieveBudgetError, match="sieve bound 101 exceeds budget 100"):
             checks.check_density_cross(101)  # its table, 22 entries, would fit
 
-    def test_full_sieve_sums_live_in_checks(self):
+    def test_full_sieve_sums_are_test_oracles(self):
         for name in ("sum_phi", "sum_phi2"):
             assert name not in pptriples.__all__
-            assert name in checks.__all__
+            assert not hasattr(checks, name)
 
 
 def test_half_totient_identity_for_odd_moduli(sieve):

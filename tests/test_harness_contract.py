@@ -49,13 +49,11 @@ def test_generators_return_lists():
 def test_a_traced_pass_leaves_no_wrapper_behind():
     """The harness imports only `pptriples.cli`, and `installed()` imports
     each traced layer as it swaps; a layer that bound a traced function by
-    name at its import would keep the wrapper after the pass.  Only `checks`
-    does, for exactly one name: it is first imported inside the pass, after
-    `_primes` has been swapped, so its import of `factorize` binds the
-    wrapper, and the restore does not see it.  Each of its suites imports
-    its layers when it runs, and calls `pell.gamma_delta_power` and
-    `leg_gap.cf_elements` through their modules, so it keeps no other
-    wrapper."""
+    name at its import would keep the wrapper after the pass.  No module
+    does: `checks`, first imported inside the pass, imports no `pptriples`
+    module at its own import, and its suites import their layers when they
+    run and call `pell.gamma_delta_power` and `leg_gap.cf_elements` through
+    their modules."""
     probe = (
         f"import sys; sys.path.insert(0, {str(TRACING.parent)!r})\n"
         "import pptriples.cli, tracing\n"
@@ -72,5 +70,5 @@ def test_a_traced_pass_leaves_no_wrapper_behind():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    left = ["pptriples.checks.factorize"]
+    left = []
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{left}\n", "")

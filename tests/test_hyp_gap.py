@@ -32,8 +32,9 @@ from pptriples.checks import (
     CheckReport,
     check_g_coverage,
     check_nonexistence,
-    leg_from_gap,
 )
+
+from oracles import leg_from_gap
 
 
 class TestClassify:

@@ -20,9 +20,11 @@ from pptriples import (
     is_prime,
 )
 from pptriples import checks, leg_gap, pell, triples, zsqrt2
-from pptriples.checks import CheckReport, is_associate, leg_gap_rows, verify_f_triple
+from pptriples.checks import CheckReport, leg_gap_rows
 from pptriples.cli import main
 from pptriples.leg_gap import FTriple
+
+from oracles import is_associate, verify_f_triple
 
 
 class TestAdmissible:

@@ -5,7 +5,9 @@ import time
 import pytest
 
 from pptriples import DELTA, GAMMA, QuadInt, gamma_delta_power
-from pptriples.checks import CheckReport, apply_delta_power, check_pell, recurrence_coeffs
+from pptriples.checks import CheckReport, check_pell
+
+from oracles import apply_delta_power, recurrence_coeffs
 
 
 def test_initial_coefficients():

@@ -20,8 +20,9 @@ from pptriples import (
     is_prime,
     splits,
 )
-from pptriples.checks import is_associate
 from pptriples.zsqrt2 import _orbit_low
+
+from oracles import is_associate
 
 coords = st.integers(min_value=-(10**6), max_value=10**6)
 elements = st.builds(QuadInt, coords, coords)
