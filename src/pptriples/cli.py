@@ -201,7 +201,7 @@ def cmd_gen_f(args: argparse.Namespace) -> int:
     factor_text = " ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in spec.factorization)
     write_records(
         args.format, sys.stdout, "f_triple",
-        ((*ft.triple, ft.m, ft.sign, *ft.cf_choice.u) for ft in triples),
+        ((*ft.triple, ft.m, 1, *ft.cf_choice.u) for ft in triples),
         meta=[("f_spec", (spec.f, spec.admissible, [list(pe) for pe in spec.factorization]))]
         + [("cf_element", (elem.u.x, elem.u.y, list(elem.choices))) for elem in elements],
         comments=[

@@ -25,26 +25,6 @@ from typing import NamedTuple, Sequence
 
 from ._primes import SieveBudgetError
 
-__all__ = [
-    "DEFAULT_SIEVE_BUDGET",
-    "BUDGET_ENV_VAR",
-    "SieveBudgetError",
-    "TotientSieve",
-    "TotientSums",
-    "Family",
-    "DensityRow",
-    "sieve_budget",
-    "build_sieve",
-    "table_bound",
-    "count_pool",
-    "count_GO",
-    "count_GEE",
-    "count_GEO",
-    "count_G1",
-    "density_report",
-    "render_ratio",
-]
-
 DEFAULT_SIEVE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "PPT_SIEVE_BUDGET"
 

@@ -36,19 +36,6 @@ from typing import Iterator, NamedTuple
 from ._primes import InadmissibleError
 from .triples import ParamPair, Triple, to_params
 
-__all__ = [
-    "GKind",
-    "GClass",
-    "GFamilyItem",
-    "classify_g",
-    "family_params",
-    "family_triple",
-    "iter_g_family",
-    "generate_g_family",
-    "invert_to_family",
-]
-
-
 class GKind(enum.Enum):
     ODD_SQUARE = "odd-square"
     TWICE_SQUARE_ODD = "twice-square-odd-root"
@@ -123,7 +110,7 @@ def _row(leg: int, m: int, k: int) -> tuple[int, int, int, int, int] | None:
     gcd(k, m) = 1 and, in a leg-2 row, k - m is odd (else all are even).  A
     leg-1 row has r, s = (k+m)/2, (k-m)/2 and odd leg m*k first; a leg-2 row
     r, s = k, m and even leg 2*k*m first.  Checks as `ParamPair`, `Triple` do."""
-    # parity first, the cheapest test; `family_params` may pass any index
+    # parity first, the cheapest test; `family_member` may pass any index
     if (leg == 2 and (k - m) % 2 == 0) or k <= m or math.gcd(k, m) != 1:
         return None
     kk, mm = k * k, m * m
@@ -144,28 +131,16 @@ def _admissible(gc: GClass) -> GClass:
     return gc
 
 
-def _family_row(gc: GClass, n: int) -> tuple[int, int, int, int, int] | None:
-    """`_row` at index n of an admissible gc."""
+def family_member(gc: GClass, n: int) -> GFamilyItem | None:
+    """The member `iter_g_family` yields at index n, or None where `_row`
+    refuses the index.  An inadmissible gap raises InadmissibleError, and
+    then an index below 1 ValueError."""
     leg, step, start = _ROWS[_admissible(gc).kind]
     if n < 1:
         raise ValueError(f"family index starts at 1, got {n}")
-    return _row(leg, gc.m, step * n + start)
-
-
-def family_params(gc: GClass, n: int) -> ParamPair | None:
-    """The parameter pair of the n-th family member, or None when the
-    table's gcd or parity side condition fails at this index.  An
-    inadmissible gap raises InadmissibleError."""
-    row = _family_row(gc, n)
-    return None if row is None else ParamPair(*row[:2])
-
-
-def family_triple(gc: GClass, n: int) -> Triple | None:
-    """The n-th family triple in that family's leg order, if n is valid: odd
-    gaps put the odd leg first and even gaps the even leg, so the second leg
-    is always the one at distance g from the hypotenuse."""
-    row = _family_row(gc, n)
-    return None if row is None else Triple(*row[2:])
+    m, k = gc.m, step * n + start
+    row = _row(leg, m, k)
+    return None if row is None else GFamilyItem(n, k, *row, leg * m * step, leg * m * start)
 
 
 def iter_g_family(g: int, count: int) -> Iterator[GFamilyItem]:

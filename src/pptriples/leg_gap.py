@@ -38,17 +38,6 @@ from ._primes import InadmissibleError
 from .triples import Triple
 from .zsqrt2 import _DELTA_INV, DELTA, GAMMA, ONE, QuadInt, _orbit_low
 
-__all__ = [
-    "FSpec",
-    "CfElement",
-    "FTriple",
-    "admissible_f",
-    "cf_elements",
-    "iter_f_triples",
-    "generate_f_triples",
-]
-
-
 class CfElement(NamedTuple):
     """A norm +/-f element; choices[i] = 0 picks the generator of the i-th
     prime factor, 1 its conjugate."""
@@ -74,7 +63,6 @@ class FTriple(NamedTuple):
 
     triple: Triple
     m: int
-    sign: int
     cf_choice: CfElement
     X: int
     Y: int
@@ -126,8 +114,8 @@ def iter_f_triples(spec: FSpec, m_lo: int, m_hi: int) -> Iterator[FTriple]:
     [m_lo, m_hi] and every norm-f element u, lazily and in (a, b, c) order.
 
     Components are normalized to X = |x|, Y = |y|, so the - sign only repeats
-    the + branch and every row has sign = 1.  Branches with X <= f would give
-    a nonpositive first leg and are skipped.  Each triple is emitted once,
+    the + branch and is not walked.  Branches with X <= f would give a
+    nonpositive first leg and are skipped.  Each triple is emitted once,
     tagged with the first branch, in ascending m, that hit it.  The range
     and the gap are checked when this is called, before the first triple.
 
@@ -207,7 +195,7 @@ def _records(
         if not (X > f and X * X + ff == 2 * (Y * Y)):
             Triple(a, b, Y)  # the constructor raises the failed check's ValueError
             raise ValueError(f"X = {X} and f = {f} differ in parity: no integer legs")
-        yield new(FTriple, (new(Triple, (a, b, Y)), m, 1, elements[index], X, Y))
+        yield new(FTriple, (new(Triple, (a, b, Y)), m, elements[index], X, Y))
 
 
 def generate_f_triples(spec: FSpec, m_lo: int, m_hi: int) -> list[FTriple]:

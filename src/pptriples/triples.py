@@ -13,19 +13,6 @@ import math
 from collections import namedtuple
 from typing import Iterable, Iterator, NamedTuple
 
-__all__ = [
-    "Triple",
-    "ParamPair",
-    "TripleClass",
-    "from_params",
-    "is_primitive",
-    "to_params",
-    "classify_triple",
-    "iter_ppt_rows",
-    "iter_ppts",
-    "enumerate_ppts",
-]
-
 
 class Triple(namedtuple("Triple", "a b c")):
     """An immutable Pythagorean triple; validates it on every constructor path."""

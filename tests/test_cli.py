@@ -112,6 +112,12 @@ TEST_ORACLES = (
 )
 
 
+def test_exports_is_the_one_export_list():
+    """No module named in `_EXPORTS` repeats its names in an `__all__`."""
+    for module in pptriples._EXPORTS:
+        assert not hasattr(importlib.import_module(f"pptriples.{module}"), "__all__"), module
+
+
 def test_every_export_resolves_and_the_test_oracles_left_the_library():
     for name in pptriples.__all__:
         home = importlib.import_module(f"pptriples.{pptriples._HOME[name]}")
@@ -443,10 +449,10 @@ class TestGenF:
         rows = [r for r in records if r["record"] == "f_triple"]
         assert rows
         for r in rows:
+            assert r["sign"] == 1
             u = QuadInt(r["u_x"], r["u_y"])
             ft = FTriple(
-                Triple(r["a"], r["b"], r["c"]), r["m"], r["sign"],
-                CfElement(u, (0,)), 2 * r["a"] + f, r["c"],
+                Triple(r["a"], r["b"], r["c"]), r["m"], CfElement(u, (0,)), 2 * r["a"] + f, r["c"]
             )
             assert oracles.verify_f_triple(ft, spec)
 

@@ -17,8 +17,7 @@ from pptriples import (
     Triple,
     classify_g,
     enumerate_ppts,
-    family_params,
-    family_triple,
+    family_member,
     generate_g_family,
     invert_to_family,
     is_primitive,
@@ -83,26 +82,49 @@ class TestLegFromGap:
 class TestFamilyParams:
     def test_examples(self):
         gc9 = classify_g(9)
-        assert family_params(gc9, 2) == (4, 1)
-        assert family_params(gc9, 1) is None  # gcd(3, 3) > 1
+        # (n, k, r, s, a, b, c, stride, offset)
+        assert family_member(gc9, 2) == (2, 5, 4, 1, 15, 8, 17, 6, 3)
+        assert family_member(gc9, 1) is None  # gcd(3, 3) > 1
         gc2 = classify_g(2)
-        assert family_params(gc2, 2) == (2, 1)
-        assert family_params(gc2, 1) is None  # equal parity with the root
+        assert family_member(gc2, 2) == (2, 2, 2, 1, 4, 3, 5, 2, 0)
+        assert family_member(gc2, 1) is None  # equal parity with the root
 
     def test_rejects_inadmissible(self):
         message = "g=3 is inadmissible: not an odd square; not twice a square"
         with pytest.raises(InadmissibleError, match=f"^{message}$"):
-            family_params(classify_g(3), 1)
+            family_member(classify_g(3), 1)
 
     def test_pairs_are_coprime(self):
         for g in (1, 2, 8, 9, 25, 18):
             gc = classify_g(g)
             for n in range(1, 60):
-                pair = family_params(gc, n)
-                if pair is not None:
+                item = family_member(gc, n)
+                if item is not None:
                     from math import gcd
 
-                    assert gcd(pair.r, pair.s) == 1
+                    assert gcd(item.r, item.s) == 1
+
+    @pytest.mark.parametrize(
+        "g,lo",
+        [(1, 1), (2, 1), (8, 1), (9, 1), (18, 1), (25, 1), (2 * (10**8 + 1) ** 2, 100000002 - 30)],
+    )
+    def test_is_the_streamed_item(self, g, lo):
+        """At each of 60 indices from lo, the item the stream yields there,
+        or None where the stream skips the index."""
+        gc, hi = classify_g(g), lo + 59
+        stream = itertools.takewhile(lambda it: it.n <= hi, iter_g_family(g, hi))
+        streamed = {it.n: it for it in stream}
+        assert streamed
+        for n in range(lo, hi + 1):
+            item = family_member(gc, n)
+            assert item == streamed.get(n), n
+            assert item is None or type(item) is hyp_gap.GFamilyItem
+
+    def test_refuses_the_gap_before_the_index(self):
+        with pytest.raises(InadmissibleError):
+            family_member(classify_g(3), 0)
+        with pytest.raises(ValueError, match="^family index starts at 1, got 0$"):
+            family_member(classify_g(9), 0)
 
 
 class TestGenerate:
@@ -189,7 +211,7 @@ class TestFirstIndex:
         assert [it.n for it in items] == ns
         gc = classify_g(g)
         for it in items:
-            assert it.triple == family_triple(gc, it.n)
+            assert it == family_member(gc, it.n)
             assert it.triple.c - it.triple.b == g and is_primitive(it.triple)
 
     def test_first_items_match_the_oracle(self):
@@ -347,7 +369,7 @@ class TestInvert:
                     )
                 )
                 assert gc.kind is expected_kind
-                assert family_triple(gc, n) == ordered
+                assert family_member(gc, n).triple == ordered
 
     def test_class_matches_the_square_root_route(self):
         """The class read off the pair is `classify_g(c - b)`, for both leg
@@ -371,7 +393,7 @@ class TestInvert:
         assume(math.gcd(r, s) == 1)
         a, b, c = r * r - s * s, 2 * r * s, r * r + s * s
         t = Triple(b, a, c) if swap else Triple(a, b, c)
-        assert family_triple(*invert_to_family(t)) == t
+        assert family_member(*invert_to_family(t)).triple == t
 
     def test_reads_the_pair_alone(self, monkeypatch):
         """Inversion neither tests primitivity again nor regenerates the triple."""
@@ -382,7 +404,7 @@ class TestInvert:
         sample = [Triple(15, 8, 17), Triple(4, 3, 5), Triple(12, 5, 13)]
         want = [invert_to_family(t) for t in sample]
         monkeypatch.setattr(triples, "is_primitive", refuse)
-        for name in ("family_params", "family_triple", "_row"):
+        for name in ("family_member", "_row"):
             monkeypatch.setattr(hyp_gap, name, refuse)
         assert [invert_to_family(t) for t in sample] == want
         assert [n for _, n in want] == [2, 2, 1]
@@ -393,13 +415,14 @@ class TestInvert:
         regenerate it."""
         for t in iter_ppts(3000):
             for ordered in (t, Triple(t.b, t.a, t.c)):
-                assert family_params(*invert_to_family(ordered)) == triples.to_params(ordered)
+                item = family_member(*invert_to_family(ordered))
+                assert (item.r, item.s) == triples.to_params(ordered)
         want = cli._check_record(15, 8, 17)
 
         def refuse(*args):
             raise AssertionError("called")
 
-        for name in ("family_params", "family_triple", "_row", "_family_row"):
+        for name in ("family_member", "_row"):
             monkeypatch.setattr(hyp_gap, name, refuse)
         assert cli._check_record(15, 8, 17) == want and want[0]["r"] == 4
 

@@ -277,7 +277,7 @@ def _reference_f_triples(spec, m_lo, m_hi):
                 key = ((X - f) // 2, (X + f) // 2, Y)
                 if key not in seen:
                     seen.add(key)
-                    out.append(FTriple(Triple(*key), m, sign, elem, X, Y))
+                    out.append(FTriple(Triple(*key), m, elem, X, Y))
     return out
 
 
@@ -385,7 +385,7 @@ class TestRecordCheck:
             a, b, c = ft.triple
             assert type(ft) is FTriple and type(ft.triple) is Triple
             assert Triple(a, b, c) == ft.triple
-            assert (ft.X, ft.Y, ft.sign) == (a + b, c, 1) and b - a == spec.f
+            assert (ft.X, ft.Y) == (a + b, c) and b - a == spec.f
 
     def test_a_non_unit_step_raises_before_its_record(self, monkeypatch):
         # 3 + sqrt(2) has norm 7: a step up a run from its valley leaves
@@ -471,7 +471,7 @@ def test_verify_rejects_hand_built_composite():
     # a scaled triple shares the gap but fails the primitivity recheck
     spec = admissible_f(7)
     t = Triple(21, 28, 35)
-    ft = FTriple(t, 0, 1, cf_elements(spec)[0], 2 * 21 + 7, 35)
+    ft = FTriple(t, 0, cf_elements(spec)[0], 2 * 21 + 7, 35)
     assert not verify_f_triple(ft, spec)
 
 
