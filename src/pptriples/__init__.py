@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 # home module -> the public names it defines
 _EXPORTS = {
     "_primes": "InadmissibleError SieveBudgetError UnsupportedRangeError factorize is_prime",
-    "density": "DensityRow Family TotientSieve TotientSums build_sieve count_G1 count_GEE "
-    "count_GEO count_GO count_pool density_report render_ratio",
+    "density": "DensityRow Family TotientSums build_sieve count_G1 count_GEE count_GEO "
+    "count_GO count_pool density_report render_ratio",
     "hyp_gap": "GClass GFamilyItem GKind classify_g family_member generate_g_family "
     "invert_to_family iter_g_family",
     "leg_gap": "CfElement FSpec FTriple admissible_f cf_elements generate_f_triples "

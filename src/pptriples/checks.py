@@ -207,27 +207,17 @@ def leg_gap_rows(c_max: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, in
 def check_f_coverage(c_max: int, gaps: tuple[int, ...] = (1, 7, 17)) -> CheckReport:
     """Each sampled gap's leg-gap stream, up to c_max, equals the referee's rows.
 
-    `iter_f_triples(admissible_f(f), -R, R)` ascends in X = 2a + f, so in
-    c = Y (X*X + f*f = 2*Y*Y).  Each row of `leg_gap_rows` must be the next
-    triple, odd leg first, of its gap's stream, and no stream may have more
-    up to c_max, so a missing, extra or repeated triple fails.
-    R = 2*c_max + h + 3, h the largest |x| of the GAMMA * u*u, reaches every
-    triple up to c_max for any f: each valley lies within h steps of m = 0
-    (`zsqrt2._orbit_low`), so each run has 2*c_max + 3 steps in [-R-1, R];
-    along a run X >= 1 rises, strictly after at most one tie, so X >= j at
-    its j-th step, and Y > X / sqrt(2) >= c_max from step 2*c_max on.
+    Each gap's stream (`iter_f_triples`, unbounded) ascends in c and is read
+    up to its first triple with c > c_max.  Each row of `leg_gap_rows` must
+    be the next triple, odd leg first, of its gap's stream, and no stream
+    may have more up to c_max, so a missing, extra or repeated triple fails.
     """
     from . import leg_gap
-    from .zsqrt2 import GAMMA
 
     streams = {}
     for f in dict.fromkeys(gaps):
-        spec = leg_gap.admissible_f(f)
-        R = 2 * c_max + 3 + max(abs((GAMMA * e.u * e.u).x) for e in leg_gap.cf_elements(spec))
-        streams[f] = (
-            (c, a, b) if a % 2 else (c, b, a)
-            for (a, b, c), *_ in leg_gap.iter_f_triples(spec, -R, R)
-        )
+        triples = leg_gap.iter_f_triples(leg_gap.admissible_f(f), -sys.maxsize - 1, sys.maxsize)
+        streams[f] = ((c, a, b) if a % 2 else (c, b, a) for (a, b, c), *_ in triples)
     return _first_failure("f-coverage", _coverage_cases(
         leg_gap_rows(c_max, gaps), c_max, ((streams, lambda row: abs(row[1] - row[2]), _mismatch),)
     ))

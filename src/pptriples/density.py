@@ -29,20 +29,6 @@ DEFAULT_SIEVE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "PPT_SIEVE_BUDGET"
 
 
-class TotientSieve(NamedTuple):
-    """The table of phi(1..bound); index 0 is unused.
-
-    `TotientSums` reads it as its prefix table, of about top^(2/3) entries
-    for sums up to top; the oracles in `checks` sum it directly.  Memory
-    cost is one 8-byte integer table of length bound+1 plus the sieve's
-    list of primes below bound, about 11 bytes per entry in all at peak;
-    `build_sieve` guards it with the budget.
-    """
-
-    bound: int
-    phi: array
-
-
 class Family(enum.Enum):
     GO = "GO"  # odd-square gaps: both pair entries odd
     GEE = "GEE"  # twice-square gaps, even root
@@ -50,29 +36,28 @@ class Family(enum.Enum):
     G1 = "G1"  # the single gap-1 family
 
 
-def sieve_budget() -> int:
-    """The table bound ceiling; the PPT_SIEVE_BUDGET variable overrides it."""
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SIEVE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
-
-
 def _check_budget(bound: int) -> None:
-    """Refuse a table of `bound` entries above `sieve_budget()`."""
-    limit = sieve_budget()
+    """Refuse a table of `bound` entries above the budget, DEFAULT_SIEVE_BUDGET
+    unless the PPT_SIEVE_BUDGET variable overrides it."""
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    limit = DEFAULT_SIEVE_BUDGET
+    if raw is not None:
+        try:
+            limit = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
+        if limit < 1:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {limit}")
     if bound > limit:
         raise SieveBudgetError(f"sieve bound {bound} exceeds budget {limit}")
 
 
-def build_sieve(bound: int) -> TotientSieve:
-    """Build the phi table up to `bound` with a single linear sieve."""
+def build_sieve(bound: int) -> array:
+    """The table of phi(1..bound), 0 at index 0, from one linear sieve.
+
+    Memory is the 8-byte table plus the list of primes below bound, about
+    11 bytes per entry at peak; the budget bounds it.
+    """
     if bound < 1:
         raise ValueError(f"sieve bound must be positive, got {bound}")
     _check_budget(bound)
@@ -91,7 +76,7 @@ def build_sieve(bound: int) -> TotientSieve:
                 phi[ip] = phi[i] * p
                 break
             phi[ip] = phi[i] * (p - 1)
-    return TotientSieve(bound, phi)
+    return phi
 
 
 def table_bound(top: int) -> int:
@@ -122,9 +107,9 @@ class TotientSums:
     up to top cost about top^(2/3) steps.
     """
 
-    def __init__(self, table: TotientSieve):
-        self.bound = table.bound
-        self._prefix = array("q", accumulate(table.phi))
+    def __init__(self, phi: array):
+        self.bound = len(phi) - 1
+        self._prefix = array("q", accumulate(phi))
         self._memo: dict[int, int] = {}
 
     @classmethod

@@ -44,12 +44,11 @@ class GKind(enum.Enum):
 
 
 class GClass(NamedTuple):
-    """Admissibility class of a gap; inadmissible values record the failed tests."""
+    """Admissibility class of a gap, with its root m when admissible."""
 
     g: int
     kind: GKind
     m: int | None = None
-    reasons: tuple[str, ...] = ()
 
     @property
     def admissible(self) -> bool:
@@ -82,12 +81,7 @@ def classify_g(g: int) -> GClass:
     m = math.isqrt(root)
     if m * m == root:
         return _class_of(g, m)
-    return GClass(
-        g,
-        GKind.INADMISSIBLE,
-        None,
-        reasons=("not an odd square", "not twice a square"),
-    )
+    return GClass(g, GKind.INADMISSIBLE)
 
 
 def _class_of(g: int, m: int) -> GClass:
@@ -127,7 +121,7 @@ def _row(leg: int, m: int, k: int) -> tuple[int, int, int, int, int] | None:
 def _admissible(gc: GClass) -> GClass:
     """gc itself when admissible; else InadmissibleError naming the failed tests."""
     if not gc.admissible:
-        raise InadmissibleError(f"g={gc.g} is inadmissible: " + "; ".join(gc.reasons))
+        raise InadmissibleError(f"g={gc.g} is inadmissible: not an odd square; not twice a square")
     return gc
 
 

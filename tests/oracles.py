@@ -18,7 +18,8 @@ from pptriples._primes import factorize
 from pptriples.checks import RecurrencePair, _apply_pair, _recurrence_pairs, odd_part
 
 if TYPE_CHECKING:
-    from pptriples.density import TotientSieve
+    from array import array
+
     from pptriples.leg_gap import FSpec, FTriple
     from pptriples.zsqrt2 import QuadInt
 
@@ -97,27 +98,27 @@ def moebius(n: int) -> int:
     return -1 if len(factors) % 2 else 1
 
 
-def _check_bound(n: int, sieve: TotientSieve) -> None:
-    if not 1 <= n <= sieve.bound:
-        raise ValueError(f"{n} outside sieve range 1..{sieve.bound}")
+def _check_bound(n: int, sieve: array) -> None:
+    if not 1 <= n <= len(sieve) - 1:
+        raise ValueError(f"{n} outside sieve range 1..{len(sieve) - 1}")
 
 
-def sum_phi(B: int, sieve: TotientSieve) -> int:
+def sum_phi(B: int, sieve: array) -> int:
     """Exact partial sum of phi(1..B); grows like (3/pi^2) B^2."""
     _check_bound(B, sieve)
-    return sum(memoryview(sieve.phi)[1 : B + 1])  # a view: the table is not copied
+    return sum(memoryview(sieve)[1 : B + 1])  # a view: the table is not copied
 
 
-def sum_phi2(B: int, sieve: TotientSieve) -> int:
+def sum_phi2(B: int, sieve: array) -> int:
     """Exact partial sum of phi2(1..B); grows like (2/pi^2) B^2."""
     _check_bound(B, sieve)
-    return sum(memoryview(sieve.phi)[1 : B + 1 : 2])
+    return sum(memoryview(sieve)[1 : B + 1 : 2])
 
 
-def phi2(n: int, sieve: TotientSieve) -> int:
+def phi2(n: int, sieve: array) -> int:
     """The 2-Euler totient: phi(n) for odd n, 0 for even n."""
     _check_bound(n, sieve)
-    return sieve.phi[n] if n % 2 else 0
+    return sieve[n] if n % 2 else 0
 
 
 def phi2_divisor_sum(n: int) -> int:
@@ -131,7 +132,7 @@ def phi2_divisor_sum(n: int) -> int:
     return sum(totient(d) for d in divisors(n) if d % 2)
 
 
-def moebius_inversion_check(n: int, sieve: TotientSieve) -> bool:
+def moebius_inversion_check(n: int, sieve: array) -> bool:
     """Whether sum(mu(d) * odd_part(n/d), d | n) equals phi2(n)."""
     _check_bound(n, sieve)
     lhs = sum(moebius(d) * odd_part(n // d) for d in divisors(n))

@@ -23,7 +23,9 @@ from hypothesis import assume, given, settings, strategies as st
 import pptriples
 from pptriples import (
     CfElement,
+    DensityRow,
     FTriple,
+    GClass,
     GFamilyItem,
     QuadInt,
     Triple,
@@ -64,6 +66,12 @@ def test_readme_json_schemas_match_records():
         for tag, body in re.findall(r"(\w+)\s*\{([^}]*)\}", block)
     }
     assert documented == {tag: ("record",) + fields for tag, fields in RECORDS.items()}
+
+
+def test_record_types_carry_exactly_their_record_fields():
+    assert GClass._fields == RECORDS["g_class"]
+    assert GFamilyItem._fields == RECORDS["g_family_item"]
+    assert DensityRow._fields == RECORDS["density_row"]
 
 
 def test_readme_csv_columns_match_records():

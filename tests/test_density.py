@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 from fractions import Fraction
 from itertools import repeat
 from operator import countOf
@@ -47,7 +48,7 @@ def sums(sieve):
 
 class TestSieve:
     def test_phi_table(self, sieve):
-        assert list(sieve.phi[1:11]) == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+        assert list(sieve[1:11]) == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
 
     def test_mu_values(self):
         assert moebius(1) == 1
@@ -59,10 +60,17 @@ class TestSieve:
 
     def test_phi_prime_and_multiplicative_spot_checks(self, sieve):
         for p in (2, 3, 5, 7, 11, 101, 997):
-            assert sieve.phi[p] == p - 1
+            assert sieve[p] == p - 1
         for a, b in ((3, 8), (5, 9), (7, 16), (11, 45)):
             assert math.gcd(a, b) == 1
-            assert sieve.phi[a * b] == sieve.phi[a] * sieve.phi[b]
+            assert sieve[a * b] == sieve[a] * sieve[b]
+
+    def test_build_sieve_returns_the_table(self):
+        for n in (1, 2, 10, 97):
+            table = build_sieve(n)
+            assert type(table) is array and table.typecode == "q" and len(table) == n + 1
+        # the table is the public type: no sieve wrapper is exported
+        assert [name for name in pptriples.__all__ if "Sieve" in name] == ["SieveBudgetError"]
 
     def test_budget_refusal(self, monkeypatch):
         monkeypatch.setenv("PPT_SIEVE_BUDGET", "100")
@@ -282,7 +290,7 @@ def test_half_totient_identity_for_odd_moduli(sieve):
     """Odd coprime residues of an odd modulus are exactly half of them."""
     for N in range(3, 5002, 2):
         direct = sum(1 for m in range(1, N, 2) if math.gcd(m, N) == 1)
-        assert 2 * direct == sieve.phi[N]
+        assert 2 * direct == sieve[N]
 
 
 class TestMoebiusInversion:

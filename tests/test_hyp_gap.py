@@ -49,7 +49,10 @@ class TestClassify:
 
     def test_inadmissible_records_reasons(self):
         gc = classify_g(3)
-        assert not gc.admissible and gc.m is None and len(gc.reasons) == 2
+        assert gc == (3, GKind.INADMISSIBLE, None) and not gc.admissible
+        message = "g=3 is inadmissible: not an odd square; not twice a square"
+        with pytest.raises(InadmissibleError, match=f"^{message}$"):
+            family_member(gc, 1)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import unittest.mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,6 +260,49 @@ class TestLegGapRows:
         stream = leg_gap.iter_f_triples
         monkeypatch.setattr(leg_gap, "iter_f_triples", broken)
         assert checks.check_f_coverage(20000) == CheckReport("f-coverage", 10, 1, counterexample)
+
+
+def _f_coverage_within_reach(c_max, gaps):
+    """`check_f_coverage` with each stream read over the exponent range
+    [-R, R], R = 2*c_max + h + 3 with h the largest |x| of the GAMMA * u*u:
+    each valley lies within h steps of m = 0, so R reaches every triple up
+    to c_max."""
+    streams = {}
+    for f in dict.fromkeys(gaps):
+        spec = leg_gap.admissible_f(f)
+        R = 2 * c_max + 3 + max(abs((zsqrt2.GAMMA * e.u * e.u).x) for e in cf_elements(spec))
+        streams[f] = (
+            (c, a, b) if a % 2 else (c, b, a)
+            for (a, b, c), *_ in leg_gap.iter_f_triples(spec, -R, R)
+        )
+    return checks._first_failure("f-coverage", checks._coverage_cases(
+        leg_gap_rows(c_max, gaps), c_max,
+        ((streams, lambda row: abs(row[1] - row[2]), checks._mismatch),),
+    ))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.lists(st.sampled_from((1, 7, 17, 23, 41, 49, 119, 2737, 84847)), min_size=1, max_size=4),
+    st.one_of(st.none(), st.tuples(st.sampled_from(("drop", "repeat")), st.integers(0, 12))),
+)
+def test_unbounded_f_coverage_equals_the_reach_bounded_suite(c_max, gaps, fault):
+    """Reading each stream unbounded gives the report the reach-bounded read
+    gave, on a sound stream and on one that drops or repeats a triple of
+    the first gap."""
+    stream = leg_gap.iter_f_triples
+
+    def injected(spec, *span):
+        for i, ft in enumerate(stream(spec, *span)):
+            if fault and spec.f == gaps[0] and i == fault[1]:
+                if fault[0] == "drop":
+                    continue
+                yield ft
+            yield ft
+
+    with unittest.mock.patch.object(leg_gap, "iter_f_triples", injected):
+        assert checks.check_f_coverage(c_max, tuple(gaps)) == _f_coverage_within_reach(c_max, gaps)
 
 
 def _reference_f_triples(spec, m_lo, m_hi):
