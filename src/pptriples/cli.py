@@ -1,57 +1,37 @@
 """Command-line interface: family generation, triple checking, density sweeps.
 
-Commands: gen-g, gen-f, check, density, verify.  CSV (default) and JSON
-Lines output; all runs are deterministic, with fixed sort orders and fixed
-decimal rendering.  gen-g and gen-f write each record as it is generated,
-so a reader that stops early stops the work too.  Each command imports
-only the layers it runs, when it runs: `check` and `gen-g` the triples and
-hypotenuse-gap layers, `gen-f` the Z[sqrt(2)], Pell and leg-gap layers,
-`density` the totient layer, and `verify` the oracles in `checks` with the
-layers of its one scope (`nonexistence` none, unless it must place a
-counterexample); parsing and the refusal types load none, and only JSON
-output loads `json`.  Exit codes:
-
-    0  success, or the reader closed stdout early (`| head`): the run ends quietly
-    1  malformed flags or input
-    2  inadmissible gap
-    3  input beyond the supported factorization range (>= 2**64)
-    4  `check` input is not a primitive Pythagorean triple
-    5  memory budget refused: the totient table of `density` (about B^(2/3)
-       entries) or the `verify density-cross` bound; or memory ran out
-    6  `verify` found a property violation
-  130  interrupted (Ctrl-C): the run ends quietly, without a traceback
+`parse_args` reads argv by one table, `COMMANDS`, which also gives the
+usage line and the -h text.  CSV (default) and JSON Lines output; all runs
+are deterministic, with fixed sort orders and fixed decimal rendering.
+gen-g and gen-f write each record as it is generated, so a reader that
+stops early stops the work too.  Each command imports only the layers it
+runs, when it runs (README, "CLI"); parsing and the refusal types load
+none, and only JSON output loads `json`.  The exit codes are the `EXIT_*`
+constants, and 130 for an interrupt (Ctrl-C), which ends the run quietly.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from itertools import chain, islice
+from types import SimpleNamespace
 from typing import Iterable, TextIO
 
 from ._primes import InadmissibleError, SieveBudgetError, UnsupportedRangeError
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_INADMISSIBLE = 2
-EXIT_RANGE = 3
-EXIT_NOT_PPT = 4
-EXIT_BUDGET = 5
-EXIT_VIOLATION = 6
+EXIT_OK = 0  # success, or the reader closed stdout early (`| head`): the run ends quietly
+EXIT_USAGE = 1  # malformed flags or input
+EXIT_INADMISSIBLE = 2  # inadmissible gap
+EXIT_RANGE = 3  # input beyond the supported factorization range (>= 2**64)
+EXIT_NOT_PPT = 4  # `check` input is not a primitive Pythagorean triple
+EXIT_BUDGET = 5  # memory budget refused (`density`, `verify density-cross`), or memory ran out
+EXIT_VIOLATION = 6  # `verify` found a property violation
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # lets exponent ranges with a negative start, e.g. -6..6, pass as values
-        self._negative_number_matcher = re.compile(r"^-[0-9]+(\.\.-?[0-9]+)?$")
-
-    # argparse exits with 2 on usage errors; the contract here is 1.
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+class UsageError(ValueError):
+    """A malformed command line (exit 1)."""
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -62,14 +42,14 @@ def _integer(text: str) -> int:
     minus.  int() alone would also take underscores, surrounding spaces, a
     plus sign and non-ASCII digits."""
     if _DECIMAL.fullmatch(text) is None:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise UsageError(f"not an integer: {text!r}")
     return int(text)
 
 
 def _positive(text: str) -> int:
     value = _integer(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        raise UsageError(f"must be positive: {text!r}")
     return value
 
 
@@ -82,7 +62,7 @@ def _exponent_range(text: str) -> tuple[int, int]:
     m_lo = _integer(lo)
     m_hi = _integer(hi) if sep else m_lo
     if m_lo > m_hi:
-        raise argparse.ArgumentTypeError(f"empty exponent range: {text!r}")
+        raise UsageError(f"empty exponent range: {text!r}")
     return m_lo, m_hi
 
 
@@ -91,9 +71,9 @@ def _grid(text: str) -> list[int]:
     opened and truncated, as well as in the library."""
     values = [_integer(part) for part in text.split(",")]
     if any(v < 2 for v in values):
-        raise argparse.ArgumentTypeError("grid entries must be >= 2")
+        raise UsageError("grid entries must be >= 2")
     if values != sorted(set(values)):
-        raise argparse.ArgumentTypeError("grid must be strictly ascending")
+        raise UsageError("grid must be strictly ascending")
     return values
 
 
@@ -179,7 +159,7 @@ def write_records(
         out.write(head)
 
 
-def cmd_gen_g(args: argparse.Namespace) -> int:
+def cmd_gen_g(args: SimpleNamespace) -> int:
     from .hyp_gap import classify_g, iter_g_family
 
     gc = classify_g(args.g)
@@ -192,7 +172,7 @@ def cmd_gen_g(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_gen_f(args: argparse.Namespace) -> int:
+def cmd_gen_f(args: SimpleNamespace) -> int:
     from .leg_gap import admissible_f, cf_elements, iter_f_triples
 
     spec = admissible_f(args.f)
@@ -234,13 +214,13 @@ def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
     return record, EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     record, code = _check_record(args.a, args.b, args.c)
     write_records(args.format, sys.stdout, "check", [tuple(record.values())])
     return code
 
 
-def _density_values(args: argparse.Namespace) -> Iterable[tuple]:
+def _density_values(args: SimpleNamespace) -> Iterable[tuple]:
     """The `density_row` values, computed when the first one is read: the
     totient table is built after --out is open, so an unwritable path fails fast."""
     from .density import Family, density_report, render_ratio
@@ -249,7 +229,7 @@ def _density_values(args: argparse.Namespace) -> Iterable[tuple]:
         yield r.B, r.family_count, r.pool_count, render_ratio(r.ratio), render_ratio(r.predicted)
 
 
-def cmd_density(args: argparse.Namespace) -> int:
+def cmd_density(args: SimpleNamespace) -> int:
     if args.out is None:
         write_records(args.format, sys.stdout, "density_row", _density_values(args))
         return EXIT_OK
@@ -274,7 +254,7 @@ VERIFY = {
 _BOUND_FLAGS = tuple(dict.fromkeys(flag for _, flag, _ in VERIFY.values()))
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from . import checks
 
     suite, flag, default = VERIFY[args.scope]
@@ -292,59 +272,88 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(
-        prog="pptriples",
-        description="Generate, classify and verify primitive Pythagorean "
-        "triples with fixed hypotenuse or leg gaps.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
+# command -> (handler, summary, arguments); an argument is name -> (parse,
+# default, help).  `--name` is a flag, any other name a positional, read in
+# table order.  `parse` is a function of the text or the tuple of texts it
+# takes; the default _REQUIRED makes the argument required.  The handler is
+# looked up by name when it runs, so a patched handler is the one called.
+_REQUIRED = object()
+_FORMAT = {"--format": (("csv", "json"), "csv", "output format")}
+COMMANDS = {
+    "gen-g": ("cmd_gen_g", "generate (a, b, b+g) family members", {
+        "--g": (_positive, _REQUIRED, "hypotenuse gap g = c - b"),
+        "--count": (_positive, 10, "number of family members"), **_FORMAT}),
+    "gen-f": ("cmd_gen_f", "generate (a, a+f, c) triples", {
+        "--f": (_positive, _REQUIRED, "leg gap f = b - a"),
+        "--m": (_exponent_range, _REQUIRED, "inclusive exponent range LO..HI"), **_FORMAT}),
+    "check": ("cmd_check", "classify one candidate triple (a, b, c)", {
+        **dict.fromkeys("abc", (_positive, _REQUIRED, "a side")), **_FORMAT}),
+    "density": ("cmd_density", "density sweep over a grid of bounds", {
+        # density.Family's values, written out so that parsing loads no layer
+        "--family": (("GO", "GEE", "GEO", "G1"), _REQUIRED, "gap family"),
+        "--grid": (_grid, _REQUIRED, "strictly ascending comma-separated bounds, each >= 2"),
+        **_FORMAT, "--out": (str, None, "write to a file instead of stdout")}),
+    "verify": ("cmd_verify", "run an oracle-equivalence suite", {
+        "scope": (tuple(VERIFY), _REQUIRED, "the suite to run"), **{
+            "--" + flag.replace("_", "-"): (_positive, None, "bound of " + ", ".join(
+                f"{scope} (default {n})" for scope, (_, f, n) in VERIFY.items() if f == flag))
+            for flag in _BOUND_FLAGS}}),
+}
+_TOP = {"command": (tuple(COMMANDS), _REQUIRED, "")}  # argv before a known command
 
-    p = sub.add_parser("gen-g", help="generate (a, b, b+g) family members")
-    p.add_argument("--g", type=_positive, required=True, help="hypotenuse gap g = c - b")
-    p.add_argument("--count", type=_positive, default=10, help="number of family members")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_gen_g)
 
-    p = sub.add_parser("gen-f", help="generate (a, a+f, c) triples")
-    p.add_argument("--f", type=_positive, required=True, help="leg gap f = b - a")
-    p.add_argument(
-        "--m",
-        type=_exponent_range,
-        required=True,
-        metavar="LO..HI",
-        help="inclusive exponent range, e.g. -3..3",
-    )
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_gen_f)
+def _usage(command: str | None, full: bool = False) -> str:
+    """The usage line; with `full`, the -h text: one more line per command or argument."""
+    words, rows = ["usage: pptriples", *([command] if command else []), "[-h]"], []
+    for name, (parse, default, text) in (COMMANDS[command][2] if command else _TOP).items():
+        word = "{" + ",".join(parse) + "}" if isinstance(parse, tuple) else name[2:].upper()
+        word = f"{name} {word}" if name.startswith("-") else name if callable(parse) else word
+        words.append(word if default is _REQUIRED else f"[{word}]")
+        rows.append((word, text if default in (None, _REQUIRED) else f"{text} (default {default})"))
+    if command is None:
+        rows = [(name, summary) for name, (_, summary, _) in COMMANDS.items()]
+    lines = [" ".join(words), ""] + [f"  {left:<21} {right}" for left, right in rows]
+    return "\n".join(lines) if full else lines[0]
 
-    p = sub.add_parser("check", help="classify one candidate triple")
-    p.add_argument("a", type=_positive)
-    p.add_argument("b", type=_positive)
-    p.add_argument("c", type=_positive)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("density", help="density sweep over a grid of bounds")
-    # density.Family's values, written out so that parsing loads no layer
-    p.add_argument("--family", choices=("GO", "GEE", "GEO", "G1"), required=True)
-    p.add_argument(
-        "--grid",
-        type=_grid,
-        required=True,
-        help="strictly ascending comma-separated bounds, each >= 2",
-    )
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("verify", help="run an oracle-equivalence suite")
-    p.add_argument("scope", choices=tuple(VERIFY))
-    for flag in _BOUND_FLAGS:
-        p.add_argument("--" + flag.replace("_", "-"), type=_positive)
-    p.set_defaults(func=cmd_verify)
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv by `COMMANDS`: the command, then its positionals in order
+    and its flags as `--name value` or `--name=value`, never abbreviated; a
+    flag's value is the next token even when it starts with `-`, and a
+    repeated flag keeps its last value.  Returns the `command`, `help` (true
+    after -h or --help, where reading stops) and each argument by name
+    (`--c-max` as `c_max`).  Raises UsageError: usage line, `error:` line."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    spec, values = (COMMANDS[command][2] if command else _TOP), {}
+    tokens = iter(argv[1:] if command else argv)
+    positionals = [name for name in spec if not name.startswith("-")]
+    try:
+        for token in tokens:
+            if token in ("-h", "--help"):
+                return SimpleNamespace(command=command, help=True)
+            if token.startswith("-"):
+                name, eq, text = token.partition("=")
+                text = text if eq else next(tokens, None)
+            else:
+                name, text = positionals.pop(0) if positionals else None, token
+            if name not in spec:
+                raise UsageError(f"unrecognized arguments: {token}")
+            parse = spec[name][0]
+            try:
+                if text is None or isinstance(parse, tuple) and text not in parse:
+                    raise UsageError("expected one argument" if text is None else
+                                     f"invalid choice: {text!r} (choose from {', '.join(parse)})")
+                values[name] = text if isinstance(parse, tuple) else parse(text)
+            except UsageError as exc:
+                raise UsageError(f"argument {name}: {exc}") from None
+        if missing := [n for n, (_, d, _) in spec.items() if d is _REQUIRED and n not in values]:
+            raise UsageError("the following arguments are required: " + ", ".join(missing))
+    except UsageError as exc:
+        prog = f"pptriples {command}" if command else "pptriples"
+        raise UsageError(f"{_usage(command)}\n{prog}: error: {exc}") from None
+    return SimpleNamespace(command=command, help=False, **{
+        name.lstrip("-").replace("-", "_"): values.get(name, default)
+        for name, (_, default, _) in spec.items()})
 
 
 # refusal type -> exit code, most specific first; every other ValueError is 1
@@ -358,15 +367,17 @@ _EXIT_CODES = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    # decimal strings of any length are part of the contract, so Python's
-    # int/str digit limit (3.11+, process-wide) is lifted for the call and
-    # then restored
+    # decimal strings of any length are part of the contract, so Python's int/str
+    # digit limit (3.11+, process-wide) is lifted for the call and then restored
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args.help:
+            print(_usage(args.command, full=True))
+            return EXIT_OK
+        return globals()[COMMANDS[args.command][0]](args)
     except (ValueError, MemoryError) as exc:
         print(exc if isinstance(exc, ValueError) else "out of memory", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
@@ -376,6 +387,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # stdout is UTF-8 with LF line endings whatever the locale, as --out is
+    sys.stdout.reconfigure(encoding="utf-8", newline="\n")
     try:
         code = main()
         sys.stdout.flush()

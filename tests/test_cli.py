@@ -1,8 +1,8 @@
-import argparse
 import ast
 import contextlib
 import doctest
 import enum
+import hashlib
 import importlib
 import io
 import itertools
@@ -38,7 +38,7 @@ from pptriples import (
     hyp_gap,
     triples,
 )
-from pptriples.cli import RECORDS, VERIFY, build_parser, main, write_records
+from pptriples.cli import COMMANDS, RECORDS, VERIFY, UsageError, main, parse_args, write_records
 
 import oracles
 
@@ -141,10 +141,8 @@ def test_every_export_resolves_and_the_test_oracles_left_the_library():
         assert name not in pptriples.__all__ and not hasattr(checks, name), name
         assert callable(getattr(oracles, name, None)), name
     # the parser spells out density.Family's values, so that parsing loads no layer
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    family = next(a for a in commands.choices["density"]._actions if a.dest == "family")
-    assert list(family.choices) == [f.value for f in pptriples.Family]
+    choices, _, _ = COMMANDS["density"][2]["--family"]
+    assert list(choices) == [f.value for f in pptriples.Family]
 
 
 def test_checks_holds_only_what_a_verify_scope_runs():
@@ -188,9 +186,9 @@ FOOTPRINTS = {
 
 def test_each_command_loads_only_its_layers():
     """No command loads `dataclasses` (and the `inspect` and `ast` behind it)
-    either, and no CSV or `verify` command loads `json`, unless the
-    interpreter's own start-up (`site`) already has."""
-    stdlib = "'dataclasses' in sys.modules, 'json' in sys.modules"
+    or `argparse` either, and no CSV or `verify` command loads `json`,
+    unless the interpreter's own start-up (`site`) already has."""
+    stdlib = "'dataclasses' in sys.modules, 'json' in sys.modules, 'argparse' in sys.modules"
     bare = subprocess.run(
         [sys.executable, "-c", f"import sys; print({stdlib})"],
         capture_output=True, text=True, env=child_env(), check=True,
@@ -247,9 +245,7 @@ class TestGenG:
         assert out == "" and "inadmissible" in err
 
     def test_malformed_flag_exits_1(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["gen-g", "--g", "nine"])
-        assert exc.value.code == 1
+        assert main(["gen-g", "--g", "nine"]) == 1
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "gen-g", "--g", "9", "--count", "2", "--format", "json")
@@ -441,9 +437,7 @@ class TestGenF:
     def test_bad_range_exits_1(self):
         # the range is refused while parsing, before f is factored or judged
         for f, m in (("7", "3..1"), ("3", "2..1"), ("18446744073709551629", "2..1")):
-            with pytest.raises(SystemExit) as exc:
-                main(["gen-f", "--f", f, "--m", m])
-            assert exc.value.code == 1
+            assert main(["gen-f", "--f", f, "--m", m]) == 1
 
     def test_split_prime_below_2_64(self, capsys):
         # the norm-p generator of a prime this size was once out of reach
@@ -496,9 +490,7 @@ class TestCheck:
         assert "false" in out
 
     def test_nonpositive_exits_1(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "0", "4", "5"])
-        assert exc.value.code == 1
+        assert main(["check", "0", "4", "5"]) == 1
 
     @pytest.mark.parametrize(
         "t", [(15, 8, 17), (8, 15, 17), (20, 21, 29), (21, 20, 29), (119, 120, 169)]
@@ -550,15 +542,11 @@ class TestDensity:
 
     def test_bad_grid_exits_1(self, tmp_path):
         for grid in ("10,5", "1,10", "x"):
-            with pytest.raises(SystemExit) as exc:
-                main(["density", "--family", "GO", "--grid", grid])
-            assert exc.value.code == 1
+            assert main(["density", "--family", "GO", "--grid", grid]) == 1
         # the grid is refused while parsing, before --out is opened
         path = tmp_path / "rows.csv"
         path.write_bytes(b"kept\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["density", "--family", "GO", "--grid", "5,3", "--out", str(path)])
-        assert exc.value.code == 1
+        assert main(["density", "--family", "GO", "--grid", "5,3", "--out", str(path)]) == 1
         assert path.read_bytes() == b"kept\n"
 
     def test_out_file(self, capsys, tmp_path):
@@ -632,9 +620,7 @@ class TestVerify:
         assert (code, out) == (1, "")
 
     def test_unknown_scope_exits_1(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "everything"])
-        assert exc.value.code == 1
+        assert main(["verify", "everything"]) == 1
 
 
 # (argv, environment, exit code); {missing} is a directory that does not exist
@@ -700,22 +686,111 @@ MALFORMED_NUMBERS = ["1_0", " 3", "\u0663", "+5", "", "--5"]
 @pytest.mark.parametrize("position", NUMBER_POSITIONS)
 def test_one_number_grammar_in_every_position(position, text, capsys):
     argv = [part.replace("{}", text) for part in position.split(" ")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
+    code = main(argv)
     out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (1, "")
+    assert (code, out) == (1, "")
     assert "error:" in err and "Traceback" not in err
-    token = next(part for part in position.split(" ") if "{}" in part).replace("{}", text)
-    if not token.startswith("--"):  # else argparse reads it as an unknown flag
+    parts = position.split(" ")
+    at = next(i for i, part in enumerate(parts) if "{}" in part)
+    # a flag's value is the next token whatever it starts with; a positional
+    # starting with `-` reads as an unknown flag
+    if parts[at - 1].startswith("--") or not parts[at].replace("{}", text).startswith("-"):
         assert f"not an integer: {text!r}" in err
 
 
 @pytest.mark.parametrize("position", NUMBER_POSITIONS)
 def test_the_grammar_takes_ascii_digits_with_a_minus(position):
-    args = build_parser().parse_args(position.replace("{}", "0007").split(" "))
+    args = parse_args(position.replace("{}", "0007").split(" "))
     values = [x for v in vars(args).values() for x in (v if isinstance(v, (list, tuple)) else [v])]
     assert 7 in values
-    assert build_parser().parse_args(["gen-f", "--f", "7", "--m", "-0..-0"]).m == (0, 0)
+    assert parse_args(["gen-f", "--f", "7", "--m", "-0..-0"]).m == (0, 0)
+
+
+# texts tried in every argument position: the malformed forms above, values
+# out of range or of the wrong kind, and a few that some arguments take
+ARGUMENT_TEXTS = [
+    "0", "-1", str(2**63), str(2**64 - 1), str(2**64 + 1), str(10**30), "1_0", "\u0663",
+    "+5", "", "--5", "3..1", "5..", "10,5", "xml", "7", "-3..3", "10,100", "json", "GO",
+]
+UNKNOWN_FLAGS = ["--cou", "--nope", "-x", "--", "--format-x", "--c_max"]
+
+
+def parsed(parse, text):
+    """(True, value) if an argument with this parse takes `text`, else (False, None)."""
+    if isinstance(parse, tuple):
+        return text in parse, text
+    try:
+        return True, parse(text)
+    except UsageError:
+        return False, None
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, the expected namespace or None for a refusal), drawn from
+    `COMMANDS`: each argument given 0-2 times, flags in both forms, all in
+    any order, with perhaps an unknown flag or a flag missing its value."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    spec = COMMANDS[command][2]
+    items = []  # (flag name or None for a positional, text, tokens)
+    rare = st.integers(0, 3).map(lambda n: n == 0)
+    for name, (parse, _, _) in spec.items():
+        texts = ARGUMENT_TEXTS + list(parse if isinstance(parse, tuple) else ())
+        taken = [text for text in texts if parsed(parse, text)[0]]
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+            text = draw(st.sampled_from(texts if draw(rare) else taken))
+            if not name.startswith("-"):
+                items.append((None, text, [text]))
+            elif draw(st.booleans()):
+                items.append((name, text, [f"{name}={text}"]))
+            else:
+                items.append((name, text, [name, text]))
+    items = draw(st.permutations(items))
+    unknown = [draw(st.sampled_from(UNKNOWN_FLAGS))] if draw(rare) else []
+    dangling = [draw(st.sampled_from([n for n in spec if n.startswith("-")]))] if draw(rare) else []
+    argv = [command, *(token for _, _, tokens in items for token in tokens)]
+    cut = draw(st.integers(1, len(argv)))  # where the unknown flag goes
+    argv = argv[:cut] + unknown + argv[cut:] + dangling
+
+    positionals = [n for n in spec if not n.startswith("-")]
+    given = {}
+    ok = not unknown and not dangling
+    for name, text, _ in items:
+        if name is None:  # the next positional, unless it reads as a flag
+            if text.startswith("-") or not positionals:
+                ok = False
+                continue
+            name = positionals.pop(0)
+        taken, given[name] = parsed(spec[name][0], text)
+        ok = ok and taken
+    ok = ok and all(n in given for n, (_, d, _) in spec.items() if d is cli._REQUIRED)
+    if not ok:
+        return argv, None
+    expected = {"command": command, "help": False}
+    for name, (_, default, _) in spec.items():
+        expected[name.lstrip("-").replace("-", "_")] = given.get(name, default)
+    return argv, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_parse_args_reads_the_grammar_of_commands(case):
+    """`parse_args` returns each argument's parse of its last text, or
+    raises UsageError; a refused argv makes `main` exit 1 with one `error:`
+    line after the usage line, and nothing on stdout.  No handler runs."""
+    argv, expected = case
+    if expected is not None:
+        assert vars(parse_args(argv)) == expected
+        return
+    with pytest.raises(UsageError):
+        parse_args(argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    assert out.getvalue() == ""
+    usage, error = err.getvalue().splitlines()
+    assert usage.startswith(f"usage: pptriples {argv[0]} ")
+    assert error.startswith(f"pptriples {argv[0]}: error: ")
 
 
 @contextlib.contextmanager
@@ -770,8 +845,7 @@ class TestBigIntegers:
         with digit_limit(5000):
             assert run(capsys, "check", "3", "4", "5")[0] == 0
             assert sys.get_int_max_str_digits() == 5000
-            with pytest.raises(SystemExit):
-                main(["check", "0", "4", "5"])
+            assert main(["check", "0", "4", "5"]) == 1
             assert sys.get_int_max_str_digits() == 5000
 
 
@@ -852,6 +926,49 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("3,4,5,true,true")
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_is_utf8_with_lf_whatever_the_locale(encoding):
+    """The `generators:` comment holds a `√`, which neither encoding has."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pptriples", "gen-f", "--f", "7", "--m", "-3..3"],
+        capture_output=True, env={**child_env(), "PYTHONIOENCODING": encoding},
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "e95a372f4190dfda800f9b71bba5ef4b5fe1becb3ed6c610c7cf8c5ee085fb72"  # test_golden.py's
+    )
+
+
+def test_help_goes_to_stdout_and_loads_no_layer():
+    probe = (
+        "import contextlib, io, sys, pptriples.cli\n"
+        "for argv in (['-h'], ['gen-g', '--help']):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = pptriples.cli.main(argv)\n"
+        "    print(repr((code, out.getvalue(), err.getvalue())))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pptriples.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(), check=True
+    )
+    top, gen_g, modules = map(ast.literal_eval, proc.stdout.splitlines())
+    assert (top[0], top[2], gen_g[0], gen_g[2]) == (0, "", 0, "")
+    assert all(f"\n  {name} " in top[1] for name in COMMANDS)
+    assert gen_g[1].startswith("usage: pptriples gen-g [-h] --g G [--count COUNT]")
+    assert modules == ["pptriples._primes", "pptriples.cli"]  # the refusal types, as at import
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_starts_with_the_usage_line_of_a_refusal(command, capsys):
+    argv = [command] if command else []
+    assert main([*argv, "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert main([*argv, "--no-such-flag"]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == out.splitlines()[0]
 
 
 def test_reader_closing_stdout_early_ends_the_run_quietly():
@@ -948,6 +1065,4 @@ def test_interrupt_ends_the_run_quietly_with_130():
 
 
 def test_missing_subcommand_exits_1():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 1
+    assert main([]) == 1
