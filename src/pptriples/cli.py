@@ -3,11 +3,13 @@
 `parse_args` reads argv by one table, `COMMANDS`, which also gives the
 usage line and the -h text.  CSV (default) and JSON Lines output; all runs
 are deterministic, with fixed sort orders and fixed decimal rendering.
-gen-g and gen-f write each record as it is generated, so a reader that
-stops early stops the work too.  Each command imports only the layers it
-runs, when it runs (README, "CLI"); parsing and the refusal types load
-none, and only JSON output loads `json`.  The exit codes are the `EXIT_*`
-constants, and 130 for an interrupt (Ctrl-C), which ends the run quietly.
+gen-g and gen-f write each record as it is generated, and density each
+row, one per write, as it is counted, so a reader that stops early stops
+the work too.  Each command imports only the layers it runs, when it runs
+(README, "CLI"); parsing and the refusal types load none, and only JSON
+output loads `json`.  The exit codes are the `EXIT_*` constants, and 130
+for an interrupt (Ctrl-C), which ends the run quietly; a stdout that
+cannot be written exits 1 with one stderr line.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, TextIO
 from ._primes import InadmissibleError, SieveBudgetError, UnsupportedRangeError
 
 EXIT_OK = 0  # success, or the reader closed stdout early (`| head`): the run ends quietly
-EXIT_USAGE = 1  # malformed flags or input
+EXIT_USAGE = 1  # malformed flags or input, or a stdout that cannot be written
 EXIT_INADMISSIBLE = 2  # inadmissible gap
 EXIT_RANGE = 3  # input beyond the supported factorization range (>= 2**64)
 EXIT_NOT_PPT = 4  # `check` input is not a primitive Pythagorean triple
@@ -126,12 +128,13 @@ def write_records(
     rows: Iterable[tuple],
     meta: Iterable[tuple[str, tuple]] = (),
     comments: Iterable[str] = (),
+    per_write: int = _BATCH,
 ) -> None:
     """Stream `tag` records to `out`, one line per value tuple of `rows`.
 
     JSON Lines output starts with the `meta` records, given as (tag, values)
     pairs; CSV output starts with `comments` as `#` lines, then the header.
-    Rows are read and written in batches of `_BATCH`, one write each, the
+    Rows are read and written in batches of `per_write`, one write each, the
     head going out with the first: nothing is written before the first row
     is computed.  Each line fills its tag's template.  A batch whose values
     are all exact ints (`type(v) is int`, so no bool or int subclass) fills
@@ -148,7 +151,7 @@ def write_records(
         cell, template = _csv_cell, _LINES[tag][1]
         head = "".join([f"# {line}\n" for line in comments] + [",".join(RECORDS[tag]) + "\n"])
     rows = iter(rows)
-    while batch := list(islice(rows, _BATCH)):
+    while batch := list(islice(rows, per_write)):
         if set(map(type, chain.from_iterable(batch))) == {int}:
             # str(n) of an exact int is also its JSON text and its CSV cell
             out.write(head + "".join([template % row for row in batch]))
@@ -221,8 +224,9 @@ def cmd_check(args: SimpleNamespace) -> int:
 
 
 def _density_values(args: SimpleNamespace) -> Iterable[tuple]:
-    """The `density_row` values, computed when the first one is read: the
-    totient table is built after --out is open, so an unwritable path fails fast."""
+    """The `density_row` values, each counted when it is read.  The grid is
+    checked and the totient table built when the first is read, after --out
+    is open, so an unwritable path fails fast."""
     from .density import Family, density_report, render_ratio
 
     for r in density_report(Family(args.family), args.grid):
@@ -231,11 +235,11 @@ def _density_values(args: SimpleNamespace) -> Iterable[tuple]:
 
 def cmd_density(args: SimpleNamespace) -> int:
     if args.out is None:
-        write_records(args.format, sys.stdout, "density_row", _density_values(args))
+        write_records(args.format, sys.stdout, "density_row", _density_values(args), per_write=1)
         return EXIT_OK
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            write_records(args.format, fh, "density_row", _density_values(args))
+            write_records(args.format, fh, "density_row", _density_values(args), per_write=1)
     except OSError as exc:
         raise ValueError(f"cannot write --out: {exc}") from None
     return EXIT_OK
@@ -387,14 +391,22 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    if sys.stdout is None:  # fd 1 closed (`>&-`): Python then sets no stdout
+        print("cannot write stdout: it is closed", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     # stdout is UTF-8 with LF line endings whatever the locale, as --out is
     sys.stdout.reconfigure(encoding="utf-8", newline="\n")
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:  # the reader stopped early; the flush at exit must not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_OK
     except KeyboardInterrupt:  # Ctrl-C: 128 + SIGINT, as a shell reports it
         code = 130
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # the reader stopped early (`| head`)
+            code = EXIT_OK
+        else:  # stdout cannot be written (`> /dev/full`); main refuses --out errors itself
+            print(f"cannot write stdout: {exc}", file=sys.stderr)
+            code = EXIT_USAGE
+        # what is left in the buffer goes nowhere, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     raise SystemExit(code)

@@ -9,9 +9,12 @@ k even), so each class occupies a limiting third of its pool.
 
 S and E come from `TotientSums`: a memoized Dirichlet-hyperbola recursion
 over a linear-sieve table of about B^(2/3) entries, so a count at B costs
-about B^(2/3) time and table memory instead of B.  The full-sieve sums and
-the identities that cross-check them (the 2-Euler totient phi2, its
-divisor sum, Moebius inversion) are in `tests/oracles.py`.
+about B^(2/3) time and table memory instead of B.  `density_report`
+builds that table when it is called and counts each grid row when it is
+read, so its first row waits for the table, not for the recursion of the
+largest bounds.  The full-sieve sums and the identities that cross-check
+them (the 2-Euler totient phi2, its divisor sum, Moebius inversion) are in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 from array import array
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ._primes import SieveBudgetError
 
@@ -216,27 +219,32 @@ _FAMILIES = {
 }
 
 
-def density_report(family: Family, grid: Sequence[int]) -> list[DensityRow]:
+def density_report(family: Family, grid: Sequence[int]) -> Iterator[DensityRow]:
     """Exact family and pool counts with the limiting prediction per bound.
 
     The grid must be ascending with entries >= 2 (a pool exists only from
     B = 2 on).  Predictions are the asymptotic ratios 1/3 (parity classes)
     and 0 (the single gap-1 family against a quadratically growing pool).
-    Every row reads one `TotientSums` over a table of
-    `table_bound(max(grid))` entries, which the budget bounds.
+    The call checks the grid and builds one `TotientSums` over a table of
+    `table_bound(max(grid))` entries, which the budget bounds, so every
+    refusal comes before the first row.  It returns an iterator that counts
+    each row when it is read, in ascending B: a reader that stops early is
+    spared the recursion of the larger bounds.
     """
     family = Family(family)
+    grid = list(grid)  # the rows read the grid that was checked
     if not grid:
         raise ValueError("empty grid")
     if any(b < 2 for b in grid):
         raise ValueError("grid entries must be >= 2")
-    if list(grid) != sorted(set(grid)):
+    if grid != sorted(set(grid)):
         raise ValueError("grid must be strictly ascending")
-    sums = TotientSums.up_to(max(grid))
+    sums = TotientSums.up_to(grid[-1])
     count, predicted = _FAMILIES[family]
-    rows = []
-    for B in grid:
-        fc = count(B, sums)
-        pc = count_pool(B, sums)
-        rows.append(DensityRow(B, fc, pc, Fraction(fc, pc), predicted))
-    return rows
+
+    def rows() -> Iterator[DensityRow]:
+        for B in grid:
+            fc, pc = count(B, sums), count_pool(B, sums)
+            yield DensityRow(B, fc, pc, Fraction(fc, pc), predicted)
+
+    return rows()

@@ -576,6 +576,41 @@ class TestDensity:
         code, out, _ = run(capsys, "density", "--family", "GO", "--grid", "100000", "--out", str(path))
         assert (code, out, path.read_bytes()) == (5, "", b"")
 
+    def test_rows_go_out_before_the_largest_sums(self, monkeypatch):
+        """One write per row, each as it is counted: the header and the rows
+        for 10 and 100 are out before S is first asked for 10**6."""
+        out, before = CountingStream(), []
+        S = density.TotientSums.S
+
+        def spy(self, x):
+            if x == 10**6 and not before:
+                before.append(list(out.writes))
+            return S(self, x)
+
+        monkeypatch.setattr(density.TotientSums, "S", spy)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["density", "--family", "GO", "--grid", "10,100,1000000"]) == 0
+        assert before == [[
+            "B,family_count,pool_count,ratio,predicted\n10,9,31,0.290323,0.333333\n",
+            "100,1003,3043,0.329609,0.333333\n",
+        ]]
+        assert out.writes == [*before[0], "1000000,101321066616,303963552391,0.333333,0.333333\n"]
+
+    def test_a_reader_that_stops_spares_the_largest_sums(self, monkeypatch):
+        class Closing(CountingStream):  # the reader goes away after the first write
+            def write(self, text):
+                if self.writes:
+                    raise BrokenPipeError
+                return super().write(text)
+
+        asked = []
+        S = density.TotientSums.S
+        monkeypatch.setattr(density.TotientSums, "S", lambda self, x: asked.append(x) or S(self, x))
+        monkeypatch.setattr(sys, "stdout", Closing())
+        with pytest.raises(BrokenPipeError):
+            main(["density", "--family", "GO", "--grid", "10,100,1000000"])
+        assert 100 in asked and 10**6 not in asked
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "density", "--family", "GO", "--grid", "10", "--format", "json")
         (record,) = validate_jsonl(out)
@@ -1041,6 +1076,37 @@ def test_streaming_refusals_write_no_stdout(argv, code):
     )
     assert (proc.returncode, proc.stdout) == (code, b"")
     assert proc.stderr and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stdout", ["/dev/full", "closed"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-g", "--g", "9", "--count", "5"],
+        ["density", "--family", "GO", "--grid", "10,100"],
+        ["check", "3", "4", "5"],
+        ["verify", "pell", "--m-max", "5"],
+    ],
+    ids=" ".join,
+)
+def test_unwritable_stdout_is_one_stderr_line(argv, stdout, unbuffered):
+    """A stdout that takes no bytes (`> /dev/full`) or is closed (`>&-`)
+    exits 1 with one line, whether the write or the flush at exit fails."""
+    env = {**child_env(), "PYTHONUNBUFFERED": unbuffered}
+    with open(os.devnull if stdout == "closed" else stdout, "wb") as sink:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pptriples", *argv],
+            stdout=sink,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=30,
+            preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None,
+        )
+    err = proc.stderr.decode()
+    reason = "it is closed" if stdout == "closed" else "[Errno 28] No space left on device"
+    assert (proc.returncode, err) == (1, f"cannot write stdout: {reason}\n")
 
 
 def test_interrupt_ends_the_run_quietly_with_130():

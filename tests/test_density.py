@@ -6,9 +6,11 @@ from itertools import repeat
 from operator import countOf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pptriples
 from pptriples import (
+    DensityRow,
     Family,
     ParamPair,
     SieveBudgetError,
@@ -320,6 +322,8 @@ class TestReport:
         assert row.family_count == 13
 
     def test_grid_validation(self):
+        # the call itself refuses, before any row is read, as it does a
+        # table over the budget (test_budget_bounds_the_table_not_the_top)
         with pytest.raises(ValueError):
             density_report(Family.GO, [])
         with pytest.raises(ValueError):
@@ -327,10 +331,50 @@ class TestReport:
         with pytest.raises(ValueError):
             density_report(Family.GO, [100, 10])
 
+    def test_rows_are_counted_when_read(self, monkeypatch):
+        asked = []
+        S = TotientSums.S
+        monkeypatch.setattr(TotientSums, "S", lambda self, x: asked.append(x) or S(self, x))
+        rows = density_report(Family.GO, [10, 100, 10**6])
+        assert iter(rows) is rows and asked == []  # an iterator, nothing counted yet
+        assert next(rows).B == 10 and 10**6 not in asked
+        assert next(rows).B == 100 and 10**6 not in asked
+        assert next(rows).B == 10**6 and 10**6 in asked
+        assert next(rows, None) is None
+
     def test_trend_downward(self):
         rows = density_report(Family.G1, [10, 100, 1000])
         ratios = [row.ratio for row in rows]
         assert ratios == sorted(ratios, reverse=True)
+
+
+def eager_report(family, grid):
+    """The rows as `density_report` counted them all before returning."""
+    sums = TotientSums.up_to(max(grid))
+    count, predicted = {
+        Family.GO: (count_GO, Fraction(1, 3)),
+        Family.GEE: (count_GEE, Fraction(1, 3)),
+        Family.GEO: (count_GEO, Fraction(1, 3)),
+        Family.G1: (lambda B, sums: count_G1(B), Fraction(0)),
+    }[family]
+    rows = []
+    for B in grid:
+        fc = count(B, sums)
+        pc = count_pool(B, sums)
+        rows.append(DensityRow(B, fc, pc, Fraction(fc, pc), predicted))
+    return rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(st.integers(2, 10**6), min_size=1, max_size=6).map(sorted))
+def test_streamed_rows_are_the_eager_rows(grid):
+    """Each family's stream equals the eager loop, and the three parity
+    classes partition the pool at every bound."""
+    by_family = {family: list(density_report(family, grid)) for family in Family}
+    for family, rows in by_family.items():
+        assert rows == eager_report(family, grid), family
+    for go, gee, geo in zip(by_family[Family.GO], by_family[Family.GEE], by_family[Family.GEO]):
+        assert go.family_count + gee.family_count + geo.family_count == go.pool_count
 
 
 def test_render_ratio_rounding():

@@ -200,3 +200,33 @@ def test_counterexample_reports(fault, run, want, monkeypatch):
     fault(monkeypatch)
     report = run()
     assert (report.scope, report.checks, report.failures, report.counterexample) == want
+
+
+if __name__ == "__main__":
+    # python tests/test_golden.py PYTHON...: run every GOLDEN and REFUSALS command
+    # line as a `PYTHON -m pptriples` child of each interpreter named
+    import os
+    import subprocess
+    import sys
+    import tempfile
+    from pathlib import Path
+
+    import pptriples
+
+    env = {**os.environ, "PYTHONPATH": str(Path(pptriples.__file__).resolve().parent.parent)}
+    cases = [(argv, code, digest, None) for argv, code, digest in GOLDEN]
+    cases += [(argv, code, hashlib.sha256(b"").hexdigest(), line + "\n") for argv, code, line in REFUSALS]
+    for python in sys.argv[1:]:
+        matched = 0
+        for argv, code, digest, err in cases:
+            with tempfile.TemporaryDirectory() as tmp:
+                out_path = Path(tmp) / "out"
+                argv_list = [arg.replace("{out}", str(out_path)) for arg in argv.split()]
+                proc = subprocess.run([python, "-m", "pptriples", *argv_list], capture_output=True, env=env)
+                data = out_path.read_bytes() if "{out}" in argv and proc.stdout == b"" else proc.stdout
+                got = (proc.returncode, hashlib.sha256(data).hexdigest())
+                if got == (code, digest) and err in (None, proc.stderr.decode()):
+                    matched += 1
+                else:
+                    print(f"{python}: {argv}: got {got}, stderr {proc.stderr.decode()!r}")
+        print(f"{python}: {matched} of {len(cases)} matched")
