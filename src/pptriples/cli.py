@@ -3,13 +3,14 @@
 `parse_args` reads argv by one table, `COMMANDS`, which also gives the
 usage line and the -h text.  CSV (default) and JSON Lines output; all runs
 are deterministic, with fixed sort orders and fixed decimal rendering.
-gen-g and gen-f write each record as it is generated, and density each
-row, one per write, as it is counted, so a reader that stops early stops
-the work too.  Each command imports only the layers it runs, when it runs
-(README, "CLI"); parsing and the refusal types load none, and only JSON
-output loads `json`.  The exit codes are the `EXIT_*` constants, and 130
-for an interrupt (Ctrl-C), which ends the run quietly; a stdout that
-cannot be written exits 1 with one stderr line.
+Records go out in batches as they are generated, one write each: gen-g the
+members of a block of 64 family indices, gen-f 64 rows, density one row as
+it is counted; so a reader that stops early stops the work too.  Each
+command imports only the layers it runs, when it runs (README, "CLI");
+parsing and the refusal types load none, and only JSON output loads `json`.
+The exit codes are the `EXIT_*` constants, and 130 for an interrupt
+(Ctrl-C), which ends the run quietly; a stdout that cannot be written exits
+1 with one stderr line.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 import sys
 from itertools import chain, islice
 from types import SimpleNamespace
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from ._primes import InadmissibleError, SieveBudgetError, UnsupportedRangeError
 
@@ -116,31 +117,28 @@ def _line(template: str, cell, row: tuple) -> str:
     return template % tuple(map(cell, row))
 
 
-# rows per write: an unbuffered stream makes a system call per write, and a
-# batch of long rows (gen-f's at large exponents) is held only this long
-_BATCH = 64
+# tags whose values are always exact ints, whose str() is also the JSON text
+# and the CSV cell: their rows fill the template as they are
+_EXACT = ("g_family_item", "f_triple")
 
 
 def write_records(
     fmt: str,
     out: TextIO,
     tag: str,
-    rows: Iterable[tuple],
+    batches: Iterable[list[tuple]],
     meta: Iterable[tuple[str, tuple]] = (),
     comments: Iterable[str] = (),
-    per_write: int = _BATCH,
 ) -> None:
-    """Stream `tag` records to `out`, one line per value tuple of `rows`.
+    """Stream `tag` records to `out`, one line per value tuple, one write per
+    batch of `batches`, the head going out with the first: nothing is written
+    before the first batch is computed.
 
     JSON Lines output starts with the `meta` records, given as (tag, values)
     pairs; CSV output starts with `comments` as `#` lines, then the header.
-    Rows are read and written in batches of `per_write`, one write each, the
-    head going out with the first: nothing is written before the first row
-    is computed.  Each line fills its tag's template.  A batch whose values
-    are all exact ints (`type(v) is int`, so no bool or int subclass) fills
-    it as it is; any other batch, and every metadata record, has each value
-    rendered first (JSON text, or the CSV cell: "" for None, true/false for
-    a bool, else `str`).
+    Each line fills its tag's template: an `_EXACT` tag's values as they are,
+    any other tag's, and every metadata record's, each rendered first (JSON
+    text, or the CSV cell: "" for None, true/false for a bool, else `str`).
     """
     if fmt == "json":
         import json  # only JSON output needs the encoder
@@ -150,11 +148,9 @@ def write_records(
     else:
         cell, template = _csv_cell, _LINES[tag][1]
         head = "".join([f"# {line}\n" for line in comments] + [",".join(RECORDS[tag]) + "\n"])
-    rows = iter(rows)
-    while batch := list(islice(rows, per_write)):
-        if set(map(type, chain.from_iterable(batch))) == {int}:
-            # str(n) of an exact int is also its JSON text and its CSV cell
-            out.write(head + "".join([template % row for row in batch]))
+    for batch in batches:
+        if tag in _EXACT:  # one fill of the template repeated per row
+            out.write(head + template * len(batch) % tuple(chain.from_iterable(batch)))
         else:
             out.write(head + "".join([_line(template, cell, row) for row in batch]))
         head = ""
@@ -162,13 +158,20 @@ def write_records(
         out.write(head)
 
 
+def _in_64s(rows: Iterable[tuple]) -> Iterator[list[tuple]]:
+    """rows in lists of 64: an unbuffered stream makes a system call per
+    write, and a batch of long rows (gen-f's at large exponents) is held
+    only this long."""
+    rows = iter(rows)
+    return iter(lambda: list(islice(rows, 64)), [])
+
+
 def cmd_gen_g(args: SimpleNamespace) -> int:
-    from .hyp_gap import classify_g, iter_g_family
+    from .hyp_gap import classify_g, iter_g_blocks
 
     gc = classify_g(args.g)
-    items = iter_g_family(args.g, args.count)
     write_records(
-        args.format, sys.stdout, "g_family_item", items,
+        args.format, sys.stdout, "g_family_item", iter_g_blocks(args.g, args.count),
         meta=[("g_class", (gc.g, gc.kind.value, gc.m))],
         comments=[f"g={gc.g} kind={gc.kind.value} m={gc.m}"],
     )
@@ -184,7 +187,7 @@ def cmd_gen_f(args: SimpleNamespace) -> int:
     factor_text = " ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in spec.factorization)
     write_records(
         args.format, sys.stdout, "f_triple",
-        ((*ft.triple, ft.m, 1, *ft.cf_choice.u) for ft in triples),
+        _in_64s((*ft.triple, ft.m, 1, *ft.cf_choice.u) for ft in triples),
         meta=[("f_spec", (spec.f, spec.admissible, [list(pe) for pe in spec.factorization]))]
         + [("cf_element", (elem.u.x, elem.u.y, list(elem.choices))) for elem in elements],
         comments=[
@@ -219,27 +222,27 @@ def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
 
 def cmd_check(args: SimpleNamespace) -> int:
     record, code = _check_record(args.a, args.b, args.c)
-    write_records(args.format, sys.stdout, "check", [tuple(record.values())])
+    write_records(args.format, sys.stdout, "check", [[tuple(record.values())]])
     return code
 
 
-def _density_values(args: SimpleNamespace) -> Iterable[tuple]:
-    """The `density_row` values, each counted when it is read.  The grid is
-    checked and the totient table built when the first is read, after --out
-    is open, so an unwritable path fails fast."""
+def _density_values(args: SimpleNamespace) -> Iterator[list[tuple]]:
+    """The `density_row` values, one per batch, each counted when it is
+    read.  The grid is checked and the totient table built when the first is
+    read, after --out is open, so an unwritable path fails fast."""
     from .density import Family, density_report, render_ratio
 
     for r in density_report(Family(args.family), args.grid):
-        yield r.B, r.family_count, r.pool_count, render_ratio(r.ratio), render_ratio(r.predicted)
+        yield [(r.B, r.family_count, r.pool_count, render_ratio(r.ratio), render_ratio(r.predicted))]
 
 
 def cmd_density(args: SimpleNamespace) -> int:
     if args.out is None:
-        write_records(args.format, sys.stdout, "density_row", _density_values(args), per_write=1)
+        write_records(args.format, sys.stdout, "density_row", _density_values(args))
         return EXIT_OK
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            write_records(args.format, fh, "density_row", _density_values(args), per_write=1)
+            write_records(args.format, fh, "density_row", _density_values(args))
     except OSError as exc:
         raise ValueError(f"cannot write --out: {exc}") from None
     return EXIT_OK

@@ -254,6 +254,25 @@ class TestGenG:
         assert records[0]["record"] == "g_class"
         assert [r["a"] for r in records[1:]] == [15, 21]
 
+    def test_a_reader_that_stops_stops_the_blocks(self, monkeypatch):
+        """A reader that goes away after the first write leaves a
+        million-member request with at most two blocks built: the one
+        written and the one whose write failed."""
+
+        class Closing(CountingStream):
+            def write(self, text):
+                if self.writes:
+                    raise BrokenPipeError
+                return super().write(text)
+
+        built = []
+        rows = hyp_gap._rows
+        monkeypatch.setattr(hyp_gap, "_rows", lambda gc, ns: built.append(ns) or rows(gc, ns))
+        monkeypatch.setattr(sys, "stdout", Closing())
+        with pytest.raises(BrokenPipeError):
+            main(["gen-g", "--g", "9", "--count", "1000000"])
+        assert 1 <= len(built) <= 2
+
     def test_rows_are_the_family_items(self, capsys):
         assert RECORDS["g_family_item"] == GFamilyItem._fields
         for g in (9, 2, 8):
@@ -317,16 +336,20 @@ def record_rows(tag, cells):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_writer_matches_the_reference_renderer(tag, data):
-    """Only rows of exact ints skip the encoder: a bool, None, a string, a
-    list or an IntEnum member anywhere in a row is rendered cell by cell.
-    A draw of up to 150 rows spans up to three batches of 64, and its
-    other rows fall in the same batch as an exact-int run or next to one."""
+    """The `_EXACT` tags' rows, always exact ints, fill the template as they
+    are; any other tag's row is rendered cell by cell, so a bool, None, a
+    string, a list or an IntEnum member anywhere in it is rendered as the
+    encoder does.  A draw of up to 150 rows, handed over in gen-f's batches
+    of 64, spans up to three batches, and its other rows fall in the same
+    batch as an exact-int run or next to one."""
     # exact-int rows, their cells cycled from a few small ints (big ones come
     # in the other rows)
     width, pool = len(RECORDS[tag]), data.draw(st.lists(SMALL, min_size=1, max_size=12))
     cells = itertools.cycle(pool)
     rows = [tuple(itertools.islice(cells, width)) for _ in range(data.draw(st.integers(0, 150)))]
-    other = record_rows(tag, INT_LIKE) | record_rows(tag, CELLS)
+    other = record_rows(tag, INTS)
+    if tag not in cli._EXACT:
+        other |= record_rows(tag, INT_LIKE) | record_rows(tag, CELLS)
     for at, row in data.draw(st.lists(st.tuples(st.integers(0, 150), other), max_size=4)):
         rows.insert(at, row)
     meta = data.draw(
@@ -339,7 +362,7 @@ def test_writer_matches_the_reference_renderer(tag, data):
     )
     for fmt in ("csv", "json"):
         out = io.StringIO()
-        write_records(fmt, out, tag, rows, meta=meta, comments=["a comment"])
+        write_records(fmt, out, tag, cli._in_64s(rows), meta=meta, comments=["a comment"])
         if fmt == "json":
             want = [reference_line(fmt, t, v) for t, v in [*meta, *((tag, v) for v in rows)]]
         else:
@@ -374,21 +397,21 @@ def batch_writes(fmt, rows, meta):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 129, 200])
 def test_writer_writes_once_per_batch_of_64_rows(fmt, count):
-    """ceil(count / 64) writes, the head in the first; with no rows the head
-    goes out alone.  Row 70 holds None, so exact-int batches and a rendered
-    one both occur."""
+    """One write per batch handed over: ceil(count / 64) writes for rows in
+    gen-f's batches of 64, the head in the first; with no rows the head goes
+    out alone.  Row 70 holds None, rendered cell by cell."""
     rows = [(i, i, i, i, None if i == 70 else i) for i in range(count)]
     meta = [("g_class", (9, "odd-square", 3))]
     out = CountingStream()
-    write_records(fmt, out, "density_row", rows, meta=meta, comments=["c"])
+    write_records(fmt, out, "density_row", cli._in_64s(rows), meta=meta, comments=["c"])
     assert len(out.writes) == max(1, math.ceil(count / 64))
     assert out.writes == batch_writes(fmt, rows, meta)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_writer_writes_nothing_before_the_first_row(fmt):
-    """A row that raises ends the run with only the full batches before it
-    written: no write at all when it is the first."""
+    """A row that raises ends the run with only the full batches of 64
+    before it written: no write at all when it is in the first."""
 
     def rows(good):
         yield from ((i,) * 5 for i in range(good))
@@ -397,9 +420,29 @@ def test_writer_writes_nothing_before_the_first_row(fmt):
     for good, batches in ((0, 0), (63, 0), (64, 1), (150, 2)):
         out = CountingStream()
         with pytest.raises(ValueError, match="refused"):
-            write_records(fmt, out, "density_row", rows(good), meta=[], comments=["c"])
+            write_records(fmt, out, "density_row", cli._in_64s(rows(good)), meta=[], comments=["c"])
         want = batch_writes(fmt, [(i,) * 5 for i in range(64 * batches)], [])
         assert out.writes == (want if batches else [])
+
+
+def test_exact_tags_hand_over_exact_ints(monkeypatch, capsys):
+    """gen-g and gen-f hand the writer rows of exact ints only, which it
+    writes as they are: no bool, None or int subclass reaches an `_EXACT`
+    tag's template."""
+    seen = []
+    write = cli.write_records
+
+    def spy(fmt, out, tag, batches, **kwargs):
+        batches = list(batches)
+        seen.append((tag, {type(v) for batch in batches for row in batch for v in row}))
+        return write(fmt, out, tag, batches, **kwargs)
+
+    monkeypatch.setattr(cli, "write_records", spy)
+    for argv in ("gen-g --g 9 --count 130", f"gen-g --g {2 * 15015**2} --count 70",
+                 "gen-f --f 7 --m -3..3", "gen-f --f 1 --m 0..70 --format json"):
+        assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert seen == [("g_family_item", {int})] * 2 + [("f_triple", {int})] * 2
 
 
 class TestGenF:

@@ -20,7 +20,11 @@ two g-coverage faults went through `checks.family_triple` and
 g=9, n=2" and "(33, 56, 65): injected", while the suite still inverted each
 enumerated triple; they now drop the same triples from the g = 9 stream
 `hyp_gap.iter_g_family`, with their counts unchanged and their
-counterexamples re-pinned.  The f-coverage and density-cross faults, once
+counterexamples re-pinned.  The seven gen-g requests of 64 to 300 members
+(roots 3, 1, 2 and 15015, the odd root 3*5*...*59 > 2**64 in both its gaps,
+and 2**64) were pinned while generation still built one member per index;
+they span the edges of the 64-index blocks it now builds.  The f-coverage
+and density-cross faults, once
 `checks` bound no layer's names at import, moved onto `leg_gap` and
 `density` with their reports unchanged."""
 
@@ -42,6 +46,13 @@ GOLDEN = [
     ("gen-g --g 1000006000009 --count 20", 0, "c027648cc0d32d67d5e018be51551ec660a3a8097229ac6f66a494009af0a635"),
     ("gen-g --g 500018000162 --count 20 --format json", 0, "e1d152e70c061f9bf57540da627ae501bfb213aa243a0ecc4b5e1ae295423475"),
     ("gen-g --g 499996000008 --count 20", 0, "a9f77e7ff4e22cd871b3b80b12e28248eaf882edde5bcfab3499dc22857c4cc8"),
+    ("gen-g --g 9 --count 200", 0, "ee2c11fdd65ee301dc71a25d71b9be519de9cb80278fa27d4d7e8abb395091c7"),
+    ("gen-g --g 2 --count 65 --format json", 0, "3f2af1d931c9d41fc2bd11b699417f2dd81092fd40b95fd395947887569b3692"),
+    ("gen-g --g 8 --count 129", 0, "8c1e61f7330e0f460c5df5a5d4b3497fcea714df55861bbfd0aec4ee4a9a0620"),
+    ("gen-g --g 225450225 --count 300", 0, "104ac3d604001c2b0f789ab8c27af76b0005517fdb83526b2cf392379f23faec"),
+    ("gen-g --g 924251841031287598942273821762233522616225 --count 70", 0, "12be18dfc7d096f4f61068cec2624acddf01b2e918612c55893052ccc2e1aba2"),
+    ("gen-g --g 1848503682062575197884547643524467045232450 --count 129 --format json", 0, "a067daa4cf9e64639905e4bde0eb3eedffe1ce23fc3f16c7b4ac166238429204"),
+    ("gen-g --g 680564733841876926926749214863536422912 --count 64", 0, "e9465a2e8e653d79425f997c081626d2af71b64bcdc181695a5601ad4782766e"),
     ("gen-g --g 3 --count 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("gen-f --f 7 --m -3..3", 0, "e95a372f4190dfda800f9b71bba5ef4b5fe1becb3ed6c610c7cf8c5ee085fb72"),
     ("gen-f --f 119 --m -2..2", 0, "9b10f6270559de17e03709d34f151d9b934e6732b3e5fc76f47760e53bff590f"),

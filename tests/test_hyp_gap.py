@@ -264,6 +264,38 @@ def every_index_walk(g, count):
             items.append((n, k, r, s, a, b, c, stride, offset))
 
 
+def per_index_walk(gc):
+    """A copy of the walk `iter_g_family` made before it built members in
+    blocks: from the closed-form first index, one row per index, with the
+    row's own tests on k and the validating constructors on each member."""
+    leg, step, start = hyp_gap._ROWS[gc.kind]
+    m = gc.m
+    for n in itertools.count((m - start) // step + 1, 2 if leg == 2 and step % 2 else 1):
+        k = step * n + start
+        if (leg == 2 and (k - m) % 2 == 0) or k <= m or math.gcd(k, m) != 1:
+            continue
+        kk, mm = k * k, m * m
+        if leg == 1:
+            r, s, a, b, c = (k + m) // 2, (k - m) // 2, m * k, (kk - mm) // 2, (kk + mm) // 2
+        else:
+            r, s, a, b, c = k, m, 2 * k * m, kk - mm, kk + mm
+        triples.ParamPair(r, s), Triple(a, b, c)
+        yield hyp_gap.GFamilyItem(n, k, r, s, a, b, c, leg * m * step, leg * m * start)
+
+
+# roots of every size and shape: small, rich in small primes (where many k
+# are refused), and of 2**64 or more, some of those rich in small primes too
+ROOTS = (
+    st.integers(1, 10**6)
+    | st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=12).map(math.prod)
+    | st.integers(2**64, 2**80)
+    | st.builds(operator.mul, st.sampled_from([15015, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]),
+                st.integers(2**64, 2**70))
+)
+# counts that end inside the first blocks of 64 indices and at their edges
+BLOCK_COUNTS = st.sampled_from([63, 64, 65, 128, 129]) | st.integers(1, 300)
+
+
 def gaps_of_root(m):
     """The admissible gaps with root m: m*m and 2*m*m for odd m, 2*m*m for even m."""
     return (m * m, 2 * m * m) if m % 2 else (2 * m * m,)
@@ -290,24 +322,41 @@ class TestWalk:
         g = 2 * m * m if twice or m % 2 == 0 else m * m
         assert generate_g_family(g, count) == every_index_walk(g, count)
 
+    @settings(max_examples=150, deadline=None)
+    @given(ROOTS, st.booleans(), BLOCK_COUNTS)
+    def test_blocks_equal_the_per_index_walk(self, m, twice, count):
+        """The block walk yields the members of one row per index, and
+        `family_member` gives the streamed member at each index from just
+        below the first to the last, and None at every index in between."""
+        g = 2 * m * m if twice or m % 2 == 0 else m * m
+        gc = classify_g(g)
+        items = list(iter_g_family(g, count))
+        assert items == list(itertools.islice(per_index_walk(gc), count))
+        streamed = {it.n: it for it in items}
+        for n in range(max(1, items[0].n - 4), items[-1].n + 1):
+            assert family_member(gc, n) == streamed.get(n)
+
     @pytest.mark.parametrize("m", [1, 3, 9, 113, 2, 210])
     def test_tries_only_parity_valid_multipliers(self, monkeypatch, m):
-        """Every multiplier handed to `_row` has the parity of a member, and
+        """Every multiplier handed to `_rows` has the parity of a member, and
         the members are the rows it built, in order."""
-        tried = []
-        row = hyp_gap._row
+        tried, built = [], []
+        rows = hyp_gap._rows
 
-        def counting_row(leg, root, k):
-            built = row(leg, root, k)
-            tried.append((leg, k - root, built))
-            return built
+        def counting_rows(gc, ns):
+            leg, step, start = hyp_gap._ROWS[gc.kind]
+            tried.extend((leg, step * n + start - gc.m) for n in ns)
+            block = rows(gc, ns)
+            built.extend(block)
+            return block
 
-        monkeypatch.setattr(hyp_gap, "_row", counting_row)
+        monkeypatch.setattr(hyp_gap, "_rows", counting_rows)
         for g in gaps_of_root(m):
             tried.clear()
+            built.clear()
             items = generate_g_family(g, 50)
-            assert all(leg == 1 or gap % 2 for leg, gap, _ in tried)
-            assert [it[2:7] for it in items] == [built for *_, built in tried if built]
+            assert all(leg == 1 or gap % 2 for leg, gap in tried)
+            assert items == built[:50]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -331,12 +380,12 @@ class TestWalk:
     @pytest.mark.parametrize("g", [1, 9, 225])
     def test_a_row_that_fails_a_check_raises(self, monkeypatch, g):
         """An even multiplier in the odd-square row (start 0) gives rows that
-        fail `_row`'s checks: the walk raises before it yields a member."""
-        with pytest.raises(ValueError, match="need 0 < s < r"):
-            hyp_gap._row(1, 3, 4)
-        with pytest.raises(ValueError, match="not a Pythagorean triple"):
-            hyp_gap._row(1, 3, 8)
+        fail `_rows`'s checks: the walk raises before it yields a member."""
         monkeypatch.setitem(hyp_gap._ROWS, GKind.ODD_SQUARE, (1, 2, 0))
+        with pytest.raises(ValueError, match="need 0 < s < r"):
+            hyp_gap._rows(classify_g(9), range(2, 3))  # m = 3, k = 4
+        with pytest.raises(ValueError, match="not a Pythagorean triple"):
+            hyp_gap._rows(classify_g(9), range(4, 5))  # m = 3, k = 8
         got = []
         with pytest.raises(ValueError):
             for it in iter_g_family(g, 5):
@@ -407,7 +456,7 @@ class TestInvert:
         sample = [Triple(15, 8, 17), Triple(4, 3, 5), Triple(12, 5, 13)]
         want = [invert_to_family(t) for t in sample]
         monkeypatch.setattr(triples, "is_primitive", refuse)
-        for name in ("family_member", "_row"):
+        for name in ("family_member", "_rows"):
             monkeypatch.setattr(hyp_gap, name, refuse)
         assert [invert_to_family(t) for t in sample] == want
         assert [n for _, n in want] == [2, 2, 1]
@@ -425,7 +474,7 @@ class TestInvert:
         def refuse(*args):
             raise AssertionError("called")
 
-        for name in ("family_member", "_row"):
+        for name in ("family_member", "_rows"):
             monkeypatch.setattr(hyp_gap, name, refuse)
         assert cli._check_record(15, 8, 17) == want and want[0]["r"] == 4
 
