@@ -20,7 +20,7 @@ import re
 import sys
 from itertools import chain, islice
 from types import SimpleNamespace
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NoReturn, TextIO
 
 from ._primes import InadmissibleError, SieveBudgetError, UnsupportedRangeError
 
@@ -393,23 +393,40 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(saved)
 
 
-def entrypoint() -> None:
+def _flush(stream: TextIO | None) -> None:
+    """Flush a stream that may be missing (`2>&-`) or unwritable; the run is
+    ending with its exit code already set, so a failure goes unreported."""
+    try:
+        if stream is not None:
+            stream.flush()
+    except OSError:
+        pass
+
+
+def entrypoint() -> NoReturn:
+    """Run `main` on the process's argv and end the process with its code.
+
+    Once stdout and stderr are flushed, `os._exit` ends the process: the
+    interpreter's teardown (module cleanup, the last collection, freeing
+    every object) and `atexit` callbacks are skipped.  An unexpected
+    exception still propagates with its traceback."""
     if sys.stdout is None:  # fd 1 closed (`>&-`): Python then sets no stdout
         print("cannot write stdout: it is closed", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    # stdout is UTF-8 with LF line endings whatever the locale, as --out is
-    sys.stdout.reconfigure(encoding="utf-8", newline="\n")
-    try:
-        code = main()
-        sys.stdout.flush()
-    except KeyboardInterrupt:  # Ctrl-C: 128 + SIGINT, as a shell reports it
-        code = 130
-    except OSError as exc:
-        if isinstance(exc, BrokenPipeError):  # the reader stopped early (`| head`)
-            code = EXIT_OK
-        else:  # stdout cannot be written (`> /dev/full`); main refuses --out errors itself
-            print(f"cannot write stdout: {exc}", file=sys.stderr)
-            code = EXIT_USAGE
-        # what is left in the buffer goes nowhere, so the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    raise SystemExit(code)
+        code = EXIT_USAGE
+    else:
+        # stdout is UTF-8 with LF line endings whatever the locale, as --out is
+        sys.stdout.reconfigure(encoding="utf-8", newline="\n")
+        try:
+            code = main()
+            sys.stdout.flush()
+        except KeyboardInterrupt:  # Ctrl-C: 128 + SIGINT, as a shell reports it
+            code = 130
+            _flush(sys.stdout)  # what was written before the interrupt goes out
+        except OSError as exc:  # what is left in stdout's buffer is dropped
+            if isinstance(exc, BrokenPipeError):  # the reader stopped early (`| head`)
+                code = EXIT_OK
+            else:  # stdout cannot be written (`> /dev/full`); main refuses --out errors itself
+                print(f"cannot write stdout: {exc}", file=sys.stderr)
+                code = EXIT_USAGE
+    _flush(sys.stderr)
+    os._exit(code)

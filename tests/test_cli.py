@@ -1173,5 +1173,102 @@ def test_interrupt_ends_the_run_quietly_with_130():
     assert b"Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,digest,code", [
+    ("gen-g --g 9 --count 5", "efb10c96fa52435570f9ff87afc74a5790fd262a2501804958734e0daf89a1f2", 0),
+    ("gen-g --g 3", None, 2),
+])
+def test_closed_stderr_ends_the_run_with_its_code(argv, digest, code):
+    """With fd 2 closed (`2>&-`) Python sets no stderr, and the exit still
+    flushes stdout and ends the process with the command's code."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pptriples", *argv.split()],
+        stdout=subprocess.PIPE,
+        env=child_env(),
+        timeout=30,
+        preexec_fn=lambda: os.close(2),
+    )
+    assert proc.returncode == code
+    if digest is not None:  # test_golden.py's
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+class Exited(Exception):
+    """Raised by the stand-in for `os._exit`, so the test process lives on."""
+
+
+@pytest.fixture
+def exit_log(monkeypatch):
+    """The log of stream flushes and of the `os._exit` call, whose stand-in
+    raises Exited."""
+    log = []
+
+    def exit_(status):
+        log.append(f"_exit({status})")
+        raise Exited
+
+    monkeypatch.setattr("pptriples.cli.os._exit", exit_)
+    return log
+
+
+class LoggedStream(io.StringIO):
+    """A text stream that logs each flush, and raises `error` from it: the
+    point where a buffered stdout meets a full disk or a closed pipe."""
+
+    def __init__(self, name, log, error=None):
+        super().__init__()
+        self.label, self.log, self.error = name, log, error
+
+    def reconfigure(self, **kwargs):
+        pass
+
+    def flush(self):
+        self.log.append(f"{self.label}.flush")
+        if self.error is not None:
+            raise self.error
+
+
+def _interrupted():
+    print("partial")
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("argv,error,code,err", [
+    ("check 3 4 5", None, 0, ""),
+    ("gen-g --g 3", None, 2, "g=3 is inadmissible: not an odd square; not twice a square\n"),
+    ("gen-g --count 5", None, 1, "pptriples gen-g: error: the following arguments are required: --g\n"),
+    ("check 3 4 5", OSError(28, "No space left on device"), 1,
+     "cannot write stdout: [Errno 28] No space left on device\n"),
+    ("check 3 4 5", BrokenPipeError(32, "Broken pipe"), 0, ""),
+    ("interrupted", None, 130, ""),
+], ids=["ok", "refusal", "usage", "full", "broken-pipe", "interrupt"])
+@pytest.mark.parametrize("stderr", ["open", "closed"])
+def test_entrypoint_flushes_stdout_then_stderr_then_exits(argv, error, code, err, stderr, exit_log, monkeypatch):
+    out = LoggedStream("stdout", exit_log, error)
+    monkeypatch.setattr(sys, "argv", ["pptriples", *argv.split()])
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", LoggedStream("stderr", exit_log) if stderr == "open" else None)
+    if argv == "interrupted":
+        monkeypatch.setattr(cli, "main", _interrupted)
+    with pytest.raises(Exited):
+        cli.entrypoint()
+    if stderr == "open":
+        assert exit_log == ["stdout.flush", "stderr.flush", f"_exit({code})"]
+        got = sys.stderr.getvalue()
+        assert (got.split("\n", 1)[1] if got.startswith("usage: ") else got) == err
+    else:  # `2>&-`: Python sets no stderr, and print() then writes a refusal's line to stdout
+        assert exit_log == ["stdout.flush", f"_exit({code})"]
+    if argv == "interrupted":
+        assert out.getvalue() == "partial\n"
+
+
+def test_entrypoint_exits_1_on_a_closed_stdout(exit_log, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "stderr", LoggedStream("stderr", exit_log))
+    with pytest.raises(Exited):
+        cli.entrypoint()
+    assert exit_log == ["stderr.flush", "_exit(1)"]
+    assert sys.stderr.getvalue() == "cannot write stdout: it is closed\n"
+
+
 def test_missing_subcommand_exits_1():
     assert main([]) == 1

@@ -31,9 +31,14 @@ and density-cross faults, once
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pptriples
 from pptriples import checks, density, hyp_gap, leg_gap, pell
 from pptriples.cli import main
 from pptriples.zsqrt2 import DELTA, ONE
@@ -99,6 +104,39 @@ def test_golden_bytes(argv, code, digest, tmp_path):
         assert data == b""
         data = out_path.read_bytes()
     assert (got, hashlib.sha256(data).hexdigest()) == (code, digest)
+
+
+def run_child(python, argv, out_path, unbuffered):
+    """Run `argv` as a `python -m pptriples` child, its stdout a pipe and
+    buffered unless `unbuffered`.  Returns its exit code, the sha256 of its
+    stdout (or of the --out file, when stdout is empty) and its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pptriples.__file__).resolve().parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv_list = [arg.replace("{out}", str(out_path)) for arg in argv.split()]
+    proc = subprocess.run([python, "-m", "pptriples", *argv_list], capture_output=True, env=env, timeout=60)
+    data = out_path.read_bytes() if "{out}" in argv and proc.stdout == b"" else proc.stdout
+    return proc.returncode, hashlib.sha256(data).hexdigest(), proc.stderr.decode()
+
+
+# one request per command, a gen-g of three 64-index blocks and an --out file
+BUFFERED = [
+    "gen-g --g 8 --count 129",
+    "gen-f --f 7 --m -3..3",
+    "check 6 8 10",
+    "density --family GO --grid 10,100,1000",
+    "density --family GEO --grid 10,100 --out {out}",
+    "verify pell --m-max 20",
+]
+
+
+@pytest.mark.parametrize("argv", BUFFERED)
+def test_golden_bytes_with_buffered_stdout(argv, tmp_path):
+    """A child whose stdout is block-buffered still writes every byte: the
+    buffer is flushed before the process ends without interpreter teardown."""
+    code, digest = next((c, d) for a, c, d in GOLDEN if a == argv)
+    assert run_child(sys.executable, argv, tmp_path / "out", unbuffered=False) == (code, digest, "")
 
 
 # argv -> (exit code, the one stderr line); stdout stays empty
@@ -215,29 +253,21 @@ def test_counterexample_reports(fault, run, want, monkeypatch):
 
 if __name__ == "__main__":
     # python tests/test_golden.py PYTHON...: run every GOLDEN and REFUSALS command
-    # line as a `PYTHON -m pptriples` child of each interpreter named
-    import os
-    import subprocess
-    import sys
+    # line as a `PYTHON -m pptriples` child of each interpreter named, once with
+    # stdout buffered and once unbuffered
+    import itertools
     import tempfile
-    from pathlib import Path
 
-    import pptriples
-
-    env = {**os.environ, "PYTHONPATH": str(Path(pptriples.__file__).resolve().parent.parent)}
     cases = [(argv, code, digest, None) for argv, code, digest in GOLDEN]
     cases += [(argv, code, hashlib.sha256(b"").hexdigest(), line + "\n") for argv, code, line in REFUSALS]
     for python in sys.argv[1:]:
         matched = 0
-        for argv, code, digest, err in cases:
+        for (argv, code, digest, err), unbuffered in itertools.product(cases, (False, True)):
             with tempfile.TemporaryDirectory() as tmp:
-                out_path = Path(tmp) / "out"
-                argv_list = [arg.replace("{out}", str(out_path)) for arg in argv.split()]
-                proc = subprocess.run([python, "-m", "pptriples", *argv_list], capture_output=True, env=env)
-                data = out_path.read_bytes() if "{out}" in argv and proc.stdout == b"" else proc.stdout
-                got = (proc.returncode, hashlib.sha256(data).hexdigest())
-                if got == (code, digest) and err in (None, proc.stderr.decode()):
-                    matched += 1
-                else:
-                    print(f"{python}: {argv}: got {got}, stderr {proc.stderr.decode()!r}")
-        print(f"{python}: {matched} of {len(cases)} matched")
+                got, got_digest, got_err = run_child(python, argv, Path(tmp) / "out", unbuffered)
+            if (got, got_digest) == (code, digest) and err in (None, got_err):
+                matched += 1
+            else:
+                mode = "unbuffered" if unbuffered else "buffered"
+                print(f"{python}: {argv} ({mode}): got {(got, got_digest)}, stderr {got_err!r}")
+        print(f"{python}: {matched} of {2 * len(cases)} matched")
