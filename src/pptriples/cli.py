@@ -10,7 +10,7 @@ command imports only the layers it runs, when it runs (README, "CLI");
 parsing and the refusal types load none, and only JSON output loads `json`.
 The exit codes are the `EXIT_*` constants, and 130 for an interrupt
 (Ctrl-C), which ends the run quietly; a stdout that cannot be written exits
-1 with one stderr line.
+1 with one stderr line, and a stderr that cannot be written loses its lines.
 """
 
 from __future__ import annotations
@@ -113,10 +113,6 @@ def _csv_cell(value: object) -> str:
     return str(value)
 
 
-def _line(template: str, cell, row: tuple) -> str:
-    return template % tuple(map(cell, row))
-
-
 # tags whose values are always exact ints, whose str() is also the JSON text
 # and the CSV cell: their rows fill the template as they are
 _EXACT = ("g_family_item", "f_triple")
@@ -136,23 +132,23 @@ def write_records(
 
     JSON Lines output starts with the `meta` records, given as (tag, values)
     pairs; CSV output starts with `comments` as `#` lines, then the header.
-    Each line fills its tag's template: an `_EXACT` tag's values as they are,
-    any other tag's, and every metadata record's, each rendered first (JSON
-    text, or the CSV cell: "" for None, true/false for a bool, else `str`).
+    Each batch fills its rows' templates with one `%`: an `_EXACT` tag's
+    values as they are, any other tag's and the metadata's rendered first
+    (JSON text, or the CSV cell: "" for None, true/false for a bool, else `str`).
     """
     if fmt == "json":
         import json  # only JSON output needs the encoder
 
         cell, template = json.JSONEncoder(separators=(", ", ": ")).encode, _LINES[tag][0]
-        head = "".join([_line(_LINES[t][0], cell, values) for t, values in meta])
+        meta = list(meta)  # read twice: the templates, then the values
+        cells = map(cell, chain.from_iterable([values for _, values in meta]))
+        head = "".join([_LINES[t][0] for t, _ in meta]) % tuple(cells)
     else:
         cell, template = _csv_cell, _LINES[tag][1]
         head = "".join([f"# {line}\n" for line in comments] + [",".join(RECORDS[tag]) + "\n"])
     for batch in batches:
-        if tag in _EXACT:  # one fill of the template repeated per row
-            out.write(head + template * len(batch) % tuple(chain.from_iterable(batch)))
-        else:
-            out.write(head + "".join([_line(template, cell, row) for row in batch]))
+        cells = chain.from_iterable(batch)
+        out.write(head + template * len(batch) % tuple(cells if tag in _EXACT else map(cell, cells)))
         head = ""
     if head:  # no rows
         out.write(head)
@@ -386,11 +382,20 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         return globals()[COMMANDS[args.command][0]](args)
     except (ValueError, MemoryError) as exc:
-        print(exc if isinstance(exc, ValueError) else "out of memory", file=sys.stderr)
+        _to_stderr(exc if isinstance(exc, ValueError) else "out of memory")
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)
+
+
+def _to_stderr(line: object) -> None:
+    """Print a line to stderr, or drop it: the run keeps its exit code."""
+    try:
+        if sys.stderr is not None:  # fd 2 closed (`2>&-`): print() would use stdout
+            print(line, file=sys.stderr)
+    except OSError:  # fd 2 not writable (`2</dev/null`)
+        pass
 
 
 def _flush(stream: TextIO | None) -> None:
@@ -411,7 +416,7 @@ def entrypoint() -> NoReturn:
     every object) and `atexit` callbacks are skipped.  An unexpected
     exception still propagates with its traceback."""
     if sys.stdout is None:  # fd 1 closed (`>&-`): Python then sets no stdout
-        print("cannot write stdout: it is closed", file=sys.stderr)
+        _to_stderr("cannot write stdout: it is closed")
         code = EXIT_USAGE
     else:
         # stdout is UTF-8 with LF line endings whatever the locale, as --out is
@@ -422,11 +427,10 @@ def entrypoint() -> NoReturn:
         except KeyboardInterrupt:  # Ctrl-C: 128 + SIGINT, as a shell reports it
             code = 130
             _flush(sys.stdout)  # what was written before the interrupt goes out
-        except OSError as exc:  # what is left in stdout's buffer is dropped
-            if isinstance(exc, BrokenPipeError):  # the reader stopped early (`| head`)
-                code = EXIT_OK
-            else:  # stdout cannot be written (`> /dev/full`); main refuses --out errors itself
-                print(f"cannot write stdout: {exc}", file=sys.stderr)
-                code = EXIT_USAGE
+        except BrokenPipeError:  # the reader stopped early (`| head`)
+            code = EXIT_OK
+        except OSError as exc:  # stdout's (`> /dev/full`): stderr and --out errors stay in main
+            _to_stderr(f"cannot write stdout: {exc}")
+            code = EXIT_USAGE
     _flush(sys.stderr)
     os._exit(code)

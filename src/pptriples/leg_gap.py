@@ -58,14 +58,12 @@ class FSpec(NamedTuple):
 
 
 class FTriple(NamedTuple):
-    """A generated triple with its branch provenance and Pell components
-    X = 2a + f, Y = c."""
+    """A generated triple and its branch GAMMA * DELTA**m * u**2, u the
+    cf_choice's element; its Pell components are X = a + b and Y = c."""
 
     triple: Triple
     m: int
     cf_choice: CfElement
-    X: int
-    Y: int
 
 
 def admissible_f(f: int) -> FSpec:
@@ -195,7 +193,7 @@ def _records(
         if not (X > f and X * X + ff == 2 * (Y * Y)):
             Triple(a, b, Y)  # the constructor raises the failed check's ValueError
             raise ValueError(f"X = {X} and f = {f} differ in parity: no integer legs")
-        yield new(FTriple, (new(Triple, (a, b, Y)), m, elements[index], X, Y))
+        yield new(FTriple, (new(Triple, (a, b, Y)), m, elements[index]))
 
 
 def generate_f_triples(spec: FSpec, m_lo: int, m_hi: int) -> list[FTriple]:

@@ -2,9 +2,9 @@
 
 A primitive Pythagorean triple (PPT) is (a, b, c) with a**2 + b**2 = c**2 and
 no common divisor.  Every PPT arises as (r*r - s*s, 2*r*s, r*r + s*s) from a
-coprime, opposite-parity pair 0 < s < r, and `iter_ppt_rows` built on that
-fact (with `iter_ppts`, its rows as `Triple`s) serves as the verification
-oracle for the rest of the package.
+coprime, opposite-parity pair 0 < s < r.  `iter_ppt_rows` enumerates them so
+(`iter_ppts`, `enumerate_ppts`: as `Triple`s); a `verify` suite reads it only
+to place and word a counterexample, as a passing one scans the pairs itself.
 """
 
 from __future__ import annotations
@@ -51,11 +51,10 @@ class ParamPair(namedtuple("ParamPair", "r s")):
 
 
 class TripleClass(NamedTuple):
-    """Derived facts about a triple: primitivity, even leg, and its two gaps."""
+    """Derived facts about a triple: primitivity, even leg and leg gap."""
 
     primitive: bool
     even_leg: str  # "a", "b" or "both"
-    g: int  # hypotenuse minus the larger leg
     f: int  # absolute difference of the legs
 
 
@@ -92,7 +91,6 @@ def classify_triple(t: Triple) -> TripleClass:
         primitive=is_primitive(t),
         # two odd legs would make c*c = 2 mod 4, which no square is
         even_leg="b" if t.a % 2 else "a" if t.b % 2 else "both",
-        g=t.c - max(t.a, t.b),
         f=abs(t.b - t.a),
     )
 

@@ -26,15 +26,14 @@ if TYPE_CHECKING:
 
 def verify_f_triple(ft: FTriple, spec: FSpec) -> bool:
     """Independent recheck: Pythagorean, leg gap f, primitive, and the Pell
-    identity on (X, Y).  False is the diagnostic, never an exception."""
-    t, f = ft.triple, spec.f
+    identity X*X - 2*Y*Y = -f*f on (X, Y) = (a + b, c).  False is the
+    diagnostic, never an exception."""
+    (a, b, c), f = ft.triple, spec.f
     return (
-        t.a * t.a + t.b * t.b == t.c * t.c
-        and t.b - t.a == f
-        and math.gcd(t.a, t.b) == 1
-        and ft.X == 2 * t.a + f
-        and ft.Y == t.c
-        and ft.X * ft.X - 2 * ft.Y * ft.Y == -f * f
+        a * a + b * b == c * c
+        and b - a == f
+        and math.gcd(a, b) == 1
+        and (a + b) ** 2 - 2 * c * c == -f * f
     )
 
 

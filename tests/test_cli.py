@@ -496,9 +496,7 @@ class TestGenF:
         for r in rows:
             assert r["sign"] == 1
             u = QuadInt(r["u_x"], r["u_y"])
-            ft = FTriple(
-                Triple(r["a"], r["b"], r["c"]), r["m"], CfElement(u, (0,)), 2 * r["a"] + f, r["c"]
-            )
+            ft = FTriple(Triple(r["a"], r["b"], r["c"]), r["m"], CfElement(u, (0,)))
             assert oracles.verify_f_triple(ft, spec)
 
     def test_json_schema(self, capsys):
@@ -558,6 +556,24 @@ class TestCheck:
         assert code == 0
         (record,) = validate_jsonl(out)
         assert record["g_kind"] == "odd-square" and record["g_n"] == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**30 - 1), st.integers(0, 10**30 // 2))
+    def test_record_names_the_gen_g_row_of_its_triple(self, s, half):
+        """The record's pair arithmetic and `hyp_gap._rows` agree: the gen-g
+        member at the record's (g, g_n) is its (r, s, a, b, c), in both leg
+        orders, an even b (an odd-square gap) and an odd b (twice a square)."""
+        r = s + 2 * half + 1  # opposite parity to s
+        assume(r <= 10**30 and math.gcd(r, s) == 1)
+        odd, even, c = r * r - s * s, 2 * r * s, r * r + s * s
+        for a, b in ((odd, even), (even, odd)):
+            record, code = cli._check_record(a, b, c)
+            assert code == 0 and record["g"] == c - b
+            gc = hyp_gap.classify_g(record["g"])
+            assert (gc.kind.value, gc.m) == (record["g_kind"], record["g_m"])
+            item = hyp_gap.family_member(gc, record["g_n"])
+            assert item is not None
+            assert (item.r, item.s, item.a, item.b, item.c) == tuple(record[k] for k in "rsabc")
 
 
 class TestDensity:
@@ -1173,23 +1189,69 @@ def test_interrupt_ends_the_run_quietly_with_130():
     assert b"Traceback" not in err
 
 
-@pytest.mark.parametrize("argv,digest,code", [
+_WITHOUT_STDERR = pytest.mark.parametrize("argv,digest,code", [
     ("gen-g --g 9 --count 5", "efb10c96fa52435570f9ff87afc74a5790fd262a2501804958734e0daf89a1f2", 0),
     ("gen-g --g 3", None, 2),
 ])
-def test_closed_stderr_ends_the_run_with_its_code(argv, digest, code):
-    """With fd 2 closed (`2>&-`) Python sets no stderr, and the exit still
-    flushes stdout and ends the process with the command's code."""
+
+
+def _run_without_stderr(argv, digest, code, preexec_fn):
+    """Run argv in a child whose fd 2 `preexec_fn` has taken away: stdout
+    must be flushed, the refusal line dropped, never written to stdout, and
+    the process must end with the command's code."""
     proc = subprocess.run(
         [sys.executable, "-m", "pptriples", *argv.split()],
         stdout=subprocess.PIPE,
         env=child_env(),
         timeout=30,
-        preexec_fn=lambda: os.close(2),
+        preexec_fn=preexec_fn,
     )
     assert proc.returncode == code
-    if digest is not None:  # test_golden.py's
+    if digest is None:
+        assert proc.stdout == b""
+    else:  # test_golden.py's
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@_WITHOUT_STDERR
+def test_closed_stderr_ends_the_run_with_its_code(argv, digest, code):
+    """With fd 2 closed (`2>&-`) Python sets no stderr, where print() would
+    write to stdout."""
+    _run_without_stderr(argv, digest, code, lambda: os.close(2))
+
+
+def _read_only_stderr():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(fd, 2)
+    os.close(fd)
+
+
+@_WITHOUT_STDERR
+def test_read_only_stderr_ends_the_run_with_its_code(argv, digest, code):
+    """With fd 2 open but not writable (`2</dev/null`) Python sets a stderr
+    whose writes raise EBADF, which is not stdout's failure."""
+    _run_without_stderr(argv, digest, code, _read_only_stderr)
+
+
+def test_stderr_is_written_only_through_its_helper():
+    """Every stderr line in the CLI goes through `cli._to_stderr`, which
+    drops the line when stderr is missing or unwritable: a direct print or
+    write would put a refusal on stdout under `2>&-`, and raise out of
+    `main` under `2</dev/null`."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+
+    def writes(node):
+        return [
+            ast.unparse(call) for call in ast.walk(node) if isinstance(call, ast.Call) and (
+                isinstance(call.func, ast.Attribute) and call.func.attr in ("write", "writelines")
+                and ast.unparse(call.func.value) in ("sys.stderr", "sys.__stderr__")
+                or any(kw.arg == "file" and ast.unparse(kw.value) in ("sys.stderr", "sys.__stderr__")
+                       for kw in call.keywords))
+        ]
+
+    (helper,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_to_stderr"]
+    assert writes(helper) == ["print(line, file=sys.stderr)"]
+    assert writes(tree) == writes(helper)
 
 
 class Exited(Exception):
@@ -1255,8 +1317,10 @@ def test_entrypoint_flushes_stdout_then_stderr_then_exits(argv, error, code, err
         assert exit_log == ["stdout.flush", "stderr.flush", f"_exit({code})"]
         got = sys.stderr.getvalue()
         assert (got.split("\n", 1)[1] if got.startswith("usage: ") else got) == err
-    else:  # `2>&-`: Python sets no stderr, and print() then writes a refusal's line to stdout
+    else:  # `2>&-`: Python sets no stderr
         assert exit_log == ["stdout.flush", f"_exit({code})"]
+    if err and error is None:  # a refusal or usage line, never written to stdout
+        assert out.getvalue() == ""
     if argv == "interrupted":
         assert out.getvalue() == "partial\n"
 

@@ -55,8 +55,8 @@ def generated(t, f):
 
 
 class TestPellRecast:
-    """(X, Y) = (2a + f, c) turns a triple with legs f apart into a solution
-    of X*X - 2*Y*Y = -f*f; each generated record carries that pair."""
+    """(X, Y) = (a + b, c) turns a triple with legs f apart into a solution
+    of X*X - 2*Y*Y = -f*f; each generated record's triple gives that pair."""
 
     @pytest.mark.parametrize(
         "t,f,expected",
@@ -68,8 +68,9 @@ class TestPellRecast:
     )
     def test_examples(self, t, f, expected):
         ft = generated(t, f)
-        assert (ft.X, ft.Y) == expected
-        assert ft.X * ft.X - 2 * ft.Y * ft.Y == -f * f
+        a, b, c = ft.triple
+        assert (a + b, c) == expected
+        assert (a + b) ** 2 - 2 * c * c == -f * f
         assert verify_f_triple(ft, admissible_f(f))
 
     def test_rejects_wrong_gap(self):
@@ -153,7 +154,8 @@ class TestGenerate:
             assert fts
             for ft in fts:
                 assert verify_f_triple(ft, spec)
-                assert ft.X * ft.X - 2 * ft.Y * ft.Y == -f * f
+                a, b, c = ft.triple
+                assert (a + b) ** 2 - 2 * c * c == -f * f
 
     def test_no_duplicates(self):
         fts = generate_f_triples(admissible_f(119), -8, 8)
@@ -242,7 +244,7 @@ class TestLegGapRows:
         [
             (lambda ft: ft, "(20, 21, 29) is extra in the sweep"),
             (
-                lambda ft: ft._replace(triple=Triple(12, 35, 37), X=47, Y=37),
+                lambda ft: ft._replace(triple=Triple(12, 35, 37)),
                 "(12, 35, 37) is extra in the sweep",
             ),
         ],
@@ -321,7 +323,7 @@ def _reference_f_triples(spec, m_lo, m_hi):
                 key = ((X - f) // 2, (X + f) // 2, Y)
                 if key not in seen:
                     seen.add(key)
-                    out.append(FTriple(Triple(*key), m, elem, X, Y))
+                    out.append(FTriple(Triple(*key), m, elem))
     return out
 
 
@@ -429,7 +431,7 @@ class TestRecordCheck:
             a, b, c = ft.triple
             assert type(ft) is FTriple and type(ft.triple) is Triple
             assert Triple(a, b, c) == ft.triple
-            assert (ft.X, ft.Y) == (a + b, c) and b - a == spec.f
+            assert b - a == spec.f
 
     def test_a_non_unit_step_raises_before_its_record(self, monkeypatch):
         # 3 + sqrt(2) has norm 7: a step up a run from its valley leaves
@@ -515,7 +517,8 @@ def test_verify_rejects_hand_built_composite():
     # a scaled triple shares the gap but fails the primitivity recheck
     spec = admissible_f(7)
     t = Triple(21, 28, 35)
-    ft = FTriple(t, 0, cf_elements(spec)[0], 2 * 21 + 7, 35)
+    assert FTriple._fields == ("triple", "m", "cf_choice")
+    ft = FTriple(t, 0, cf_elements(spec)[0])
     assert not verify_f_triple(ft, spec)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pptriples import (
     ParamPair,
     Triple,
+    TripleClass,
     classify_triple,
     enumerate_ppts,
     from_params,
@@ -239,6 +240,7 @@ class TestIterPpts:
 def test_classify_triple():
     cls = classify_triple(Triple(15, 8, 17))
     assert cls.primitive and cls.even_leg == "b"
-    assert cls.g == 17 - 15 and cls.f == 7
+    assert cls.f == 7
+    assert TripleClass._fields == ("primitive", "even_leg", "f")
     cls = classify_triple(Triple(6, 8, 10))
     assert not cls.primitive and cls.even_leg == "both"
