@@ -8,8 +8,9 @@ identity for odd moduli and the even-index sum E(B) = sum(phi(k), k <= B,
 k even), so each class occupies a limiting third of its pool.
 
 S and E come from `TotientSums`: a memoized Dirichlet-hyperbola recursion
-over a linear-sieve table of about B^(2/3) entries, so a count at B costs
-about B^(2/3) time and table memory instead of B.  `density_report`
+over a linear-sieve table of the prefix sums S(0..L), L about B^(2/3), so a
+count at B costs about B^(2/3) time and table memory instead of B.  Each
+row's ratio is an exact integer pair in lowest terms.  `density_report`
 builds that table when it is called and counts each grid row when it is
 read, so its first row waits for the table, not for the recursion of the
 largest bounds.  The full-sieve sums and the identities that cross-check
@@ -22,8 +23,7 @@ from __future__ import annotations
 import enum
 import os
 from array import array
-from fractions import Fraction
-from itertools import accumulate
+from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
 from ._primes import SieveBudgetError
@@ -56,30 +56,37 @@ def _check_budget(bound: int) -> None:
 
 
 def build_sieve(bound: int) -> array:
-    """The table of phi(1..bound), 0 at index 0, from one linear sieve.
+    """The totient prefix sums S(0..bound), S(i) = sum(phi(k), k <= i), from
+    one linear sieve.
 
-    The budget bounds its memory: the 8-byte table plus the list of primes
-    below bound, 11.1 to 12.7 traced bytes per entry at peak (10**6 to 15,874).
+    Entry i holds phi(i) until i is visited: phi(i) is final then and only
+    the multiples i * p read it, so the visit overwrites it with S(i).  The
+    budget bounds the memory: the 8-byte table plus the list of primes below
+    bound, 11.1 to 12.7 traced bytes per entry at peak (10**6 to 15,874).
+    `TotientSums` reads the table in place, so that is its peak too.
     """
     if bound < 1:
         raise ValueError(f"sieve bound must be positive, got {bound}")
     _check_budget(bound)
-    phi = array("q", [0]) * (bound + 1)
-    phi[1] = 1
+    table = array("q", [0]) * (bound + 1)
+    table[1] = total = 1
     primes: list[int] = []
     for i in range(2, bound + 1):
-        if phi[i] == 0:
+        phi = table[i]
+        if phi == 0:
             primes.append(i)
-            phi[i] = i - 1
+            phi = i - 1
         for p in primes:
             ip = i * p
             if ip > bound:
                 break
             if i % p == 0:
-                phi[ip] = phi[i] * p
+                table[ip] = phi * p
                 break
-            phi[ip] = phi[i] * (p - 1)
-    return phi
+            table[ip] = phi * (p - 1)
+        total += phi
+        table[i] = total
+    return table
 
 
 def table_bound(top: int) -> int:
@@ -100,7 +107,7 @@ class TotientSums:
     """Exact totient sums S(x) = sum(phi(k), 1 <= k <= x) and the even-index
     sums E(x) = sum(phi(k), k <= x, k even), for any x >= 0.
 
-    x up to the table bound reads a prefix sum of the phi table.  A larger
+    x up to the table bound reads the `build_sieve` table in place.  A larger
     x runs S(x) = x(x+1)/2 - sum(S(x // d), 2 <= d <= x), which is the
     divisor-sum identity sum(phi(d), d | n) = n summed over n <= x, with
     the d of equal x // d taken as one block; every S(x) above the table is
@@ -110,9 +117,9 @@ class TotientSums:
     up to top cost about top^(2/3) steps.
     """
 
-    def __init__(self, phi: array):
-        self.bound = len(phi) - 1
-        self._prefix = array("q", accumulate(phi))
+    def __init__(self, prefix: array):
+        self.bound = len(prefix) - 1
+        self._prefix = prefix
         self._memo: dict[int, int] = {}
 
     @classmethod
@@ -194,28 +201,32 @@ def count_G1(B: int) -> int:
 
 
 class DensityRow(NamedTuple):
-    """One row of a density sweep; the ratio is kept as an exact rational."""
+    """One row of a density sweep.  `ratio` (family_count / pool_count) and
+    `predicted` are exact (numerator, denominator) pairs in lowest terms;
+    `Fraction(*row.ratio)` gives the rational."""
 
     B: int
     family_count: int
     pool_count: int
-    ratio: Fraction
-    predicted: Fraction
+    ratio: tuple[int, int]
+    predicted: tuple[int, int]
 
 
-def render_ratio(value: Fraction) -> str:
-    """Fixed-point decimal rendering of a nonnegative rational, half up, to six places."""
+def render_ratio(ratio: tuple[int, int]) -> str:
+    """Fixed-point decimal rendering of a nonnegative ratio (numerator,
+    denominator > 0), half up, to six places."""
+    num, den = ratio
     scale = 10**6
-    q = (2 * value.numerator * scale + value.denominator) // (2 * value.denominator)
+    q = (2 * num * scale + den) // (2 * den)
     return f"{q // scale}.{q % scale:06d}"
 
 
 # family -> (family count at bound B, limiting share of the pool)
 _FAMILIES = {
-    Family.GO: (count_GO, Fraction(1, 3)),
-    Family.GEE: (count_GEE, Fraction(1, 3)),
-    Family.GEO: (count_GEO, Fraction(1, 3)),
-    Family.G1: (lambda B, sums: count_G1(B), Fraction(0)),
+    Family.GO: (count_GO, (1, 3)),
+    Family.GEE: (count_GEE, (1, 3)),
+    Family.GEO: (count_GEO, (1, 3)),
+    Family.G1: (lambda B, sums: count_G1(B), (0, 1)),
 }
 
 
@@ -245,6 +256,7 @@ def density_report(family: Family, grid: Sequence[int]) -> Iterator[DensityRow]:
     def rows() -> Iterator[DensityRow]:
         for B in grid:
             fc, pc = count(B, sums), count_pool(B, sums)
-            yield DensityRow(B, fc, pc, Fraction(fc, pc), predicted)
+            d = gcd(fc, pc)
+            yield DensityRow(B, fc, pc, (fc // d, pc // d), predicted)
 
     return rows()

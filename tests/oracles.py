@@ -2,9 +2,10 @@
 route what the library computes once, and that no `verify` suite runs.
 
 Divisor sums, totients and Moebius inversion computed from factorizations,
-totient sums sliced from a full sieve, the recheck of a leg-gap triple, the
-leg across a hypotenuse gap, associates in Z[sqrt(2)], and the A/B delta
-recurrences read one coefficient pair at a time.  The recurrence itself is
+the phi table taken back out of the library's prefix sums, totient sums
+sliced from it, the recheck of a leg-gap triple, the leg across a
+hypotenuse gap, associates in Z[sqrt(2)], and the A/B delta recurrences
+read one coefficient pair at a time.  The recurrence itself is
 stated once, in `pptriples.checks`, whose `check_pell` runs it.
 """
 
@@ -12,14 +13,14 @@ from __future__ import annotations
 
 import collections
 import math
+import operator
+from array import array
 from typing import TYPE_CHECKING
 
 from pptriples._primes import factorize
 from pptriples.checks import RecurrencePair, _apply_pair, _recurrence_pairs, odd_part
 
 if TYPE_CHECKING:
-    from array import array
-
     from pptriples.leg_gap import FSpec, FTriple
     from pptriples.zsqrt2 import QuadInt
 
@@ -95,6 +96,12 @@ def moebius(n: int) -> int:
     if any(e > 1 for _, e in factors):
         return 0
     return -1 if len(factors) % 2 else 1
+
+
+def phi_table(prefix: array) -> array:
+    """phi(0..n), as S(i) - S(i - 1), from the prefix sums S(0..n) that
+    `build_sieve` returns: the table the oracles below slice and read."""
+    return array("q", [0]) + array("q", map(operator.sub, prefix[1:], prefix))
 
 
 def _check_bound(n: int, sieve: array) -> None:

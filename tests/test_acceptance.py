@@ -159,7 +159,7 @@ def test_criterion_08_density_formulas_vs_enumeration():
         c["detail"] = "4 formulas x 2000 bounds"
 
 
-def test_criterion_09_asymptotics(sieve_1e6):
+def test_criterion_09_asymptotics(sieve_1e6, prefix_1e6):
     with criterion("criterion 9: asymptotic convergence at B = 1e6") as c:
         pi2 = math.pi**2
         B = 10**6
@@ -167,7 +167,7 @@ def test_criterion_09_asymptotics(sieve_1e6):
         assert 0.999 <= ratio_phi <= 1.001
         ratio_phi2 = sum_phi2(B, sieve_1e6) * pi2 / (2 * B * B)
         assert 0.998 <= ratio_phi2 <= 1.002
-        sums = TotientSums(sieve_1e6)
+        sums = TotientSums(prefix_1e6)
         pool = count_pool(B, sums)
         assert abs(count_GO(B, sums) / pool - 1 / 3) < 0.01
         assert abs(count_GEE(B, sums) / pool - 1 / 3) < 0.01

@@ -185,10 +185,13 @@ FOOTPRINTS = {
 
 
 def test_each_command_loads_only_its_layers():
-    """No command loads `dataclasses` (and the `inspect` and `ast` behind it)
-    or `argparse` either, and no CSV or `verify` command loads `json`,
-    unless the interpreter's own start-up (`site`) already has."""
-    stdlib = "'dataclasses' in sys.modules, 'json' in sys.modules, 'argparse' in sys.modules"
+    """No command loads `dataclasses` (and the `inspect` and `ast` behind it),
+    `argparse` or `fractions` and `decimal` either, and no CSV or `verify`
+    command loads `json`, unless the interpreter's own start-up (`site`)
+    already has."""
+    stdlib = ", ".join(
+        f"{name!r} in sys.modules" for name in ("dataclasses", "json", "argparse", "fractions", "decimal")
+    )
     bare = subprocess.run(
         [sys.executable, "-c", f"import sys; print({stdlib})"],
         capture_output=True, text=True, env=child_env(), check=True,

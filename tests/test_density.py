@@ -2,7 +2,7 @@ import math
 import random
 from array import array
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import countOf
 
 import pytest
@@ -33,19 +33,26 @@ from oracles import (
     moebius_inversion_check,
     phi2,
     phi2_divisor_sum,
+    phi_table,
     sum_phi,
     sum_phi2,
+    totient,
 )
 
 
 @pytest.fixture(scope="module")
-def sieve():
+def prefix():
     return build_sieve(6000)
 
 
 @pytest.fixture(scope="module")
-def sums(sieve):
-    return TotientSums(sieve)
+def sieve(prefix):
+    return phi_table(prefix)
+
+
+@pytest.fixture(scope="module")
+def sums(prefix):
+    return TotientSums(prefix)
 
 
 class TestSieve:
@@ -66,6 +73,15 @@ class TestSieve:
         for a, b in ((3, 8), (5, 9), (7, 16), (11, 45)):
             assert math.gcd(a, b) == 1
             assert sieve[a * b] == sieve[a] * sieve[b]
+
+    def test_table_is_the_running_sum_of_the_oracle_totient(self):
+        """The one-pass table equals `accumulate` over the factorization
+        totient at every bound to 2000, and at 10**5."""
+        want = list(accumulate(map(totient, range(1, 2001)), initial=0))
+        for bound in range(1, 2001):
+            assert build_sieve(bound).tolist() == want[: bound + 1], bound
+        want = accumulate(map(totient, range(1, 10**5 + 1)), initial=0)
+        assert build_sieve(10**5).tolist() == list(want)
 
     def test_build_sieve_returns_the_table(self):
         for n in (1, 2, 10, 97):
@@ -309,13 +325,13 @@ class TestReport:
     def test_go_row(self):
         (row,) = density_report(Family.GO, [10])
         assert (row.B, row.family_count, row.pool_count) == (10, 9, 31)
-        assert row.ratio == Fraction(9, 31)
+        assert row.ratio == (9, 31)
         assert render_ratio(row.ratio) == "0.290323"
         assert render_ratio(row.predicted) == "0.333333"
 
     def test_g1_row(self):
         (row,) = density_report(Family.G1, [10])
-        assert row.family_count == 9 and row.predicted == 0
+        assert row.family_count == 9 and row.predicted == (0, 1)
 
     def test_geo_row(self):
         (row,) = density_report(Family.GEO, [10])
@@ -344,7 +360,7 @@ class TestReport:
 
     def test_trend_downward(self):
         rows = density_report(Family.G1, [10, 100, 1000])
-        ratios = [row.ratio for row in rows]
+        ratios = [Fraction(*row.ratio) for row in rows]
         assert ratios == sorted(ratios, reverse=True)
 
 
@@ -352,16 +368,16 @@ def eager_report(family, grid):
     """The rows as `density_report` counted them all before returning."""
     sums = TotientSums.up_to(max(grid))
     count, predicted = {
-        Family.GO: (count_GO, Fraction(1, 3)),
-        Family.GEE: (count_GEE, Fraction(1, 3)),
-        Family.GEO: (count_GEO, Fraction(1, 3)),
-        Family.G1: (lambda B, sums: count_G1(B), Fraction(0)),
+        Family.GO: (count_GO, (1, 3)),
+        Family.GEE: (count_GEE, (1, 3)),
+        Family.GEO: (count_GEO, (1, 3)),
+        Family.G1: (lambda B, sums: count_G1(B), (0, 1)),
     }[family]
     rows = []
     for B in grid:
         fc = count(B, sums)
         pc = count_pool(B, sums)
-        rows.append(DensityRow(B, fc, pc, Fraction(fc, pc), predicted))
+        rows.append(DensityRow(B, fc, pc, Fraction(fc, pc).as_integer_ratio(), predicted))
     return rows
 
 
@@ -378,11 +394,39 @@ def test_streamed_rows_are_the_eager_rows(grid):
 
 
 def test_render_ratio_rounding():
-    assert render_ratio(Fraction(1, 3)) == "0.333333"
-    assert render_ratio(Fraction(0)) == "0.000000"
-    assert render_ratio(Fraction(1, 2)) == "0.500000"
-    assert render_ratio(Fraction(2, 3)) == "0.666667"
-    assert render_ratio(Fraction(1)) == "1.000000"
+    assert render_ratio((1, 3)) == "0.333333"
+    assert render_ratio((0, 1)) == "0.000000"
+    assert render_ratio((1, 2)) == "0.500000"
+    assert render_ratio((2, 3)) == "0.666667"
+    assert render_ratio((1, 1)) == "1.000000"
+    assert render_ratio((1, 2 * 10**6)) == "0.000001"  # a tie rounds up
+
+
+def render_fraction(value):
+    """The six-place, half-up rendering of a `Fraction`, as `render_ratio`
+    read one before density rows held integer pairs."""
+    scale = 10**6
+    q = (2 * value.numerator * scale + value.denominator) // (2 * value.denominator)
+    return f"{q // scale}.{q % scale:06d}"
+
+
+# (2q + 1) / (2 * 10**6) is a tie at the sixth place; a t > 1 takes it off lowest terms
+TIES = st.builds(
+    lambda q, t: ((2 * q + 1) * t, 2 * 10**6 * t), st.integers(0, 10**12), st.integers(1, 10**6)
+)
+
+
+@given(st.one_of(st.tuples(st.integers(0, 10**30), st.integers(1, 10**30)), TIES))
+def test_render_ratio_of_a_pair_is_the_fraction_rendering(pair):
+    assert render_ratio(pair) == render_fraction(Fraction(*pair))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(Family), st.sets(st.integers(2, 10**6), min_size=1, max_size=4).map(sorted))
+def test_row_ratios_are_the_counts_in_lowest_terms(family, grid):
+    for row in density_report(family, grid):
+        assert math.gcd(*row.ratio) == 1
+        assert Fraction(*row.ratio) == Fraction(row.family_count, row.pool_count)
 
 
 def test_geometric_consistency_with_generators(sums):

@@ -26,7 +26,10 @@ and 2**64) were pinned while generation still built one member per index;
 they span the edges of the 64-index blocks it now builds.  The f-coverage
 and density-cross faults, once
 `checks` bound no layer's names at import, moved onto `leg_gap` and
-`density` with their reports unchanged."""
+`density` with their reports unchanged.  The density grids topping out at
+2, 3, 8, 27, 28, 1000 and 1001, whose totient tables end on either side of a
+cube, and the GEO grid to 10**8 were pinned while the table held phi itself
+and each row held its ratio as a `Fraction`."""
 
 import contextlib
 import hashlib
@@ -85,6 +88,21 @@ GOLDEN = [
     ("density --family G1 --grid 5,50 --format json", 0, "8b7eeb4a42ffdcd37053ad0d75b2ee96c00fd604214475d340e72ebbd820a7b3"),
     ("density --family GEO --grid 10,100 --out {out}", 0, "ca47e9a8c4fe081802f76576c695fc6a30e2fc6d1e28d0a77d920cc86b35d1ec"),
     ("density --family GO --grid 10,1000 --format json --out {out}", 0, "d385407adf46b0e7c489fe6fd47d07370c48bf994f414f6b8db266fb751b7ec6"),
+    ("density --family GO --grid 2", 0, "03382a55955b30312b97ce5a546cb86eff588a10a53cb6ba56c915eafe01b0d4"),
+    ("density --family GEE --grid 2 --format json", 0, "1d4f72be8950ccba3d3be435e16909434f0b58e3b09f727d5d3456559ea18794"),
+    ("density --family GEO --grid 2,3", 0, "afefab7cfe3e6ed6bef60e5614c2e5dc901957207ec00a2484b8580a75d413ee"),
+    ("density --family G1 --grid 2,3 --format json", 0, "6bac454aa0316cca2452945ea3785e1243afa55c985bcf9b3537b1282d9bf767"),
+    ("density --family GO --grid 3,8", 0, "bfefcbd957a21fa976e66d73555e7be0020e8bfa1b938c5b290e431ad932c3cb"),
+    ("density --family GEE --grid 3,8 --format json", 0, "4a4c75c2b9eaf55300dd1429fd44d43b26ad840402efb133ac033554018e2eea"),
+    ("density --family GEO --grid 8,27", 0, "77cd8839a26215a706c52b235ffce1c578a60cc4e719867b9162320622a6c3e3"),
+    ("density --family G1 --grid 8,27 --format json", 0, "4938c3bad2a23502a19ca4dbb5245f3eca7c6b3e006cd4863d6256f0e38ec12e"),
+    ("density --family GO --grid 10,28", 0, "3cc944a7c7b3b7328f0079fe74a62dad72ed9d9e6ac82b4498c07f4f63805eaf"),
+    ("density --family GEE --grid 10,28 --format json", 0, "0f4e31835f6c4ff14948441a6b204a97d3a4055bb63666ccf5ecc3bd33076562"),
+    ("density --family GEO --grid 27,100,1000", 0, "18ba703e57dd640512cc8282eaab0d81dc147880df10d1930b1dbb3f49bcb615"),
+    ("density --family G1 --grid 27,100,1000 --format json", 0, "a0109b85880e6284ca0607f999ea98c2f4b931f494fcd6843af06e62f10cb69e"),
+    ("density --family GO --grid 28,1001", 0, "6de60657c2a35527f1fe4c06f09f762828af081b08e9fce3df5ca2e7878e9b0d"),
+    ("density --family GEE --grid 28,1001 --format json", 0, "0652bb0b1439ce10dc7210a9e47a4fe14206dbb6df38749d8074792edaaef034"),
+    ("density --family GEO --grid 10,100000000", 0, "f4319d1f33bb62647d0cf396e4806b92e2fc7a48c85be08e31a663a9efee60c3"),
     ("verify pell --m-max 20", 0, "41ed68ed53f0f7675a5feb0f657db3e33d18ecf66347d1c4973ef7330b890499"),
     ("verify density-cross --b-max 60", 0, "357743501d437478c50d60957b4d68d8016f4f7d6599a3502c9eecbf89343eed"),
     ("verify g-coverage --c-max 2000", 0, "4ce93120ea899feb35aee60455b4d03f9f6c62d238d1d27191b9e7d60f842099"),
