@@ -20,10 +20,9 @@ _EXPORTS = {
     "leg_gap": "CfElement FSpec FTriple admissible_f cf_elements generate_f_triples "
     "iter_f_triples",
     "pell": "gamma_delta_power",
-    "triples": "ParamPair Triple TripleClass classify_triple enumerate_ppts from_params "
-    "is_primitive iter_ppt_rows iter_ppts to_params",
-    "zsqrt2": "DELTA GAMMA ONE SQRT2 ZERO QuadInt canonical_associate euclid_div gcd "
-    "ideal_generator splits",
+    "triples": "ParamPair Triple TripleClass classify_triple enumerate_ppts is_primitive "
+    "iter_ppt_rows to_params",
+    "zsqrt2": "DELTA GAMMA ONE SQRT2 ZERO QuadInt canonical_associate gcd ideal_generator splits",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -3,8 +3,8 @@
 A primitive Pythagorean triple (PPT) is (a, b, c) with a**2 + b**2 = c**2 and
 no common divisor.  Every PPT arises as (r*r - s*s, 2*r*s, r*r + s*s) from a
 coprime, opposite-parity pair 0 < s < r.  `iter_ppt_rows` enumerates them so
-(`iter_ppts`, `enumerate_ppts`: as `Triple`s); a `verify` suite reads it only
-to place and word a counterexample, as a passing one scans the pairs itself.
+(`enumerate_ppts`: as a list of `Triple`s); a `verify` suite reads it only to
+place and word a counterexample, as a passing one scans the pairs itself.
 """
 
 from __future__ import annotations
@@ -56,12 +56,6 @@ class TripleClass(NamedTuple):
     primitive: bool
     even_leg: str  # "a", "b" or "both"
     f: int  # absolute difference of the legs
-
-
-def from_params(p: ParamPair) -> Triple:
-    """The triple (r*r - s*s, 2*r*s, r*r + s*s)."""
-    r, s = p.r, p.s
-    return Triple(r * r - s * s, 2 * r * s, r * r + s * s)
 
 
 def is_primitive(t: Triple) -> bool:
@@ -137,12 +131,6 @@ def iter_ppt_rows(c_max: int) -> Iterator[tuple[int, int, int]]:
         lo = hi
 
 
-def iter_ppts(c_max: int) -> Iterator[Triple]:
-    """The rows of `iter_ppt_rows(c_max)` as validated `Triple`s, in its order."""
-    for c, a, b in iter_ppt_rows(c_max):
-        yield Triple(a, b, c)
-
-
 def enumerate_ppts(c_max: int) -> list[Triple]:
-    """The triples of `iter_ppts(c_max)`, as a list."""
-    return list(iter_ppts(c_max))
+    """The rows of `iter_ppt_rows(c_max)` as validated `Triple`s, in its order."""
+    return [Triple(a, b, c) for c, a, b in iter_ppt_rows(c_max)]

@@ -1,12 +1,14 @@
 """Exact arithmetic in Z[sqrt(2)].
 
-Elements are x + y*sqrt(2) with integer x, y.  The norm x**2 - 2*y**2 makes
-the ring Euclidean, so gcds exist and every rational prime p = +/-1 mod 8
-splits into a conjugate pair of prime elements of norm +/-p.
+Elements are x + y*sqrt(2) with integer x, y.  Every ideal is principal,
+and its shortest vector under x**2 + 2*y**2 generates it, so gcds exist and
+every rational prime p = +/-1 mod 8 splits into a conjugate pair of prime
+elements of norm +/-p.
 """
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -81,15 +83,6 @@ class QuadInt(NamedTuple):
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def __divmod__(self, other: QuadInt) -> tuple[QuadInt, QuadInt]:
-        return euclid_div(self, other)
-
-    def __floordiv__(self, other: QuadInt) -> QuadInt:
-        return euclid_div(self, other)[0]
-
-    def __mod__(self, other: QuadInt) -> QuadInt:
-        return euclid_div(self, other)[1]
-
 
 def _ring_operand(v: QuadInt | int) -> QuadInt:
     """A ring operand as an element; a plain tuple or anything else is a TypeError."""
@@ -106,32 +99,6 @@ SQRT2 = QuadInt(0, 1)
 GAMMA = QuadInt(1, 1)  # fundamental unit, norm -1
 DELTA = QuadInt(3, 2)  # GAMMA**2, norm +1
 _DELTA_INV = DELTA.conjugate()
-
-
-def _round_half_toward_zero(num: int, den: int) -> int:
-    """Nearest integer to num/den; exact halves round toward zero."""
-    if den < 0:
-        num, den = -num, -den
-    q, r = divmod(num, den)
-    twice = 2 * r
-    if twice > den or (twice == den and q < 0):
-        q += 1
-    return q
-
-
-def euclid_div(alpha: QuadInt, beta: QuadInt) -> tuple[QuadInt, QuadInt]:
-    """Quotient and remainder with |norm(remainder)| < |norm(beta)|.
-
-    The quotient is alpha * conj(beta) / norm(beta) with both components
-    rounded to a nearest integer; any rounding within 1/2 meets the bound,
-    and the half-toward-zero rule makes the choice deterministic.
-    """
-    if beta.is_zero():
-        raise ZeroDivisionError("division by zero in Z[sqrt(2)]")
-    n = beta.norm
-    p = alpha * beta.conjugate()
-    q = QuadInt(_round_half_toward_zero(p.x, n), _round_half_toward_zero(p.y, n))
-    return q, alpha - beta * q
 
 
 def _canonical_key(v: QuadInt) -> tuple[int, bool, int, bool]:
@@ -176,14 +143,41 @@ def canonical_associate(u: QuadInt) -> QuadInt:
     return min(lows + [-v for v in lows], key=_canonical_key)
 
 
+def _shortest(u: tuple[int, int], v: tuple[int, int]) -> QuadInt:
+    """A shortest vector under x**2 + 2*y**2 of the lattice with basis u, v,
+    by Gauss reduction; on a nonzero ideal it is a generator.
+
+    An ideal of index N has Gram determinant 2*N*N, so the Hermite bound puts
+    its shortest vector w at x**2 + 2*y**2 <= sqrt(8/3)*N < 2N.  As w lies in
+    the ideal, norm(w) is a nonzero multiple of N, and |norm(w)| is at most
+    x**2 + 2*y**2, so norm(w) = +/-N and w generates the ideal.
+    """
+    (a, b), (c, d) = u, v
+    qv = c * c + 2 * d * d
+    while True:
+        m = (2 * (a * c + 2 * b * d) + qv) // (2 * qv)  # nearest to <u, v>/qv
+        a, b = a - m * c, b - m * d
+        if (qu := a * a + 2 * b * b) >= qv:
+            return QuadInt(c, d)
+        a, b, c, d, qv = c, d, a, b, qu
+
+
 def gcd(alpha: QuadInt, beta: QuadInt) -> QuadInt:
-    """A greatest common divisor, in canonical associate form."""
+    """A greatest common divisor, in canonical associate form.
+
+    Euclid on the y coordinates of alpha, beta and their sqrt(2) multiples,
+    which span the ideal (alpha, beta), leaves one vector (x, g) and clears
+    the others' y; their x values span e*Z, so (e, 0), (x, g) is a basis.
+    """
     if alpha.is_zero() and beta.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = alpha, beta
-    while not b.is_zero():
-        a, b = b, a % b
-    return canonical_associate(a)
+    e, x, g = 0, 0, 0
+    for vx, vy in (alpha, alpha * SQRT2, beta, beta * SQRT2):
+        while vy:
+            q = g // vy
+            x, g, vx, vy = vx, vy, x - q * vx, g - q * vy
+        e = math.gcd(e, vx)
+    return canonical_associate(_shortest((e, 0), (x, g)))
 
 
 def splits(p: int) -> bool:
@@ -219,17 +213,17 @@ def ideal_generator(p: int) -> QuadInt:
     """The prime element x + y*sqrt(2) with |norm| = p, x, y > 0 and the
     least y, for a split prime p.
 
-    With a = sqrt(2) mod p, the ideal (p, a + sqrt(2)) is a prime above p,
-    and the Euclidean gcd of its two generators spans it.  Every element of
-    norm +/-p is an associate of that gcd or of its conjugate, so the least
-    |y| is found on the two GAMMA-parity orbits of the gcd; |x| then follows,
-    as p + 2*y*y and 2*y*y - p differ by 2p and cannot both be squares.
-    O(log^2 p) modular multiplications for the square root (Tonelli-Shanks)
-    plus O(log p) ring operations for the gcd and the orbit walk.
+    With a = sqrt(2) mod p, the prime (p, a + sqrt(2)) above p is the lattice
+    of x = a*y mod p, with basis (p, 0), (a, 1).  Every element of norm +/-p
+    is an associate of its generator g or of conj(g), so the least |y| is on
+    the two GAMMA-parity orbits of g; |x| then follows, as p + 2*y*y and
+    2*y*y - p differ by 2p and cannot both be squares.  O(log^2 p) modular
+    multiplications for the square root (Tonelli-Shanks) plus O(log p) steps
+    for the reduction and the orbit walk.
     """
     if not splits(p):
         raise ValueError(f"{p} does not split in Z[sqrt(2)]")
-    g = gcd(QuadInt(p, 0), QuadInt(_sqrt_mod(2, p), 1))
+    g = _shortest((p, 0), (_sqrt_mod(2, p), 1))
     lows = [_orbit_low(v, attrgetter("y"))[1] for v in (g, g * GAMMA)]
     u = min(lows, key=lambda v: abs(v.y))
     return QuadInt(abs(u.x), abs(u.y))

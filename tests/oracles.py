@@ -4,8 +4,10 @@ route what the library computes once, and that no `verify` suite runs.
 Divisor sums, totients and Moebius inversion computed from factorizations,
 the phi table taken back out of the library's prefix sums, totient sums
 sliced from it, the recheck of a leg-gap triple, the leg across a
-hypotenuse gap, associates in Z[sqrt(2)], and the A/B delta recurrences
-read one coefficient pair at a time.  The recurrence itself is
+hypotenuse gap, the parametrization (r, s) -> triple and the enumerator's
+rows as `Triple`s, Euclidean division in Z[sqrt(2)] with the gcd and the
+norm-p generators it gives, associates in Z[sqrt(2)], and the A/B delta
+recurrences read one coefficient pair at a time.  The recurrence itself is
 stated once, in `pptriples.checks`, whose `check_pell` runs it.
 """
 
@@ -15,14 +17,15 @@ import collections
 import math
 import operator
 from array import array
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from pptriples._primes import factorize
 from pptriples.checks import RecurrencePair, _apply_pair, _recurrence_pairs, odd_part
+from pptriples.triples import ParamPair, Triple, iter_ppt_rows
+from pptriples.zsqrt2 import GAMMA, QuadInt, _orbit_low, _sqrt_mod, canonical_associate
 
 if TYPE_CHECKING:
     from pptriples.leg_gap import FSpec, FTriple
-    from pptriples.zsqrt2 import QuadInt
 
 
 def verify_f_triple(ft: FTriple, spec: FSpec) -> bool:
@@ -51,11 +54,68 @@ def leg_from_gap(a: int, g: int) -> int | None:
     return num // (2 * g)
 
 
+def from_params(p: ParamPair) -> Triple:
+    """The triple (r*r - s*s, 2*r*s, r*r + s*s)."""
+    r, s = p.r, p.s
+    return Triple(r * r - s * s, 2 * r * s, r * r + s * s)
+
+
+def iter_ppts(c_max: int) -> Iterator[Triple]:
+    """The rows of `iter_ppt_rows(c_max)` as validated `Triple`s, in its order."""
+    for c, a, b in iter_ppt_rows(c_max):
+        yield Triple(a, b, c)
+
+
+def _round_half_toward_zero(num: int, den: int) -> int:
+    """Nearest integer to num/den; exact halves round toward zero."""
+    if den < 0:
+        num, den = -num, -den
+    q, r = divmod(num, den)
+    twice = 2 * r
+    if twice > den or (twice == den and q < 0):
+        q += 1
+    return q
+
+
+def euclid_div(alpha: QuadInt, beta: QuadInt) -> tuple[QuadInt, QuadInt]:
+    """Quotient and remainder with |norm(remainder)| < |norm(beta)|.
+
+    The quotient is alpha * conj(beta) / norm(beta) with both components
+    rounded to a nearest integer; any rounding within 1/2 meets the bound,
+    and the half-toward-zero rule makes the choice deterministic.
+    """
+    if beta.is_zero():
+        raise ZeroDivisionError("division by zero in Z[sqrt(2)]")
+    n = beta.norm
+    p = alpha * beta.conjugate()
+    q = QuadInt(_round_half_toward_zero(p.x, n), _round_half_toward_zero(p.y, n))
+    return q, alpha - beta * q
+
+
+def euclid_gcd(alpha: QuadInt, beta: QuadInt) -> QuadInt:
+    """A greatest common divisor by Euclid's algorithm, in canonical associate form."""
+    if alpha.is_zero() and beta.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    a, b = alpha, beta
+    while not b.is_zero():
+        a, b = b, euclid_div(a, b)[1]
+    return canonical_associate(a)
+
+
+def euclid_ideal_generator(p: int) -> QuadInt:
+    """The norm +/-p generator of `ideal_generator`, with the prime ideal
+    (p, a + sqrt(2)) spanned by the Euclidean gcd of its two generators."""
+    g = euclid_gcd(QuadInt(p, 0), QuadInt(_sqrt_mod(2, p), 1))
+    lows = [_orbit_low(v, operator.attrgetter("y"))[1] for v in (g, g * GAMMA)]
+    u = min(lows, key=lambda v: abs(v.y))
+    return QuadInt(abs(u.x), abs(u.y))
+
+
 def is_associate(u: QuadInt, v: QuadInt) -> bool:
     """True iff u and v differ by a unit factor."""
     if u.is_zero() or v.is_zero():
         return u.is_zero() and v.is_zero()
-    return (u % v).is_zero() and (v % u).is_zero()
+    return euclid_div(u, v)[1].is_zero() and euclid_div(v, u)[1].is_zero()
 
 
 def recurrence_coeffs(n: int) -> RecurrencePair:

@@ -22,13 +22,13 @@ from pptriples import (
     count_GO,
     count_pool,
     density_report,
-    from_params,
     render_ratio,
 )
 from pptriples import checks, density
 from pptriples.checks import odd_part, pair_count_rows
 
 from oracles import (
+    from_params,
     moebius,
     moebius_inversion_check,
     phi2,

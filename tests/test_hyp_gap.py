@@ -22,7 +22,6 @@ from pptriples import (
     invert_to_family,
     is_primitive,
     iter_g_family,
-    iter_ppts,
 )
 from pptriples import cli, hyp_gap, triples
 from pptriples.checks import (
@@ -33,7 +32,7 @@ from pptriples.checks import (
     check_nonexistence,
 )
 
-from oracles import leg_from_gap
+from oracles import from_params, iter_ppts, leg_from_gap
 
 
 class TestClassify:
@@ -238,7 +237,7 @@ class TestFirstIndex:
 
 def every_index_walk(g, count):
     """The referee of `iter_g_family`, built from the module docstring's table
-    alone, with `math.gcd` and `triples.from_params`: the first `count`
+    alone, with `math.gcd` and `oracles.from_params`: the first `count`
     members found by trying every index from the first with s > 0, the
     wrong-parity ones included.  A coprime pair of opposite parity states
     every row's side conditions."""
@@ -258,7 +257,7 @@ def every_index_walk(g, count):
             return items
         k, r, s = row(n)
         if math.gcd(r, s) == 1 and (r - s) % 2:
-            t = triples.from_params(triples.ParamPair(r, s))
+            t = from_params(triples.ParamPair(r, s))
             a, b, c = t if g % 2 else (t.b, t.a, t.c)  # even gaps: even leg first
             assert c - b == g and a == stride * n + offset
             items.append((n, k, r, s, a, b, c, stride, offset))

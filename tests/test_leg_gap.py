@@ -17,7 +17,6 @@ from pptriples import (
     ideal_generator,
     iter_f_triples,
     iter_ppt_rows,
-    iter_ppts,
     is_prime,
 )
 from pptriples import checks, leg_gap, pell, triples, zsqrt2
@@ -25,7 +24,7 @@ from pptriples.checks import CheckReport, leg_gap_rows
 from pptriples.cli import main
 from pptriples.leg_gap import FTriple
 
-from oracles import is_associate, verify_f_triple
+from oracles import is_associate, iter_ppts, verify_f_triple
 
 
 class TestAdmissible:

@@ -11,13 +11,13 @@ from pptriples import (
     TripleClass,
     classify_triple,
     enumerate_ppts,
-    from_params,
     is_primitive,
     iter_ppt_rows,
-    iter_ppts,
     to_params,
 )
 from pptriples.triples import _WINDOW_FLOOR, _WINDOW_ROOTS
+
+from oracles import from_params, iter_ppts
 
 
 def reference_ppts(c_max):

@@ -14,7 +14,6 @@ from pptriples import (
     QuadInt,
     UnsupportedRangeError,
     canonical_associate,
-    euclid_div,
     gcd,
     ideal_generator,
     is_prime,
@@ -22,11 +21,13 @@ from pptriples import (
 )
 from pptriples.zsqrt2 import _orbit_low
 
-from oracles import is_associate
+from oracles import euclid_div, euclid_gcd, euclid_ideal_generator, is_associate
 
 coords = st.integers(min_value=-(10**6), max_value=10**6)
 elements = st.builds(QuadInt, coords, coords)
 nonzero = elements.filter(lambda q: not q.is_zero())
+wide_coords = st.integers(min_value=-(10**30), max_value=10**30)
+wide = st.builds(QuadInt, wide_coords, wide_coords)
 
 
 class TestArithmetic:
@@ -142,11 +143,6 @@ class TestEuclidDiv:
         assert alpha == beta * q + r
         assert abs(r.norm) < abs(beta.norm)
 
-    def test_operator_wiring(self):
-        a, b = QuadInt(41, 29), QuadInt(3, 1)
-        q, r = divmod(a, b)
-        assert a // b == q and a % b == r and a == b * q + r
-
 
 class TestCanonicalAssociate:
     def test_units_normalize_to_one(self):
@@ -233,7 +229,7 @@ class TestGcd:
             if a.is_zero() and b.is_zero():
                 continue
             g = gcd(a, b)
-            assert (a % g).is_zero() and (b % g).is_zero()
+            assert euclid_div(a, g)[1].is_zero() and euclid_div(b, g)[1].is_zero()
 
     def test_scaling_property(self):
         rng = random.Random(0xCAFE)
@@ -244,6 +240,15 @@ class TestGcd:
             if (a.is_zero() and b.is_zero()) or c.is_zero():
                 continue
             assert is_associate(gcd(c * a, c * b), c * gcd(a, b))
+
+    @given(
+        st.one_of(wide, st.just(ZERO)), st.one_of(wide, st.just(ZERO)),
+        st.one_of(st.just(ONE), wide.filter(lambda q: not q.is_zero())),
+    )
+    def test_matches_the_euclidean_gcd(self, a, b, c):
+        # c is a shared factor in about half of the cases
+        if not (a.is_zero() and b.is_zero()):
+            assert gcd(c * a, c * b) == euclid_gcd(c * a, c * b)
 
 
 class TestSplits:
@@ -286,6 +291,20 @@ class TestIdealGenerator:
         for p in range(3, 10**5, 2):
             if p % 8 in (1, 7) and is_prime(p):
                 assert ideal_generator(p) == _scan_generator(p), p
+
+    def test_matches_the_euclidean_route_for_random_primes_near_2_64(self):
+        rng, primes = random.Random(0x5EED), []
+        while len(primes) < 300:
+            p = rng.randrange(2**40, 2**64)
+            if p % 8 in (1, 7) and is_prime(p):
+                primes.append(p)
+        for p in primes:
+            assert ideal_generator(p) == euclid_ideal_generator(p), p
+
+    @pytest.mark.parametrize("p", [65537, 167772161, 469762049, 998244353, 2**64 - 2**32 + 1])
+    def test_matches_the_euclidean_route_where_p_minus_1_has_a_large_power_of_2(self, p):
+        # 2**16 to 2**32 divides p - 1, so Tonelli-Shanks runs its longest loops
+        assert ideal_generator(p) == euclid_ideal_generator(p)
 
     def test_primes_near_1e12_and_2_64(self):
         assert ideal_generator(1000000000921) == QuadInt(1162773, 419548)
