@@ -197,7 +197,7 @@ def cmd_gen_f(args: SimpleNamespace) -> int:
 def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
     """The `check` record's fields by name, and the exit code."""
     from .hyp_gap import invert_to_family
-    from .triples import Triple, classify_triple
+    from .triples import Triple
 
     record = dict.fromkeys(RECORDS["check"])
     record.update(a=a, b=b, c=c, pythagorean=False)
@@ -205,14 +205,16 @@ def _check_record(a: int, b: int, c: int) -> tuple[dict, int]:
         t = Triple(a, b, c)
     except ValueError:
         return record, EXIT_NOT_PPT
-    cls = classify_triple(t)
-    record.update(pythagorean=True, primitive=cls.primitive, even_leg=cls.even_leg, f=cls.f)
-    if not cls.primitive:
+    # two odd legs would make c*c = 2 mod 4, which no square is
+    even_leg = "b" if a % 2 else "a" if b % 2 else "both"
+    record.update(pythagorean=True, primitive=False, even_leg=even_leg, f=abs(b - a))
+    try:
+        gc, n = invert_to_family(t)  # the parameter pair is the primitivity test
+    except ValueError:
         return record, EXIT_NOT_PPT
-    gc, n = invert_to_family(t)
     m = gc.m  # r - s, as a = (r - s)(r + s), when b is even; else s, as a = 2rs
     r, s = ((t.a // m + m) // 2, (t.a // m - m) // 2) if t.b % 2 == 0 else (t.a // (2 * m), m)
-    record.update(r=r, s=s, g=t.c - t.b, g_kind=gc.kind.value, g_m=m, g_n=n)
+    record.update(primitive=True, r=r, s=s, g=t.c - t.b, g_kind=gc.kind.value, g_m=m, g_n=n)
     return record, EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 
 class Triple(namedtuple("Triple", "a b c")):
@@ -50,19 +50,6 @@ class ParamPair(namedtuple("ParamPair", "r s")):
         return cls(*iterable)
 
 
-class TripleClass(NamedTuple):
-    """Derived facts about a triple: primitivity, even leg and leg gap."""
-
-    primitive: bool
-    even_leg: str  # "a", "b" or "both"
-    f: int  # absolute difference of the legs
-
-
-def is_primitive(t: Triple) -> bool:
-    """True iff gcd(a, b) = 1; a divisor of two entries divides the third."""
-    return math.gcd(t.a, t.b) == 1
-
-
 def to_params(t: Triple) -> ParamPair:
     """The unique parameter pair of a primitive triple.
 
@@ -78,15 +65,6 @@ def to_params(t: Triple) -> ParamPair:
     if r * r != r2 or s * s != s2 or (r - s) % 2 == 0 or math.gcd(r, s) != 1:
         raise ValueError(f"{t} is not primitive; no parameter preimage")
     return ParamPair(r, s)
-
-
-def classify_triple(t: Triple) -> TripleClass:
-    return TripleClass(
-        primitive=is_primitive(t),
-        # two odd legs would make c*c = 2 mod 4, which no square is
-        even_leg="b" if t.a % 2 else "a" if t.b % 2 else "both",
-        f=abs(t.b - t.a),
-    )
 
 
 # A window of hypotenuses spans _WINDOW_ROOTS * isqrt(c_max) values, at least

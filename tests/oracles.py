@@ -4,7 +4,8 @@ route what the library computes once, and that no `verify` suite runs.
 Divisor sums, totients and Moebius inversion computed from factorizations,
 the phi table taken back out of the library's prefix sums, totient sums
 sliced from it, the recheck of a leg-gap triple, the leg across a
-hypotenuse gap, the parametrization (r, s) -> triple and the enumerator's
+hypotenuse gap, primitivity as the gcd of the legs (the library reads it off
+the parameter pair), the parametrization (r, s) -> triple and the enumerator's
 rows as `Triple`s, Euclidean division in Z[sqrt(2)] with the gcd and the
 norm-p generators it gives, associates in Z[sqrt(2)], and the A/B delta
 recurrences read one coefficient pair at a time.  The recurrence itself is
@@ -52,6 +53,11 @@ def leg_from_gap(a: int, g: int) -> int | None:
     if num <= 0 or num % (2 * g):
         return None
     return num // (2 * g)
+
+
+def is_primitive(t: Triple) -> bool:
+    """True iff gcd(a, b) = 1; a divisor of two entries divides the third."""
+    return math.gcd(t.a, t.b) == 1
 
 
 def from_params(p: ParamPair) -> Triple:

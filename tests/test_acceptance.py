@@ -23,13 +23,13 @@ from pptriples import (
     generate_f_triples,
     generate_g_family,
     gamma_delta_power,
-    is_primitive,
 )
 from pptriples import checks
 from pptriples.checks import odd_part
 
 from oracles import (
     apply_delta_power,
+    is_primitive,
     moebius_inversion_check,
     phi2_divisor_sum,
     sum_phi,

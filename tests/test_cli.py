@@ -13,12 +13,13 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import pptriples
 from pptriples import (
@@ -561,22 +562,36 @@ class TestCheck:
         assert record["g_kind"] == "odd-square" and record["g_n"] == 2
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 10**30 - 1), st.integers(0, 10**30 // 2))
-    def test_record_names_the_gen_g_row_of_its_triple(self, s, half):
+    @given(
+        st.integers(1, 10**30 - 1),
+        st.integers(0, 10**30 // 2),
+        st.sampled_from((1, 2, 3)) | st.integers(4, 10**6),
+    )
+    @example(s=1, half=0, k=9)  # (27, 36, 45): its halves 36 and 9 are squares
+    def test_record_names_the_gen_g_row_of_its_triple(self, s, half, k):
         """The record's pair arithmetic and `hyp_gap._rows` agree: the gen-g
         member at the record's (g, g_n) is its (r, s, a, b, c), in both leg
-        orders, an even b (an odd-square gap) and an odd b (twice a square)."""
+        orders, an even b (an odd-square gap) and an odd b (twice a square).
+        The k-fold multiple of that triple, k >= 2, is Pythagorean but not
+        primitive: exit 4 with the leg facts filled and the pair fields empty."""
         r = s + 2 * half + 1  # opposite parity to s
         assume(r <= 10**30 and math.gcd(r, s) == 1)
-        odd, even, c = r * r - s * s, 2 * r * s, r * r + s * s
-        for a, b in ((odd, even), (even, odd)):
+        odd, even, c = k * (r * r - s * s), k * 2 * r * s, k * (r * r + s * s)
+        for (a, b), leg in (((odd, even), "b"), ((even, odd), "a")):
             record, code = cli._check_record(a, b, c)
-            assert code == 0 and record["g"] == c - b
+            if k > 1:
+                assert (code, record["pythagorean"], record["primitive"]) == (4, True, False)
+                assert record["even_leg"] == (leg if k % 2 else "both")
+                assert record["f"] == abs(b - a)
+                assert [record[key] for key in ("r", "s", "g", "g_kind", "g_m", "g_n")] == [None] * 6
+                continue
+            assert code == 0 and record["primitive"] and record["even_leg"] == leg
+            assert record["g"] == c - b
             gc = hyp_gap.classify_g(record["g"])
             assert (gc.kind.value, gc.m) == (record["g_kind"], record["g_m"])
             item = hyp_gap.family_member(gc, record["g_n"])
             assert item is not None
-            assert (item.r, item.s, item.a, item.b, item.c) == tuple(record[k] for k in "rsabc")
+            assert (item.r, item.s, item.a, item.b, item.c) == tuple(record[key] for key in "rsabc")
 
 
 class TestDensity:
@@ -888,6 +903,93 @@ def test_parse_args_reads_the_grammar_of_commands(case):
     usage, error = err.getvalue().splitlines()
     assert usage.startswith(f"usage: pptriples {argv[0]} ")
     assert error.startswith(f"pptriples {argv[0]}: error: ")
+
+
+# number texts at the edges of the grammar.  The huge ones parse, so no count,
+# exponent span or verify bound takes them: those inputs have no work limit.
+SMALL_EDGE_TEXTS = ["0", "-1", "1_0", " 5", "+5", "\u0663", "", "1..", "3..1", "2,2", ","]
+EDGE_TEXTS = [str(2**63), str(2**64 - 1), str(2**64 + 1), str(10**30), *SMALL_EDGE_TEXTS]
+_UNBOUNDED = ("--count", "--m", "--c-max", "--m-max", "--b-max")
+
+
+@st.composite
+def bounded_requests(draw):
+    """An argv drawn from `COMMANDS` whose work is bounded: each argument
+    given once (seldom not at all), as `--name value` or `--name=value`, in
+    any order (positionals in table order), its text a value in bounds or
+    (seldom) an edge text.  A `verify` scope gets its own bound.  An --out
+    path is `{out}/` and a name.  `check` takes a k-fold triple, k <= 3, or
+    three small numbers."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    spec = COMMANDS[command][2]
+    seldom = st.integers(0, 7).map(lambda n: n == 0)
+    s, k = draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    r = s + 2 * draw(st.integers(0, 15)) + 1  # opposite parity to s
+    sides = [k * (r * r - s * s), 2 * k * r * s, k * (r * r + s * s)]
+    if draw(st.booleans()):
+        sides[:2] = sides[1::-1]
+    if draw(seldom):
+        sides = draw(st.lists(st.integers(1, 100), min_size=3, max_size=3))
+
+    def ints(lo, hi):
+        return st.integers(lo, hi).map(str)
+
+    in_bounds = {
+        **{name: st.just(str(side)) for name, side in zip("abc", sides)},
+        "--g": ints(1, 10**4) | st.integers(1, 100).flatmap(
+            lambda m: st.sampled_from([str(m * m), str(2 * m * m)])),
+        "--count": ints(1, 300),
+        "--f": ints(1, 10**4) | st.sampled_from(["1", "7", "17", "23", "49", "119", "2737"]),
+        "--m": ints(-40, 40) | st.lists(st.integers(-40, 40), min_size=2, max_size=2).map(
+            lambda span: "{}..{}".format(*sorted(span))),
+        "--grid": st.lists(st.integers(2, 10**4), min_size=1, max_size=3, unique=True).map(
+            lambda bounds: ",".join(map(str, sorted(bounds)))),
+        "--out": st.sampled_from(["rows.csv", "missing/rows.csv"]),
+        "--c-max": ints(1, 5000),
+        "--m-max": ints(1, 20),
+        "--b-max": ints(1, 200),
+    }
+    scope = draw(st.sampled_from(list(VERIFY)))
+    own = {"scope", "--" + VERIFY[scope][1].replace("_", "-")} if command == "verify" else set(spec)
+    items = []
+    for name, (parse, _, _) in spec.items():
+        if draw(seldom) == (name in own):  # own ones seldom left out, others seldom given
+            continue
+        if draw(seldom):
+            text = draw(st.sampled_from(SMALL_EDGE_TEXTS if name in _UNBOUNDED else EDGE_TEXTS))
+        elif name == "scope":
+            text = scope
+        else:
+            text = draw(st.sampled_from(parse) if isinstance(parse, tuple) else in_bounds[name])
+        if name == "--out":
+            text = "{out}/" + text
+        if not name.startswith("-"):
+            items.append((name, [text]))
+        else:
+            items.append((name, [f"{name}={text}"] if draw(st.booleans()) else [name, text]))
+    # the flags in any order, the positionals in table order
+    positionals = iter([tokens for name, tokens in items if not name.startswith("-")])
+    argv = [command]
+    for name, tokens in draw(st.permutations(items)):
+        argv += tokens if name.startswith("-") else next(positionals)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_requests())
+def test_main_ends_every_bounded_request_with_a_documented_code(argv):
+    """The handlers' half of the argv fuzz: `main`, run in-process, returns
+    a documented exit code (0 to 6) and raises nothing, with stderr empty
+    exactly on 0, 4 (not a PPT) and 6 (a violation).  Only requests whose
+    work is bounded are drawn: a small --count, exponent span and verify
+    bound.  Any grid is drawn, because the sieve budget refuses big ones."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.replace("{out}", tmp) for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in range(7)
+    assert (err.getvalue() == "") == (code in (0, 4, 6))
 
 
 @contextlib.contextmanager

@@ -29,7 +29,10 @@ and density-cross faults, once
 `density` with their reports unchanged.  The density grids topping out at
 2, 3, 8, 27, 28, 1000 and 1001, whose totient tables end on either side of a
 cube, and the GEO grid to 10**8 were pinned while the table held phi itself
-and each row held its ratio as a `Fraction`."""
+and each row held its ratio as a `Fraction`.  The `check` requests for the
+non-primitive 9 12 15 and 12 9 15 (one per even leg) and for 4 3 5 (a gap of
+twice an odd square) were pinned while `check` still tested primitivity by
+the gcd of the legs before it read the parameter pair."""
 
 import contextlib
 import hashlib
@@ -82,6 +85,12 @@ GOLDEN = [
     ("check 6 8 10 --format json", 4, "9e456e53c4846fd3a6b3bba03b9a7ee7e067105fed69ba2e049b52c0ff908e30"),
     ("check 1 2 3", 4, "8b83bbaa3f777b4d994c7caf2e4d6a602cd5763db578e1921b9875f7735d5ea5"),
     ("check 1 2 3 --format json", 4, "0736728ee398cac6ee64e7838ffac4f6e61ed2cd262f107b6adf580421aa110c"),
+    ("check 9 12 15", 4, "321da0052d17f83189742916d0fe3853476583b9f8ee18ae56b0c4bff384084d"),
+    ("check 9 12 15 --format json", 4, "c13b753088ddd48be22659e37c4be0b0433322e4094fb0885c9025fa679c69b7"),
+    ("check 12 9 15", 4, "f17ee76db082385905fcb0df6a44fa59b811de63d6a41199e1cb99d8ab3e6c54"),
+    ("check 12 9 15 --format json", 4, "d85a4e8c26465235abc0072361c46dc1bd9f009b4f506122384891be8bf36c4c"),
+    ("check 4 3 5", 0, "8635a860621e89ebe61d485618f501ed1aeeee64ab60c5e667372e39fa3aacfd"),
+    ("check 4 3 5 --format json", 0, "86a6c321d49b7174a0ecf571c9395e357edae6889bf9d867164a7851e6bb4a05"),
     ("density --family GO --grid 10,100,1000", 0, "fa20d47d06bf2bfd79a3c6c504bbab9bf2015a1a90896dd0a694a051309f739b"),
     ("density --family GEE --grid 10,100 --format json", 0, "224683dc57371087f425eb599089c21a9a95ff5de232667f13fb077d459e3eac"),
     ("density --family GEO --grid 2,10,500", 0, "5598d02d7f5480ad483d3b1f3649b73477ff531637de5ca979578145b4636f15"),
@@ -127,14 +136,16 @@ def test_golden_bytes(argv, code, digest, tmp_path):
 def run_child(python, argv, out_path, unbuffered):
     """Run `argv` as a `python -m pptriples` child, its stdout a pipe and
     buffered unless `unbuffered`.  Returns its exit code, the sha256 of its
-    stdout (or of the --out file, when stdout is empty) and its stderr."""
+    stdout (or of the --out file, when stdout is empty and the file was
+    written) and its stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(pptriples.__file__).resolve().parent.parent)}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     argv_list = [arg.replace("{out}", str(out_path)) for arg in argv.split()]
     proc = subprocess.run([python, "-m", "pptriples", *argv_list], capture_output=True, env=env, timeout=60)
-    data = out_path.read_bytes() if "{out}" in argv and proc.stdout == b"" else proc.stdout
+    written = "{out}" in argv and proc.stdout == b"" and out_path.exists()
+    data = out_path.read_bytes() if written else proc.stdout
     return proc.returncode, hashlib.sha256(data).hexdigest(), proc.stderr.decode()
 
 
@@ -272,20 +283,27 @@ def test_counterexample_reports(fault, run, want, monkeypatch):
 if __name__ == "__main__":
     # python tests/test_golden.py PYTHON...: run every GOLDEN and REFUSALS command
     # line as a `PYTHON -m pptriples` child of each interpreter named, once with
-    # stdout buffered and once unbuffered
+    # stdout buffered and once unbuffered; exit 1 unless every case matched.  A
+    # child that cannot be started or does not finish is a mismatch.
     import itertools
     import tempfile
 
     cases = [(argv, code, digest, None) for argv, code, digest in GOLDEN]
     cases += [(argv, code, hashlib.sha256(b"").hexdigest(), line + "\n") for argv, code, line in REFUSALS]
+    all_matched = True
     for python in sys.argv[1:]:
         matched = 0
         for (argv, code, digest, err), unbuffered in itertools.product(cases, (False, True)):
             with tempfile.TemporaryDirectory() as tmp:
-                got, got_digest, got_err = run_child(python, argv, Path(tmp) / "out", unbuffered)
+                try:
+                    got, got_digest, got_err = run_child(python, argv, Path(tmp) / "out", unbuffered)
+                except (OSError, subprocess.SubprocessError) as exc:
+                    got, got_digest, got_err = None, None, f"{type(exc).__name__}: {exc}"
             if (got, got_digest) == (code, digest) and err in (None, got_err):
                 matched += 1
             else:
                 mode = "unbuffered" if unbuffered else "buffered"
                 print(f"{python}: {argv} ({mode}): got {(got, got_digest)}, stderr {got_err!r}")
         print(f"{python}: {matched} of {2 * len(cases)} matched")
+        all_matched = all_matched and matched == 2 * len(cases)
+    sys.exit(0 if all_matched else 1)

@@ -20,7 +20,6 @@ from pptriples import (
     family_member,
     generate_g_family,
     invert_to_family,
-    is_primitive,
     iter_g_family,
 )
 from pptriples import cli, hyp_gap, triples
@@ -32,7 +31,7 @@ from pptriples.checks import (
     check_nonexistence,
 )
 
-from oracles import from_params, iter_ppts, leg_from_gap
+from oracles import from_params, is_primitive, iter_ppts, leg_from_gap
 
 
 class TestClassify:
@@ -447,14 +446,13 @@ class TestInvert:
         assert family_member(*invert_to_family(t)).triple == t
 
     def test_reads_the_pair_alone(self, monkeypatch):
-        """Inversion neither tests primitivity again nor regenerates the triple."""
+        """Inversion does not regenerate the triple."""
 
         def refuse(*args):
             raise AssertionError("called")
 
         sample = [Triple(15, 8, 17), Triple(4, 3, 5), Triple(12, 5, 13)]
         want = [invert_to_family(t) for t in sample]
-        monkeypatch.setattr(triples, "is_primitive", refuse)
         for name in ("family_member", "_rows"):
             monkeypatch.setattr(hyp_gap, name, refuse)
         assert [invert_to_family(t) for t in sample] == want
@@ -479,16 +477,16 @@ class TestInvert:
 
     @pytest.mark.parametrize("abc,code", [((15, 8, 17), 0), ((8, 15, 17), 0), ((6, 8, 10), 4)])
     def test_check_tests_primitivity_once(self, monkeypatch, abc, code):
+        """The parameter pair is `check`'s one primitivity test: one
+        `to_params` call per Pythagorean input, primitive or not."""
         calls = []
-        original = triples.is_primitive
+        original = hyp_gap.to_params
 
         def counting(t):
             calls.append(t)
             return original(t)
 
-        monkeypatch.setattr(triples, "is_primitive", counting)
-        if hasattr(hyp_gap, "is_primitive"):
-            monkeypatch.setattr(hyp_gap, "is_primitive", counting)
+        monkeypatch.setattr(hyp_gap, "to_params", counting)
         assert cli._check_record(*abc)[1] == code
         assert calls == [abc]
 

@@ -8,16 +8,13 @@ from hypothesis import given, settings, strategies as st
 from pptriples import (
     ParamPair,
     Triple,
-    TripleClass,
-    classify_triple,
     enumerate_ppts,
-    is_primitive,
     iter_ppt_rows,
     to_params,
 )
 from pptriples.triples import _WINDOW_FLOOR, _WINDOW_ROOTS
 
-from oracles import from_params, iter_ppts
+from oracles import from_params, is_primitive, iter_ppts
 
 
 def reference_ppts(c_max):
@@ -101,9 +98,7 @@ class TestRecords:
         for built in (type(record)._make(record), record._replace(), type(record)(*record)):
             assert type(built) is type(record) and built == record
 
-    @pytest.mark.parametrize("record", [
-        Triple(3, 4, 5), ParamPair(2, 1), classify_triple(Triple(3, 4, 5))
-    ])
+    @pytest.mark.parametrize("record", [Triple(3, 4, 5), ParamPair(2, 1)])
     def test_immutable(self, record):
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], 1)
@@ -235,12 +230,3 @@ class TestIterPpts:
             tracemalloc.stop()
         assert count == 39_788
         assert peak < 2.5e6
-
-
-def test_classify_triple():
-    cls = classify_triple(Triple(15, 8, 17))
-    assert cls.primitive and cls.even_leg == "b"
-    assert cls.f == 7
-    assert TripleClass._fields == ("primitive", "even_leg", "f")
-    cls = classify_triple(Triple(6, 8, 10))
-    assert not cls.primitive and cls.even_leg == "both"
