@@ -128,7 +128,7 @@ def _g_coverage_by_rows(c_max: int) -> CheckReport:
     g = c - even, then (even, odd, c) the next of the twice-square family of
     g = c - odd.  A missing, repeated, extra or misplaced member fails at
     the next row of its gap.  Memory is about 1.2 * sqrt(c_max) live streams
-    beside the referee's window.
+    beside the referee's merge, which holds one pending row per r.
     """
     from . import hyp_gap
     from .triples import iter_ppt_rows

@@ -67,46 +67,24 @@ def to_params(t: Triple) -> ParamPair:
     return ParamPair(r, s)
 
 
-# A window of hypotenuses spans _WINDOW_ROOTS * isqrt(c_max) values, at least
-# _WINDOW_FLOOR: it holds O(sqrt(c_max)) triples, and the per-window row
-# scan, about 0.3 * sqrt(c_max) rows, stays a small share of its pairs.  Below
-# 513**2 a window is the floor's, about 5,200 rows (0.8 MB traced), which a
-# suite holds beside its own state, such as the g-coverage family streams.
-_WINDOW_ROOTS = 64
-_WINDOW_FLOOR = 1 << 15
-
-
 def iter_ppt_rows(c_max: int) -> Iterator[tuple[int, int, int]]:
     """Every PPT with hypotenuse <= c_max as a plain (c, a, b) tuple, odd leg
     a first, in (c, a) order.
 
     Exhaustive over coprime opposite-parity parameter pairs; each triple
-    appears exactly once.  Empty below the smallest hypotenuse 5.  The
-    hypotenuses are swept one window [lo, hi) at a time, so only one
-    window's rows are held at once.
+    appears exactly once.  Empty below the smallest hypotenuse 5.  Row r
+    yields its triples in rising c = r*r + s*s, and the rows are merged, so
+    one pending triple per row is held at a time.
     """
-    width = max(_WINDOW_FLOOR, _WINDOW_ROOTS * math.isqrt(max(c_max, 0)))
-    gcd, isqrt = math.gcd, math.isqrt
-    lo = 0
-    while lo <= c_max:
-        hi = min(lo + width, c_max + 1)
-        window: list[tuple[int, int, int]] = []
-        # row r holds c = r*r + s*s for 0 < s < r, all below 2*r*r
-        r = max(2, isqrt(lo // 2))
-        while r * r + 1 < hi:
-            rr = r * r
-            s_lo = isqrt(lo - rr - 1) + 1 if lo > rr else 1
-            s_lo += (s_lo + r + 1) % 2  # s of the opposite parity to r
-            s_hi = min(r, isqrt(hi - 1 - rr) + 1)
-            window += [
-                (rr + s * s, rr - s * s, 2 * r * s)
-                for s in range(s_lo, s_hi, 2)
-                if gcd(r, s) == 1
-            ]
-            r += 1
-        window.sort()  # (c, a) is unique to a primitive triple
-        yield from window
-        lo = hi
+    import heapq  # `check` and `gen-g` load this module but read no rows
+
+    def row(r: int) -> Iterator[tuple[int, int, int]]:
+        rr = r * r
+        for s in range(r % 2 + 1, min(r, math.isqrt(c_max - rr) + 1), 2):
+            if math.gcd(r, s) == 1:
+                yield rr + s * s, rr - s * s, 2 * r * s
+
+    yield from heapq.merge(*map(row, range(2, math.isqrt(max(c_max - 1, 0)) + 1)))
 
 
 def enumerate_ppts(c_max: int) -> list[Triple]:

@@ -555,10 +555,10 @@ class TestGCoverage:
          (65536, 20856), (65537, 20858), (131072, 41736)],
     )
     def test_two_checks_per_row_across_window_edges(self, c_max, checks):
-        """Rows at c = 4097 and 65537 lie one past a bound, and the
-        referee's windows (2**15 wide below 513**2) have edges among these
-        bounds.  A pass reads no window: the edges matter only to the
-        referee's count of rows here and to the suite's failure path."""
+        """Rows at c = 4097 and 65537 lie one past a bound.  A pass reads no
+        referee row: the bounds matter only to the referee's count of rows
+        here and to the suite's failure path, which reads the referee's
+        merge of the parameter rows."""
         assert checks == 2 * len(list(triples.iter_ppt_rows(c_max)))
         assert check_g_coverage(c_max) == ("g-coverage", checks, 0, None)
 
@@ -657,7 +657,10 @@ class TestGCoverage:
         assert peak < 64 * 1024
 
     def test_a_fault_past_the_first_window_counts_every_row_before_it(self, monkeypatch):
-        # (2175, 3472, 4097) is the first row past c = 4096, where 1304 checks pass
+        """(2175, 3472, 4097) is the first referee row past c = 4096, below
+        which 652 rows give 1304 checks.  With it gone from g = 625's
+        stream, the suite fails at that row and counts every row the merge
+        gave before it."""
         edited_stream(monkeypatch, 625, lambda ms: (m for m in ms if m.c != 4097))
         report = check_g_coverage(10_000)
         assert report == (

@@ -12,7 +12,6 @@ from pptriples import (
     iter_ppt_rows,
     to_params,
 )
-from pptriples.triples import _WINDOW_FLOOR, _WINDOW_ROOTS
 
 from oracles import from_params, is_primitive, iter_ppts
 
@@ -190,25 +189,28 @@ class TestEnumerate:
         assert keys == sorted(keys)
 
 
-# One below, at and one above the second and fourth window edges: below
-# 513**2 every window is _WINDOW_FLOOR wide.
-EDGES = [k * _WINDOW_FLOOR + d for k in (2, 4) for d in (-1, 0, 1)]
+# Where row r begins (r*r + 1 for even r, r*r + 4 for odd) and ends (its last
+# triple is s = r - 1, at 2*r*r - 2*r + 1): rows 2 and 3 first, then 512, 513.
+ROW_EDGES = sorted({
+    c for r in (2, 3, 512, 513)
+    for c in (r * r, r * r + 1, r * r + 4, 2 * r * r - 2 * r, 2 * r * r - 2 * r + 1, 2 * r * r - 2 * r + 2)
+})
+# One below, at and one above 2**16 and 2**17.
+POWER_EDGES = [k * 2**15 + d for k in (2, 4) for d in (-1, 0, 1)]
 
 
 class TestIterPpts:
-    @pytest.mark.parametrize("c_max", [0, 4, 5, 17, *EDGES, 10**6])
+    @pytest.mark.parametrize("c_max", sorted({0, 4, 5, 17, *ROW_EDGES, *POWER_EDGES, 10**6}))
     def test_matches_the_reference(self, c_max):
         # compared as a stream, so only the reference list is held
         pairs = zip_longest(iter_ppts(c_max), reference_ppts(c_max))
         assert all(t == ref for t, ref in pairs)
 
     @pytest.mark.parametrize(
-        "c_max", [0, 4, 5, *EDGES[:3], 1_100_000]
+        "c_max", sorted({-1, 0, 4, 5, *ROW_EDGES[:9], *POWER_EDGES[:3], 1_100_000})
     )
     def test_rows_are_the_triples_as_tuples(self, c_max):
-        # the last bound is above 513**2, where windows are wider than the floor
-        assert _WINDOW_ROOTS * math.isqrt(1_100_000) > _WINDOW_FLOOR
-        pairs = zip_longest(iter_ppt_rows(c_max), iter_ppts(c_max))
+        pairs = zip_longest(iter_ppt_rows(c_max), reference_ppts(c_max))
         assert all(t is not None and row == (t.c, t.a, t.b) for row, t in pairs)
 
     @settings(max_examples=8, deadline=None)
@@ -218,10 +220,12 @@ class TestIterPpts:
         small, large = list(iter_ppts(c1)), list(iter_ppts(c2))
         assert large[: len(small)] == small
         assert all(t.c > c1 for t in large[len(small) :])
+        assert large == reference_ppts(c2)
 
-    def test_memory_stays_one_window(self):
+    def test_memory_stays_one_head_per_row(self):
         """At 250,000 the list of all 39,788 triples peaks near 10.6 MB traced;
-        the stream holds one window of about 5,000 (c, a, b) tuples."""
+        the stream holds one pending (c, a, b) tuple and one generator for
+        each of its 498 rows, about 0.3 MB."""
         tracemalloc.start()
         try:
             count = sum(1 for _ in iter_ppts(250_000))
@@ -229,4 +233,4 @@ class TestIterPpts:
         finally:
             tracemalloc.stop()
         assert count == 39_788
-        assert peak < 2.5e6
+        assert peak < 0.6e6
