@@ -184,7 +184,7 @@ def cmd_gen_f(args: SimpleNamespace) -> int:
     write_records(
         args.format, sys.stdout, "f_triple",
         _in_64s((*ft.triple, ft.m, 1, *ft.cf_choice.u) for ft in triples),
-        meta=[("f_spec", (spec.f, spec.admissible, [list(pe) for pe in spec.factorization]))]
+        meta=[("f_spec", (spec.f, True, [list(pe) for pe in spec.factorization]))]
         + [("cf_element", (elem.u.x, elem.u.y, list(elem.choices))) for elem in elements],
         comments=[
             f"f={spec.f} admissible factorization={factor_text or '1'}",

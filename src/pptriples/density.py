@@ -41,14 +41,15 @@ class Family(enum.Enum):
 
 def _check_budget(bound: int) -> None:
     """Refuse a table of `bound` entries above the budget, DEFAULT_SIEVE_BUDGET
-    unless the PPT_SIEVE_BUDGET variable overrides it."""
+    unless the PPT_SIEVE_BUDGET variable overrides it, in the CLI's number
+    grammar: ASCII digits with an optional leading minus, stricter than int()."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     limit = DEFAULT_SIEVE_BUDGET
     if raw is not None:
-        try:
-            limit = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
+        digits = raw.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
+        limit = int(raw)
         if limit < 1:
             raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {limit}")
     if bound > limit:

@@ -1,9 +1,9 @@
 """Families of primitive triples (a, b, b+g) with a fixed hypotenuse gap g.
 
 A gap g = c - b occurs in a primitive triple only when g is an odd square
-m*m or twice a square 2*m*m.  Each admissible gap carries one infinite
-family, indexed by n >= 1 and built from a parameter-pair table keyed on the
-parity of the root m:
+m*m or twice a square 2*m*m, and `classify_g` refuses any other gap.  Each
+admissible gap carries one infinite family, indexed by n >= 1 and built from
+a parameter-pair table keyed on the parity of the root m:
 
     odd square m*m      r = (2n+1+m)/2, s = (2n+1-m)/2   gcd(2n+1, m) = 1
     2*m*m, m odd        r = n,          s = m            gcd(n, m) = 1, n even
@@ -41,19 +41,14 @@ class GKind(enum.Enum):
     ODD_SQUARE = "odd-square"
     TWICE_SQUARE_ODD = "twice-square-odd-root"
     TWICE_SQUARE_EVEN = "twice-square-even-root"
-    INADMISSIBLE = "inadmissible"
 
 
 class GClass(NamedTuple):
-    """Admissibility class of a gap, with its root m when admissible."""
+    """An admissible gap with its kind and its root m: g = m*m or 2*m*m."""
 
     g: int
     kind: GKind
-    m: int | None = None
-
-    @property
-    def admissible(self) -> bool:
-        return self.kind is not GKind.INADMISSIBLE
+    m: int
 
 
 class GFamilyItem(NamedTuple):
@@ -75,14 +70,14 @@ class GFamilyItem(NamedTuple):
 
 
 def classify_g(g: int) -> GClass:
-    """The unique admissibility class of g; the three kinds are disjoint."""
+    """The unique class of g, the kinds being disjoint; InadmissibleError if none."""
     if g < 1:
         raise ValueError(f"gap must be a positive integer, got {g}")
     root = g if g % 2 else g // 2  # g = m*m when odd, 2*m*m when even
     m = math.isqrt(root)
-    if m * m == root:
-        return _class_of(g, m)
-    return GClass(g, GKind.INADMISSIBLE)
+    if m * m != root:
+        raise InadmissibleError(f"g={g} is inadmissible: not an odd square; not twice a square")
+    return _class_of(g, m)
 
 
 def _class_of(g: int, m: int) -> GClass:
@@ -127,18 +122,9 @@ def _rows(gc: GClass, ns: range) -> list[tuple[int, ...]]:
     return rows
 
 
-def _admissible(gc: GClass) -> GClass:
-    """gc itself when admissible; else InadmissibleError naming the failed tests."""
-    if not gc.admissible:
-        raise InadmissibleError(f"g={gc.g} is inadmissible: not an odd square; not twice a square")
-    return gc
-
-
 def family_member(gc: GClass, n: int) -> GFamilyItem | None:
     """The member `iter_g_family` yields at index n, or None where `_rows`
-    refuses the index.  An inadmissible gap raises InadmissibleError, and
-    then an index below 1 ValueError."""
-    _admissible(gc)
+    refuses the index.  An index below 1 raises ValueError."""
     if n < 1:
         raise ValueError(f"family index starts at 1, got {n}")
     rows = _rows(gc, range(n, n + 1))
@@ -158,7 +144,7 @@ def iter_g_family(g: int, count: int) -> Iterator[GFamilyItem]:
 def iter_g_blocks(g: int, count: int) -> Iterator[list[tuple[int, ...]]]:
     """`iter_g_family(g, count)` as the plain rows of `_rows`, one nonempty
     list per block of 64 indices, with the same checks at the call."""
-    gc = _admissible(classify_g(g))
+    gc = classify_g(g)
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     return _blocks(gc, count)

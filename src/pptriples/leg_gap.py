@@ -2,11 +2,12 @@
 
 A primitive triple with legs f apart satisfies (2a+f)**2 - 2c**2 = -f**2, a
 Pell-type equation, which forces every prime factor of f to be +/-1 mod 8
-(and f to be odd).  Conversely, all such triples are read off from the
-elements +/- GAMMA * DELTA**m * u**2 of Z[sqrt(2)], where u ranges over the
-norm-f products built by choosing, for each prime factor of f, either its
-prime-element generator or the conjugate.  `admissible_f` builds these
-elements once, into the `FSpec` that every later step reads.
+(and f to be odd); `admissible_f` refuses any other f.  Conversely, all such
+triples are read off from the elements +/- GAMMA * DELTA**m * u**2 of
+Z[sqrt(2)], where u ranges over the norm-f products built by choosing, for
+each prime factor of f, either its prime-element generator or the conjugate.
+`admissible_f` builds these elements once, into the `FSpec` that every
+later step reads.
 
 Conjugation pairs the branches.  As conj(GAMMA) = -1/GAMMA and conj(DELTA)
 = 1/DELTA, the conjugate of GAMMA * DELTA**m * u**2 is
@@ -47,14 +48,12 @@ class CfElement(NamedTuple):
 
 
 class FSpec(NamedTuple):
-    """A leg gap with its factorization, admissibility verdict and, if it is
-    admissible, its 2**k norm-f elements (`cf_elements`)."""
+    """An admissible leg gap with its factorization and its 2**k norm-f
+    elements, as `admissible_f` built them."""
 
     f: int
     factorization: tuple[tuple[int, int], ...]
-    admissible: bool
-    reasons: tuple[str, ...] = ()
-    elements: tuple[CfElement, ...] = ()
+    elements: tuple[CfElement, ...]
 
 
 class FTriple(NamedTuple):
@@ -69,24 +68,24 @@ class FTriple(NamedTuple):
 def admissible_f(f: int) -> FSpec:
     """Factor f and test the necessary condition: odd, all primes +/-1 mod 8.
 
-    Rejection reasons are listed per offending prime.  An admissible f gets
-    its norm-f elements, built here once: all 2**k products over the k
-    distinct prime factors, each factor's generator or its conjugate to the
-    factor's power (the empty product 1 for f = 1).  In this order the
-    conjugate of element i, its complementary choices, is element
-    2**k - 1 - i.  Factorization is limited to f < 2**64
-    (UnsupportedRangeError beyond).
+    A failing f raises InadmissibleError, naming each failing prime in order
+    (`zsqrt2.splits`).  An admissible f gets its `FSpec`, with its norm-f
+    elements built here once: all 2**k products over the k distinct prime
+    factors, each factor's generator or its conjugate to the factor's power
+    (the empty product 1 for f = 1).  In this order the conjugate of element
+    i, its complementary choices, is element 2**k - 1 - i.  Factorization is
+    limited to f < 2**64 (UnsupportedRangeError beyond).
     """
     if f < 1:
         raise ValueError(f"leg gap must be a positive integer, got {f}")
     factorization = tuple(_primes.factorize(f))
-    reasons = tuple(
+    reasons = [
         f"prime factor {p} is {p % 8} mod 8, not +/-1"
         for p, _ in factorization
-        if p % 8 not in (1, 7)
-    )
+        if not zsqrt2.splits(p)
+    ]
     if reasons:
-        return FSpec(f, factorization, False, reasons)
+        raise InadmissibleError(f"f={f} is inadmissible: " + "; ".join(reasons))
     elements = [CfElement(ONE, ())]
     for p, exp in factorization:
         q = zsqrt2.ideal_generator(p) ** exp
@@ -95,15 +94,12 @@ def admissible_f(f: int) -> FSpec:
             for e in elements
             for pick, v in enumerate((q, q.conjugate()))
         ]
-    return FSpec(f, factorization, True, (), tuple(elements))
+    return FSpec(f, factorization, tuple(elements))
 
 
 def cf_elements(spec: FSpec) -> tuple[CfElement, ...]:
-    """The norm +/-f elements of an admissible spec, as `admissible_f` built
-    them.  An inadmissible spec raises InadmissibleError, which lists the
-    offending primes."""
-    if not spec.admissible:
-        raise InadmissibleError(f"f={spec.f} is inadmissible: " + "; ".join(spec.reasons))
+    """`spec.elements`, the norm +/-f elements `admissible_f` built.  This
+    step stays only so that the `perfbench` tracer can wrap it."""
     return spec.elements
 
 
@@ -115,7 +111,7 @@ def iter_f_triples(spec: FSpec, m_lo: int, m_hi: int) -> Iterator[FTriple]:
     the + branch and is not walked.  Branches with X <= f would give a
     nonpositive first leg and are skipped.  Each triple is emitted once,
     tagged with the first branch, in ascending m, that hit it.  The range
-    and the gap are checked when this is called, before the first triple.
+    is checked when this is called, before the first triple.
 
     Of each conjugate pair, branch i <= twin i' is walked over [m_lo, m_hi]
     united with its reflection m -> -m-1, one interval when the two meet and

@@ -748,6 +748,8 @@ REFUSALS = [
     ("verify pell --c-max 3", {}, 1),
     ("density --family GO --grid 100000", {"PPT_SIEVE_BUDGET": "100"}, 5),
     ("density --family GO --grid 1000", {"PPT_SIEVE_BUDGET": "abc"}, 1),
+    ("density --family GO --grid 10", {"PPT_SIEVE_BUDGET": "1_0"}, 1),
+    ("density --family GO --grid 10", {"PPT_SIEVE_BUDGET": "\u0663\u0660"}, 1),
     ("verify density-cross --b-max 20000000", {}, 5),
     ("verify density-cross --b-max 10", {"PPT_SIEVE_BUDGET": "abc"}, 1),
     ("density --family GO --grid 10 --out {missing}/rows.csv", {}, 1),

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from array import array
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -100,6 +101,20 @@ class TestSieve:
         with pytest.raises(SieveBudgetError):
             build_sieve(1000)
         build_sieve(50)
+
+    @pytest.mark.parametrize("raw", ["1_0", " 10", "+10", "\u0663\u0660", "10 ", "", "-"])
+    def test_budget_takes_only_ascii_digits(self, monkeypatch, raw):
+        """The variable follows the CLI's number grammar: int() alone would
+        read 1_0, " 10" and +10 as 10, and the Arabic-Indic digits 30 as 30."""
+        monkeypatch.setenv("PPT_SIEVE_BUDGET", raw)
+        message = re.escape(f"PPT_SIEVE_BUDGET must be an integer, got {raw!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_sieve(22)
+
+    def test_budget_keeps_the_minus_of_the_grammar(self, monkeypatch):
+        monkeypatch.setenv("PPT_SIEVE_BUDGET", "-10")
+        with pytest.raises(ValueError, match="^PPT_SIEVE_BUDGET must be positive, got -10$"):
+            build_sieve(22)
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):

@@ -168,6 +168,15 @@ def test_golden_bytes_with_buffered_stdout(argv, tmp_path):
     assert run_child(sys.executable, argv, tmp_path / "out", unbuffered=False) == (code, digest, "")
 
 
+def test_runner_with_no_interpreter_exits_2():
+    """`python tests/test_golden.py` alone would check nothing, so it exits 2,
+    its stdout empty and one usage line on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pptriples.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, __file__], capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"usage: ") and proc.stderr.count(b"\n") == 1
+
+
 # argv -> (exit code, the one stderr line); stdout stays empty
 REFUSALS = [
     ("gen-g --g 3", 2, "g=3 is inadmissible: not an odd square; not twice a square"),
@@ -284,9 +293,15 @@ if __name__ == "__main__":
     # python tests/test_golden.py PYTHON...: run every GOLDEN and REFUSALS command
     # line as a `PYTHON -m pptriples` child of each interpreter named, once with
     # stdout buffered and once unbuffered; exit 1 unless every case matched.  A
-    # child that cannot be started or does not finish is a mismatch.
+    # child that cannot be started or does not finish is a mismatch.  With no
+    # interpreter named nothing would be checked, so it exits 2 with a usage
+    # line on stderr.
     import itertools
     import tempfile
+
+    if len(sys.argv) < 2:
+        print(f"usage: python {sys.argv[0]} PYTHON...", file=sys.stderr)
+        sys.exit(2)
 
     cases = [(argv, code, digest, None) for argv, code, digest in GOLDEN]
     cases += [(argv, code, hashlib.sha256(b"").hexdigest(), line + "\n") for argv, code, line in REFUSALS]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pptriples import (
+    GClass,
     GKind,
     InadmissibleError,
     Triple,
@@ -34,6 +35,15 @@ from pptriples.checks import (
 from oracles import from_params, is_primitive, iter_ppts, leg_from_gap
 
 
+def admissible(g):
+    """Whether `classify_g` takes g, rather than refusing it as inadmissible."""
+    try:
+        classify_g(g)
+    except InadmissibleError:
+        return False
+    return True
+
+
 class TestClassify:
     def test_examples(self):
         gc = classify_g(9)
@@ -46,11 +56,10 @@ class TestClassify:
         assert gc.kind is GKind.ODD_SQUARE and gc.m == 1
 
     def test_inadmissible_records_reasons(self):
-        gc = classify_g(3)
-        assert gc == (3, GKind.INADMISSIBLE, None) and not gc.admissible
         message = "g=3 is inadmissible: not an odd square; not twice a square"
         with pytest.raises(InadmissibleError, match=f"^{message}$"):
-            family_member(gc, 1)
+            classify_g(3)
+        assert len(GKind) == 3 and GClass._fields == ("g", "kind", "m")
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -60,10 +69,29 @@ class TestClassify:
         assert all(t.c - t.b != 3 for t in enumerate_ppts(10_000))
 
     def test_classes_partition_small_gaps(self):
-        admissible = {g for g in range(1, 100) if classify_g(g).admissible}
+        taken = {g for g in range(1, 100) if admissible(g)}
         odd_squares = {m * m for m in range(1, 10, 2)}
         twice_squares = {2 * m * m for m in range(1, 8)}
-        assert admissible == {g for g in odd_squares | twice_squares if g < 100}
+        assert taken == {g for g in odd_squares | twice_squares if g < 100}
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 10**15), lead=st.sampled_from((1, 2)), step=st.sampled_from((-1, 0, 1)))
+    @example(m=1, lead=1, step=1)  # g = 2 = 2*1*1
+    @example(m=2, lead=2, step=1)  # g = 9 = 3*3
+    @example(m=10**15, lead=1, step=0)  # an even square is not admissible
+    def test_refuses_exactly_the_inadmissible(self, m, lead, step):
+        """Near m*m and 2*m*m, g is refused exactly when it is neither an odd
+        square nor twice a square; a taken g is m*m or 2*m*m for its root."""
+        g = lead * m * m + step
+        assume(g >= 1)  # g = 0 is refused as nonpositive, before admissibility
+        odd_square = g % 2 == 1 and math.isqrt(g) ** 2 == g
+        twice_square = g % 2 == 0 and 2 * math.isqrt(g // 2) ** 2 == g
+        if not (odd_square or twice_square):
+            with pytest.raises(InadmissibleError, match=f"^g={g} is inadmissible: "):
+                classify_g(g)
+            return
+        gc = classify_g(g)
+        assert gc.g == g and (gc.m**2 if odd_square else 2 * gc.m**2) == g
 
 
 class TestLegFromGap:
@@ -141,8 +169,7 @@ class TestGenerate:
 
     def test_soundness_small(self):
         for g in range(1, 51):
-            gc = classify_g(g)
-            if not gc.admissible:
+            if not admissible(g):
                 continue
             items = generate_g_family(g, 10)
             for it in items:
@@ -224,7 +251,7 @@ class TestFirstIndex:
                 if ordered.c - ordered.b <= 200:
                     by_gap.setdefault(ordered.c - ordered.b, []).append(ordered)
         for g in range(1, 201):
-            if not classify_g(g).admissible:
+            if not admissible(g):
                 continue
             items = generate_g_family(g, 10)
             # the hypotenuse grows with the first leg, so the oracle bound
@@ -656,6 +683,16 @@ class TestGCoverage:
         assert report == CheckReport("g-coverage", 31838, 0)
         assert peak < 64 * 1024
 
+    def test_a_repeat_and_a_drop_in_two_streams_do_not_cancel(self, monkeypatch):
+        """The g = 1 stream repeats its second member, (5, 12, 13), and the
+        g = 9 stream drops its first, (15, 8, 17), so the members still
+        number two per referee row.  Only the strict rise of c along each
+        stream catches the repeat; the suite then fails at the dropped row."""
+        edited_stream(monkeypatch, 1, repeat_at(13))
+        edited_stream(monkeypatch, 9, lambda members: itertools.islice(members, 1, None))
+        report = check_g_coverage(10**4)
+        assert report == CheckReport("g-coverage", 5, 1, "(15, 8, 17) missing from the g=9 family")
+
     def test_a_fault_past_the_first_window_counts_every_row_before_it(self, monkeypatch):
         """(2175, 3472, 4097) is the first referee row past c = 4096, below
         which 652 rows give 1304 checks.  With it gone from g = 625's
@@ -669,7 +706,7 @@ class TestGCoverage:
 
 
 def test_nonexistence_of_inadmissible_gaps():
-    inadmissible = {g for g in range(1, 51) if not classify_g(g).admissible}
+    inadmissible = {g for g in range(1, 51) if not admissible(g)}
     seen_gaps = set()
     for t in iter_ppts(10**6):
         seen_gaps.add(t.c - t.a)

@@ -22,7 +22,7 @@ from pptriples import (
 from pptriples import checks, leg_gap, pell, triples, zsqrt2
 from pptriples.checks import CheckReport, leg_gap_rows
 from pptriples.cli import main
-from pptriples.leg_gap import FTriple
+from pptriples.leg_gap import FSpec, FTriple
 
 from oracles import is_associate, iter_ppts, verify_f_triple
 
@@ -30,13 +30,39 @@ from oracles import is_associate, iter_ppts, verify_f_triple
 class TestAdmissible:
     def test_examples(self):
         spec = admissible_f(7)
-        assert spec.admissible and spec.factorization == ((7, 1),)
-        spec = admissible_f(12)
-        assert not spec.admissible
-        assert any("2 is 2 mod 8" in r for r in spec.reasons)
-        assert any("3 is 3 mod 8" in r for r in spec.reasons)
-        assert admissible_f(119).admissible  # 7 * 17
-        assert admissible_f(1).admissible and admissible_f(1).factorization == ()
+        assert spec.f == 7 and spec.factorization == ((7, 1),)
+        with pytest.raises(InadmissibleError) as refusal:
+            admissible_f(12)
+        assert str(refusal.value) == (
+            "f=12 is inadmissible: prime factor 2 is 2 mod 8, not +/-1; "
+            "prime factor 3 is 3 mod 8, not +/-1"
+        )
+        assert admissible_f(119).factorization == ((7, 1), (17, 1))
+        assert admissible_f(1).factorization == ()
+        assert FSpec._fields == ("f", "factorization", "elements")
+
+    def test_refuses_exactly_the_inadmissible(self):
+        """For every f <= 3000, trial division finds the prime factors: f is
+        refused exactly when one is not +/-1 mod 8, and the message names
+        each such prime, in ascending order."""
+        for f in range(1, 3001):
+            primes, n, p = [], f, 2
+            while n > 1:
+                if p * p > n:
+                    p = n
+                if n % p == 0:
+                    primes.append(p)
+                    while n % p == 0:
+                        n //= p
+                p += 1
+            offending = [p for p in primes if p % 8 not in (1, 7)]
+            if not offending:
+                assert [p for p, _ in admissible_f(f).factorization] == primes
+                continue
+            with pytest.raises(InadmissibleError) as refusal:
+                admissible_f(f)
+            reasons = "; ".join(f"prime factor {p} is {p % 8} mod 8, not +/-1" for p in offending)
+            assert str(refusal.value) == f"f={f} is inadmissible: {reasons}"
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -117,12 +143,12 @@ class TestCfElements:
             assert spec.elements[len(want) - 1 - i].u == elem.u.conjugate()
 
     def test_rejects_inadmissible(self):
-        assert admissible_f(21).elements == ()
+        """No spec, and so no elements, exist for an inadmissible f."""
         message = r"f=21 is inadmissible: prime factor 3 is 3 mod 8, not \+/-1"
         with pytest.raises(InadmissibleError, match=f"^{message}$"):
-            cf_elements(admissible_f(21))
+            admissible_f(21)
         with pytest.raises(InadmissibleError):
-            cf_elements(admissible_f(3))
+            admissible_f(3)
 
 
 class TestGenerate:
@@ -525,8 +551,9 @@ def test_sufficiency_survey_reports_only():
     """The necessary condition is not claimed sufficient; survey and report."""
     found, missing = [], []
     for f in range(1, 60, 2):
-        spec = admissible_f(f)
-        if not spec.admissible:
+        try:
+            spec = admissible_f(f)
+        except InadmissibleError:
             continue
         hits = generate_f_triples(spec, -8, 8)
         (found if hits else missing).append(f)
